@@ -32,7 +32,7 @@ type IO struct {
 	Write  bool
 	Sector int64
 	Data   []byte
-	done   *sim.Event
+	done   sim.Event
 	err    error
 	req    *Request
 }
@@ -114,7 +114,7 @@ func (r *Request) Complete(err error) {
 // drivers (mirroring, striping) that fan one request out to children.
 // Completion is observed with Wait.
 func NewRequest(env *sim.Env, write bool, sector int64, data []byte) *Request {
-	io := &IO{Write: write, Sector: sector, Data: data, done: sim.NewEvent(env)}
+	io := &IO{Write: write, Sector: sector, Data: data}
 	r := &Request{Write: write, Sector: sector, ios: []*IO{io}, nbytes: len(data), queued: env.Now()}
 	io.req = r
 	return r
@@ -244,7 +244,7 @@ func (q *Queue) Submit(write bool, sector int64, data []byte) (*IO, error) {
 	if sector < 0 || sector+int64(len(data)/SectorSize) > q.driver.Sectors() {
 		return nil, ErrOutOfRange
 	}
-	io := &IO{Write: write, Sector: sector, Data: data, done: sim.NewEvent(q.env)}
+	io := &IO{Write: write, Sector: sector, Data: data}
 	q.stats.IOsSubmitted++
 	if q.activity != nil {
 		q.activity()

@@ -1674,7 +1674,7 @@ func (d *Device) extractPayload(ph *phys) []byte {
 // routeDegraded completes ph outside the RDMA path: through the fallback
 // driver when it can absorb the request, otherwise with ErrServerLost.
 // The payload buffer must already be released (data carries a write's
-// bytes). Runs from proc or scheduler context; fallback I/O happens in a
+// bytes). Runs from proc or callback context; fallback I/O happens in a
 // spawned process so no caller ever blocks on the fallback device.
 func (d *Device) routeDegraded(ph *phys, data []byte) {
 	fb := d.cfg.Fallback

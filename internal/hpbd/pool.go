@@ -472,7 +472,7 @@ func (b *BufferPool) Alloc(p *sim.Proc, n int) (int, error) {
 		if err == nil {
 			if waited {
 				b.waitHist.Observe(p.Now().Sub(t0))
-				span.EndArgs(map[string]any{"bytes": n})
+				span.EndBytes(n)
 			}
 			return off, nil
 		}

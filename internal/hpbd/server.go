@@ -716,7 +716,7 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 			return
 		}
 		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": n})
+		span.EndBytes(n)
 		if conn.qp.Closed() {
 			return
 		}
@@ -728,7 +728,7 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 			return
 		}
 		copyNs = p.Now().Sub(copyStart)
-		span.EndArgs(map[string]any{"bytes": n})
+		span.EndBytes(n)
 		s.met.writes.Inc()
 		s.met.bytesStored.Add(int64(n))
 		if s.tn != nil {
@@ -746,7 +746,7 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 			return
 		}
 		copyNs = p.Now().Sub(copyStart)
-		span.EndArgs(map[string]any{"bytes": n})
+		span.EndBytes(n)
 		span = s.tracer.Begin(wname, "rdma-write")
 		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
 			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
@@ -755,7 +755,7 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 			return
 		}
 		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": n})
+		span.EndBytes(n)
 		if conn.qp.Closed() {
 			return
 		}

@@ -427,7 +427,9 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			return item, tnDone
 		}
 		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
+		if s.tracer != nil {
+			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
+		}
 		if conn.qp.Closed() {
 			s.tnPutBuf(c.buf)
 			return item, tnDone
@@ -441,7 +443,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			copyStart := sp.Now()
 			err := s.store.WriteAt(sp, c.buf.Buf[:n], storeOff)
 			c.copyNs += sp.Now().Sub(copyStart)
-			span.EndArgs(map[string]any{"bytes": n})
+			span.EndBytes(n)
 			st := wire.StatusServerError
 			if err == nil {
 				st = wire.StatusOK
@@ -465,7 +467,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 				copyStart := sp.Now()
 				err := s.store.ReadAt(sp, c.buf.Buf[:n], storeOff)
 				c.copyNs += sp.Now().Sub(copyStart)
-				span.EndArgs(map[string]any{"bytes": n})
+				span.EndBytes(n)
 				c.ready = true
 				c.fail = err != nil
 				s.tn.sched.Push(conn.tenantID, s.tnChunk(n, 0), sp.Now(), item)
@@ -487,7 +489,9 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			return item, tnDone
 		}
 		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
+		if s.tracer != nil {
+			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
+		}
 		if conn.qp.Closed() {
 			s.tnPutBuf(c.buf)
 			return item, tnDone

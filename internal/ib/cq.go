@@ -19,8 +19,8 @@ type CQE struct {
 type CQ struct {
 	env           *sim.Env
 	name          string
-	entries       []CQE
-	waiters       *sim.WaitQueue
+	entries       sim.Ring[CQE]
+	waiters       sim.WaitQueue
 	handler       func()
 	armed         bool
 	solicitedOnly bool
@@ -32,23 +32,15 @@ func (h *HCA) CreateCQ(name string) *CQ {
 	return &CQ{
 		env:        h.fabric.env,
 		name:       name,
-		waiters:    sim.NewWaitQueue(h.fabric.env),
 		eventDelay: h.fabric.cfg.EventDelay,
 	}
 }
 
 // Len returns the number of pending completions.
-func (c *CQ) Len() int { return len(c.entries) }
+func (c *CQ) Len() int { return c.entries.Len() }
 
 // Poll removes and returns the oldest completion, if any.
-func (c *CQ) Poll() (CQE, bool) {
-	if len(c.entries) == 0 {
-		return CQE{}, false
-	}
-	e := c.entries[0]
-	c.entries = c.entries[1:]
-	return e, true
-}
+func (c *CQ) Poll() (CQE, bool) { return c.entries.Pop() }
 
 // WaitPoll blocks the calling process until a completion is available and
 // returns it. This models busy-poll semantics without burning host CPU in
@@ -80,8 +72,8 @@ func (c *CQ) WaitPollTimeout(p *sim.Proc, d sim.Duration) (CQE, bool) {
 }
 
 // SetEventHandler installs fn as the completion event handler. The handler
-// runs in scheduler context after the configured event delay; it must not
-// block (typically it wakes a process).
+// runs as a sim.Env.After callback after the configured event delay; it must
+// not block (typically it wakes a process).
 func (c *CQ) SetEventHandler(fn func()) { c.handler = fn }
 
 // ReqNotify arms the completion event: the next completion (or the next
@@ -95,7 +87,7 @@ func (c *CQ) ReqNotify(solicitedOnly bool) {
 
 // push appends a completion and delivers notifications.
 func (c *CQ) push(e CQE) {
-	c.entries = append(c.entries, e)
+	c.entries.Push(e)
 	c.waiters.WakeAll()
 	if c.armed && c.handler != nil && (!c.solicitedOnly || e.Solicited || e.Status != StatusSuccess) {
 		c.armed = false

@@ -169,7 +169,7 @@ func (q *QP) PostSendBatch(p *sim.Proc, wrs []SendWR) error {
 	return nil
 }
 
-// PostSendAsync posts from scheduler context (no process to charge); used
+// PostSendAsync posts from callback context (no process to charge); used
 // by layered code that batches posts inside event handlers.
 func (q *QP) PostSendAsync(wr SendWR) error {
 	if q.closed {

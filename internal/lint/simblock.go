@@ -8,14 +8,15 @@ import (
 )
 
 // Simblock flags real concurrency primitives inside simulated processes.
-// A function that receives a *sim.Proc runs on the cooperative virtual
-// scheduler, which guarantees exactly one process executes at a time; a
-// raw channel operation, select, sync.Mutex/WaitGroup call, or spawned
-// goroutine inside such a function blocks (or races) the single real
-// thread the whole simulation shares and deadlocks the kernel. Blocking
-// must go through sim primitives (Proc.Sleep, sim.WaitQueue, sim.Chan,
-// Env.Go). The sim package itself — which implements parking on real
-// channels — is exempted by the suite config.
+// A function that receives a *sim.Proc runs under the cooperative kernel,
+// which lets exactly one process goroutine execute at a time while the
+// others wait for a baton only the running one can pass. A raw channel
+// operation, select or sync.Mutex/WaitGroup call inside such a function
+// blocks the baton holder, so nothing else ever runs and the simulation
+// deadlocks; a spawned goroutine runs beside the holder and races it.
+// Blocking must go through sim primitives (Proc.Sleep, sim.WaitQueue,
+// sim.Chan, Env.Go). The sim package itself — which implements the
+// hand-off on real channels — is exempted by the suite config.
 var Simblock = &analysis.Analyzer{
 	Name: "simblock",
 	Doc: "flag raw channel ops, select, go statements and sync.* calls in " +

@@ -6,24 +6,20 @@ package sim
 // unbounded or non-full channel completes immediately at the current
 // virtual time.
 type Chan[T any] struct {
-	buf      []T
+	buf      Ring[T]
 	capacity int
-	notFull  *WaitQueue
-	notEmpty *WaitQueue
+	notFull  WaitQueue
+	notEmpty WaitQueue
 	closed   bool
 }
 
 // NewChan returns a channel with the given capacity (<= 0 for unbounded).
-func NewChan[T any](env *Env, capacity int) *Chan[T] {
-	return &Chan[T]{
-		capacity: capacity,
-		notFull:  NewWaitQueue(env),
-		notEmpty: NewWaitQueue(env),
-	}
+func NewChan[T any](_ *Env, capacity int) *Chan[T] {
+	return &Chan[T]{capacity: capacity}
 }
 
 // Len returns the number of buffered messages.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.Len() }
 
 // Close marks the channel closed: Recv on an empty closed channel returns
 // ok == false, and Send panics.
@@ -37,13 +33,13 @@ func (c *Chan[T]) Closed() bool { return c.closed }
 
 // Send enqueues v, parking while a bounded channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	for c.capacity > 0 && len(c.buf) >= c.capacity {
+	for c.capacity > 0 && c.buf.Len() >= c.capacity {
 		c.notFull.Wait(p)
 	}
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	c.buf = append(c.buf, v)
+	c.buf.Push(v)
 	c.notEmpty.WakeOne()
 }
 
@@ -52,10 +48,10 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	if c.capacity > 0 && len(c.buf) >= c.capacity {
+	if c.capacity > 0 && c.buf.Len() >= c.capacity {
 		return false
 	}
-	c.buf = append(c.buf, v)
+	c.buf.Push(v)
 	c.notEmpty.WakeOne()
 	return true
 }
@@ -63,34 +59,29 @@ func (c *Chan[T]) TrySend(v T) bool {
 // Recv dequeues the oldest message, parking while the channel is empty.
 // ok is false if the channel is closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	for len(c.buf) == 0 {
+	for c.buf.Len() == 0 {
 		if c.closed {
 			return v, false
 		}
 		c.notEmpty.Wait(p)
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.notFull.WakeOne()
-	return v, true
+	return c.TryRecv()
 }
 
 // TryRecv dequeues without blocking; ok reports whether a message was taken.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(c.buf) == 0 {
-		return v, false
+	v, ok = c.buf.Pop()
+	if ok {
+		c.notFull.WakeOne()
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.notFull.WakeOne()
-	return v, true
+	return v, ok
 }
 
 // RecvTimeout dequeues the oldest message, parking at most d. ok is false
 // on timeout or when the channel is closed and drained.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
 	deadline := p.env.now.Add(d)
-	for len(c.buf) == 0 {
+	for c.buf.Len() == 0 {
 		if c.closed {
 			return v, false
 		}
@@ -99,12 +90,9 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
 			return v, false
 		}
 		c.notEmpty.WaitTimeout(p, remain)
-		if len(c.buf) == 0 && p.env.now >= deadline {
+		if c.buf.Len() == 0 && p.env.now >= deadline {
 			return v, false
 		}
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.notFull.WakeOne()
-	return v, true
+	return c.TryRecv()
 }

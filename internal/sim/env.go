@@ -1,39 +1,25 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
 )
 
 // event is a scheduled occurrence: either the resumption of a parked process
-// or a bare callback executed in scheduler context.
+// or a bare callback run inline by whoever is dispatching.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
+	seq uint64 // tie-breaker: FIFO among events at the same instant; never 0
 	p   *Proc  // non-nil: resume this process
 	fn  func() // non-nil: run this callback inline
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Env is a simulation environment: a virtual clock, an event queue, and the
@@ -43,8 +29,9 @@ type Env struct {
 	now      Time
 	seq      uint64
 	nextProc uint64
-	events   eventHeap
-	yield    chan struct{} // handshake: running proc -> scheduler
+	events   []event       // 4-ary min-heap of values ordered by (at, seq)
+	limit    Time          // bound of the RunUntil in progress, < 0 for none
+	main     chan struct{} // hands the baton back to the Run/Close caller
 	procs    map[*Proc]struct{}
 	closed   bool
 
@@ -55,7 +42,7 @@ type Env struct {
 // NewEnv returns an empty environment with a deterministic random source.
 func NewEnv() *Env {
 	return &Env{
-		yield: make(chan struct{}),
+		main:  make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 		Rand:  rand.New(rand.NewSource(1)),
 	}
@@ -64,69 +51,142 @@ func NewEnv() *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-func (e *Env) schedule(at Time, p *Proc, fn func()) *event {
+// schedule queues an event. A process has at most one live wake: scheduling
+// another one supersedes (cancels) whatever was pending.
+func (e *Env) schedule(at Time, p *Proc, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev := &event{at: at, seq: e.seq, p: p, fn: fn}
 	if p != nil {
-		p.wake = ev
+		p.wake = e.seq
 	}
-	heap.Push(&e.events, ev)
-	return ev
+	e.push(event{at: at, seq: e.seq, p: p, fn: fn})
 }
 
-// After schedules fn to run in scheduler context after delay d.
-// fn must not block; use Go for blocking work.
+func (e *Env) push(ev event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+func (e *Env) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the proc and closure references for the collector
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		least := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(&h[least]) {
+				least = j
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
+}
+
+// After schedules fn to run after delay d, inline on whichever goroutine is
+// dispatching at that instant. fn must not block and must not depend on
+// which goroutine runs it; use Go for blocking work.
 func (e *Env) After(d Duration, fn func()) {
 	e.schedule(e.now.Add(d), nil, fn)
 }
 
 // Go starts a new simulated process running fn. The process begins at the
-// current virtual time, after the caller next yields to the scheduler.
+// current virtual time, after the caller next gives up the CPU.
 // The name appears in diagnostics.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProc++
-	p := &Proc{env: e, id: e.nextProc, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, id: e.nextProc, name: name, resume: make(chan struct{}, 1), start: fn}
 	e.procs[p] = struct{}{}
 	e.schedule(e.now, p, nil)
-	go p.run(fn)
 	return p
 }
 
-// run is the scheduler inner loop body: dispatch one event.
-func (e *Env) dispatch(ev *event) {
-	e.now = ev.at
-	if ev.p != nil {
-		if ev.p.done || ev.cancelled() {
-			return
+// next is the dispatch loop. The goroutine that gives up the CPU runs it
+// itself: it pops events in (at, seq) order, runs callbacks inline and
+// skips cancelled wakes until it finds a process to resume. It returns nil
+// when the baton goes back to the Run caller instead: the queue drained,
+// the RunUntil limit was reached, or Close is killing processes.
+func (e *Env) next() *Proc {
+	for len(e.events) > 0 && !e.closed {
+		if e.limit >= 0 && e.events[0].at > e.limit {
+			if e.now < e.limit {
+				e.now = e.limit
+			}
+			break
 		}
-		ev.p.wake = nil
-		ev.p.resume <- struct{}{}
-		<-e.yield
-		return
+		ev := e.pop()
+		e.now = ev.at
+		if ev.p == nil {
+			ev.fn()
+			continue
+		}
+		if ev.p.done || ev.p.wake != ev.seq {
+			continue // exited, or superseded by a later wake
+		}
+		ev.p.wake = 0
+		return ev.p
 	}
-	ev.fn()
+	return nil
 }
 
-func (ev *event) cancelled() bool { return ev.p != nil && ev.p.wake != ev }
+// handoff passes the baton to p, or back to the Run caller when p is nil.
+// The caller must touch no simulation state afterwards until it is resumed.
+func (e *Env) handoff(p *Proc) {
+	switch {
+	case p == nil:
+		e.main <- struct{}{}
+	case p.start != nil:
+		fn := p.start
+		p.start = nil
+		go p.run(fn)
+	default:
+		p.resume <- struct{}{}
+	}
+}
 
-// Run executes events until the queue drains or until limit (if > 0) is
-// reached. It returns the final virtual time. Processes still parked on
-// queues when Run returns remain parked; use Close to release them.
+// Run executes events until the queue drains. It returns the final virtual
+// time. Processes still parked on queues when Run returns remain parked;
+// use Close to release them.
 func (e *Env) Run() Time { return e.RunUntil(-1) }
 
 // RunUntil executes events with timestamps <= limit (limit < 0 means no
-// bound) and returns the virtual time of the last dispatched event.
+// bound) and returns the virtual time reached: limit if events remain
+// beyond it, else the time of the last dispatched event. The clock never
+// moves backwards, so a limit in the past dispatches nothing.
 func (e *Env) RunUntil(limit Time) Time {
-	for len(e.events) > 0 {
-		if limit >= 0 && e.events[0].at > limit {
-			e.now = limit
-			break
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.dispatch(ev)
+	e.limit = limit
+	if p := e.next(); p != nil {
+		e.handoff(p)
+		<-e.main
 	}
 	return e.now
 }
@@ -146,8 +206,9 @@ func (e *Env) Parked() int {
 }
 
 // Close terminates every parked process by unwinding it with a kill panic
-// that the process wrapper recovers. After Close the environment must not
-// be used further. It is safe to call Close on an already-closed Env.
+// that the process wrapper recovers; processes that never started are
+// dropped without running. After Close the environment must not be used
+// further. It is safe to call Close on an already-closed Env.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -163,12 +224,17 @@ func (e *Env) Close() {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	for _, p := range live {
-		if p.done {
-			continue
+		switch {
+		case p.done:
+		case p.start != nil:
+			p.start = nil
+			p.done = true
+			delete(e.procs, p)
+		default:
+			p.killed = true
+			p.resume <- struct{}{}
+			<-e.main
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
 	}
 }
 

@@ -14,8 +14,9 @@ type Proc struct {
 	env    *Env
 	id     uint64 // spawn sequence number: a deterministic identity for ordering
 	name   string
-	resume chan struct{}
-	wake   *event // pending scheduled resume, if any (for cancellation)
+	resume chan struct{} // capacity 1: the baton holder never waits for us to block
+	start  func(*Proc)   // body, until the start event spawns the goroutine
+	wake   uint64        // seq of the pending wake event, 0 = none (for cancellation)
 	done   bool
 	killed bool
 }
@@ -33,45 +34,43 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.env.now }
 
 func (p *Proc) run(fn func(*Proc)) {
-	// Wait for the scheduler to start us.
-	<-p.resume
 	defer func() {
+		r := recover()
 		p.done = true
 		delete(p.env.procs, p)
-		if r := recover(); r != nil {
-			if _, ok := r.(killedError); ok {
-				p.env.yield <- struct{}{}
-				return
+		if r != nil {
+			if _, ok := r.(killedError); !ok {
+				// Re-panicking here would crash the whole program from a
+				// detached goroutine with a confusing stack; annotate instead.
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
-			// Re-panicking here would crash the whole program from a
-			// detached goroutine with a confusing stack; annotate instead.
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
-		p.env.yield <- struct{}{}
+		// The exiting goroutine dispatches until someone else takes over.
+		p.env.handoff(p.env.next())
 	}()
 	fn(p)
 }
 
 // park blocks the process until some other party schedules its resumption.
 // The caller must have arranged a wake-up (a scheduled event or membership
-// in a wait queue) before calling park.
+// in a wait queue) before calling park. The parking goroutine runs the
+// dispatch loop itself; if the next live wake is its own it returns
+// without switching goroutines at all.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
+	if next := p.env.next(); next != p {
+		p.env.handoff(next)
+		<-p.resume
+	}
 	if p.killed {
 		panic(killedError{p.name})
 	}
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. d <= 0 yields: the
+// process is rescheduled at the current instant, after already-queued
+// events at this time.
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		// Yield: reschedule at the current instant, after already-queued
-		// events at this time.
-		p.env.schedule(p.env.now, p, nil)
-		p.park()
-		return
-	}
+	// schedule clamps an instant in the past to now.
 	p.env.schedule(p.env.now.Add(d), p, nil)
 	p.park()
 }

@@ -3,34 +3,34 @@ package sim
 // WaitQueue is a FIFO queue of parked processes, the building block for all
 // higher-level blocking primitives. Wakers schedule the resumed process at
 // the current virtual instant; as with condition variables, woken waiters
-// must re-check their predicate.
+// must re-check their predicate. The zero value is an empty queue ready
+// for use: every operation reaches the environment through a waiter.
 type WaitQueue struct {
-	env     *Env
-	waiters []*Proc
+	waiters Ring[*Proc]
 }
 
-// NewWaitQueue returns an empty wait queue bound to env.
-func NewWaitQueue(env *Env) *WaitQueue { return &WaitQueue{env: env} }
+// NewWaitQueue returns an empty wait queue.
+func NewWaitQueue(_ *Env) *WaitQueue { return &WaitQueue{} }
 
 // Len returns the number of parked processes.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.waiters.Len() }
 
 // Wait parks p until a waker releases it.
 func (q *WaitQueue) Wait(p *Proc) {
-	q.waiters = append(q.waiters, p)
+	q.waiters.Push(p)
 	p.park()
 }
 
 // WaitTimeout parks p until woken or until d elapses. It reports whether
 // the process was woken (false means the timeout fired).
 func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (woken bool) {
-	q.waiters = append(q.waiters, p)
-	q.env.schedule(q.env.now.Add(d), p, nil)
+	q.waiters.Push(p)
+	p.env.schedule(p.env.now.Add(d), p, nil)
 	p.park()
 	// If we are still queued, the timer fired; withdraw.
-	for i, w := range q.waiters {
-		if w == p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+	for i := 0; i < q.waiters.Len(); i++ {
+		if q.waiters.At(i) == p {
+			q.waiters.RemoveAt(i)
 			return false
 		}
 	}
@@ -40,32 +40,29 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (woken bool) {
 // WakeOne resumes the longest-waiting process, if any, and reports whether
 // one was woken.
 func (q *WaitQueue) WakeOne() bool {
-	if len(q.waiters) == 0 {
-		return false
+	p, ok := q.waiters.Pop()
+	if ok {
+		p.env.schedule(p.env.now, p, nil)
 	}
-	p := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	q.env.schedule(q.env.now, p, nil)
-	return true
+	return ok
 }
 
 // WakeAll resumes every parked process.
 func (q *WaitQueue) WakeAll() {
-	for _, p := range q.waiters {
-		q.env.schedule(q.env.now, p, nil)
+	for q.WakeOne() {
 	}
-	q.waiters = q.waiters[:0]
 }
 
 // Event is a one-shot broadcast: processes wait until it is triggered;
 // waiting on an already-triggered event returns immediately.
+// The zero value is an untriggered event ready for use.
 type Event struct {
-	q         *WaitQueue
+	q         WaitQueue
 	triggered bool
 }
 
 // NewEvent returns an untriggered event.
-func NewEvent(env *Env) *Event { return &Event{q: NewWaitQueue(env)} }
+func NewEvent(_ *Env) *Event { return &Event{} }
 
 // Triggered reports whether Trigger has been called.
 func (ev *Event) Triggered() bool { return ev.triggered }
@@ -89,13 +86,11 @@ func (ev *Event) Trigger() {
 // Semaphore is a counting semaphore in virtual time.
 type Semaphore struct {
 	count int
-	q     *WaitQueue
+	q     WaitQueue
 }
 
 // NewSemaphore returns a semaphore holding n permits.
-func NewSemaphore(env *Env, n int) *Semaphore {
-	return &Semaphore{count: n, q: NewWaitQueue(env)}
-}
+func NewSemaphore(_ *Env, n int) *Semaphore { return &Semaphore{count: n} }
 
 // Available returns the number of free permits.
 func (s *Semaphore) Available() int { return s.count }
@@ -128,11 +123,11 @@ func (s *Semaphore) Release(n int) {
 // critical section must stay closed to others.
 type Mutex struct {
 	locked bool
-	q      *WaitQueue
+	q      WaitQueue
 }
 
 // NewMutex returns an unlocked mutex.
-func NewMutex(env *Env) *Mutex { return &Mutex{q: NewWaitQueue(env)} }
+func NewMutex(_ *Env) *Mutex { return &Mutex{} }
 
 // Lock acquires the mutex, parking while it is held elsewhere.
 func (m *Mutex) Lock(p *Proc) {

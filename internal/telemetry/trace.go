@@ -86,6 +86,15 @@ func (s Span) ID() uint64 { return s.id }
 // End closes the span at the current virtual time.
 func (s Span) End() { s.EndArgs(nil) }
 
+// EndBytes closes the span with a "bytes" attribute. Unlike EndArgs it
+// builds the attribute map only when a tracer is attached, so hot paths
+// pay nothing for it with tracing off.
+func (s Span) EndBytes(n int) {
+	if s.t != nil {
+		s.EndArgs(map[string]any{"bytes": n})
+	}
+}
+
 // EndArgs closes the span, attaching attributes shown in the trace viewer.
 // Spans from BeginChild also attach their "span" id and "parent" link.
 func (s Span) EndArgs(args map[string]any) {
@@ -106,7 +115,7 @@ func (s Span) EndArgs(args map[string]any) {
 
 // Complete records a span whose endpoints the caller measured itself —
 // the shape the fabric model needs, where an operation is posted at one
-// virtual instant and completes in a scheduler callback at another.
+// virtual instant and completes in an After callback at another.
 func (t *Tracer) Complete(comp, name string, start, end sim.Time, args map[string]any) {
 	if t == nil {
 		return

@@ -128,7 +128,7 @@ func (s *System) SwapFree() int {
 	return n
 }
 
-// SetLowSwapHook arms fn to fire (once, in scheduler context) when free
+// SetLowSwapHook arms fn to fire (once, in callback context) when free
 // swap slots drop below pages. Re-arm after handling.
 func (s *System) SetLowSwapHook(pages int, fn func()) {
 	s.lowSwapPages = pages

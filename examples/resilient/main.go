@@ -1,8 +1,6 @@
-// Resilient: the reliability and elasticity extensions together. A node
-// swaps to a mirrored pair of memory servers; one server dies mid-run and
-// paging continues from the survivor. Then the dynamic-memory manager
-// demonstrates growing swap online from a cluster pool when space runs
-// low.
+// Resilient: the reliability extension. A node swaps to a mirrored pair
+// of memory servers; one server dies mid-run and paging continues from
+// the survivor. (examples/multiserver shows growing the fleet online.)
 package main
 
 import (
@@ -10,7 +8,6 @@ import (
 	"log"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/dynswap"
 	"hpbd/internal/hpbd"
 	"hpbd/internal/ib"
 	"hpbd/internal/mirror"
@@ -62,49 +59,7 @@ func mirrorDemo() {
 	env.Close()
 }
 
-func dynswapDemo() {
-	env := sim.NewEnv()
-	fabric := ib.NewFabric(env, ib.DefaultConfig())
-	cfg := vm.DefaultConfig(4 << 20)
-	sys := vm.NewSystem(env, cfg)
-
-	// Tiny initial swap; a pool of idle-memory servers stands by.
-	srv0 := hpbd.NewServer(fabric, "mem0", hpbd.DefaultServerConfig(2<<20))
-	dev0 := hpbd.NewDevice(fabric, "hpbd0", hpbd.DefaultClientConfig())
-	if err := dev0.ConnectServer(srv0, 2<<20); err != nil {
-		log.Fatal(err)
-	}
-	sys.AddSwap(blockdev.NewQueue(env, cfg.Host, dev0), 0)
-
-	pool := dynswap.NewPool()
-	for i := 0; i < 3; i++ {
-		pool.Add(hpbd.NewServer(fabric, fmt.Sprintf("idle%d", i), hpbd.DefaultServerConfig(8<<20)))
-	}
-	mgr, err := dynswap.New(sys, pool, dynswap.Config{
-		Fabric: fabric, Unit: 2 << 20, LowPages: 64, Host: cfg.Host,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	as := sys.NewAddressSpace("app", 4096) // 16 MB through 4 MB memory + 2 MB swap
-	env.Go("app", func(p *sim.Proc) {
-		for i := 0; i < 4096; i++ {
-			if err := as.Touch(p, i, true); err != nil {
-				log.Fatalf("touch: %v (growth failed?)", err)
-			}
-		}
-		st := mgr.Stats()
-		fmt.Printf("  16 MB workload completed through 2 MB initial swap: %d leases, %d MB grown\n",
-			st.Leases, st.BytesLeased>>20)
-	})
-	env.Run()
-	env.Close()
-}
-
 func main() {
 	fmt.Println("mirrored swap surviving a memory-server crash:")
 	mirrorDemo()
-	fmt.Println("dynamic swap growth from cluster idle memory:")
-	dynswapDemo()
 }

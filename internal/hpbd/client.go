@@ -28,6 +28,10 @@ var ErrRemote = errors.New("hpbd: remote error")
 // serving ranges whose servers survive.
 var ErrServerLost = errors.New("hpbd: server lost")
 
+// retryBackoff is the recovery path's first retry delay; attempt k waits
+// retryBackoff << (k-1).
+const retryBackoff = 50 * sim.Microsecond
+
 // ClientConfig parameterizes the client block device driver.
 type ClientConfig struct {
 	// PoolBytes is the registration buffer pool size (paper default 1 MB,
@@ -111,13 +115,10 @@ type ClientConfig struct {
 
 	// MaxRetries enables the recovery path: a physical request that
 	// fails transiently (send error) or times out is retried up to this
-	// many times with exponential backoff before degrading. Zero (the
-	// default) keeps the paper's fail-stop behavior: any completion
-	// error fails the whole device.
+	// many times with exponential backoff (retryBackoff, doubling per
+	// attempt) before degrading. Zero (the default) keeps the paper's
+	// fail-stop behavior: any completion error fails the whole device.
 	MaxRetries int
-	// RetryBackoff is the first retry's delay; attempt k waits
-	// RetryBackoff << (k-1). Zero defaults to 50us when MaxRetries > 0.
-	RetryBackoff sim.Duration
 	// Fallback, if non-nil, is a last-resort block driver (the paper's
 	// local-disk swap device): requests whose server is gone and whose
 	// retries are exhausted are absorbed here instead of failing.
@@ -139,9 +140,6 @@ type ClientConfig struct {
 	// reports — bit-identically to a static one). Requires the blocked
 	// layout (StripeBytes must be 0).
 	Elastic bool
-	// MigrationChunkBytes is the live-migration copy granularity (zero:
-	// 64 KB; clamped to the 128 KB server staging bound).
-	MigrationChunkBytes int
 	// MigrationMBps caps the migration engine's background copy rate in
 	// MB/s: each chunk is stretched to at least its fair-share duration,
 	// bounding migration/foreground interference. Zero leaves migration
@@ -162,9 +160,6 @@ type ClientConfig struct {
 	// round-robin chunks instead of the paper's blocked distribution
 	// (§4.2.5 argues striping does not pay at a 128 KB request bound).
 	StripeBytes int64
-	// FirstFitPool selects the paper's original first-fit free-list
-	// allocator instead of the size-classed default (ablation baseline).
-	FirstFitPool bool
 }
 
 // DefaultClientConfig returns the paper's client configuration.
@@ -292,7 +287,7 @@ type serverLink struct {
 type parentReq struct {
 	req     *blockdev.Request
 	readBuf []byte // gather buffer for reads
-	wdata   []byte // write payload, held while staging is merge-deferred
+	wdata   []byte // write payload, held until stage copies it out
 	remain  int
 	err     error
 }
@@ -345,6 +340,12 @@ type Device struct {
 	pool   *BufferPool
 	poolMR *ib.MR
 
+	// Sender-owned scratch, reused every round so a chain of one
+	// allocates nothing: the drained batch, and one link's chain.
+	batch []*phys
+	wrs   []ib.SendWR
+	items []*phys
+
 	links   []*serverLink
 	byQP    map[*ib.QP]*serverLink
 	areas   []placement.Area // legacy-layout view of the links
@@ -396,10 +397,6 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 	if tel == nil {
 		tel = telemetry.New(env)
 	}
-	pool := NewBufferPool(env, cfg.PoolBytes)
-	if cfg.FirstFitPool {
-		pool = NewFirstFitPool(env, cfg.PoolBytes)
-	}
 	d := &Device{
 		tel:     tel,
 		met:     newDeviceMetrics(tel),
@@ -410,7 +407,7 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		mem:     f.Config().Mem,
 		hca:     hca,
 		cq:      hca.CreateCQ(name + "-cq"),
-		pool:    pool,
+		pool:    NewBufferPool(env, cfg.PoolBytes),
 		byQP:    make(map[*ib.QP]*serverLink),
 		sendQ:   sim.NewChan[*phys](env, 0),
 		pending: make(map[uint64]*phys),
@@ -430,33 +427,28 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 			d.fbHeld = make(map[int64]bool)
 		}
 	}
-	if cfg.HybridDataPath {
-		d.hybridThr = cfg.HybridThresholdBytes
-		if d.hybridThr <= 0 {
-			d.hybridThr = netmodel.Fig3CrossoverBytes
-		}
+	if cfg.HybridDataPath || cfg.MergeWindow > 1 {
 		entries := cfg.MRCacheEntries
 		if entries <= 0 {
 			entries = 8
 		}
 		d.mrc = newMRCache(hca, entries, tel)
+		// Merged WRs ride reuse-cached MRs even when the hybrid path is
+		// off; a threshold past any request size keeps unmerged singles
+		// on the paper's copy-into-pool path.
+		d.hybridThr = int(^uint(0) >> 1)
+		if cfg.HybridDataPath {
+			d.hybridThr = cfg.HybridThresholdBytes
+			if d.hybridThr <= 0 {
+				d.hybridThr = netmodel.Fig3CrossoverBytes
+			}
+		}
 	}
 	if cfg.MergeWindow > 1 {
 		d.mergeWin = cfg.MergeWindow
 		d.mergeBytes = cfg.MergeBytes
 		if d.mergeBytes <= 0 {
 			d.mergeBytes = blockdev.MaxRequestBytes
-		}
-		if d.mrc == nil {
-			// Merged WRs ride reuse-cached MRs even when the hybrid path
-			// is off; a threshold past any request size keeps unmerged
-			// singles on the paper's copy-into-pool path.
-			entries := cfg.MRCacheEntries
-			if entries <= 0 {
-				entries = 8
-			}
-			d.mrc = newMRCache(hca, entries, tel)
-			d.hybridThr = int(^uint(0) >> 1)
 		}
 		d.mmet = newMergeMetrics(tel)
 	}
@@ -633,12 +625,8 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 		d.met.splits.Inc()
 	}
 	parent := &parentReq{req: r, remain: len(segs)}
-	var wdata []byte
 	if r.Write {
-		wdata = r.Data()
-		if d.mergeWin > 1 {
-			parent.wdata = wdata // staging is deferred to the merge window
-		}
+		parent.wdata = r.Data()
 	} else {
 		parent.readBuf = make([]byte, n)
 	}
@@ -651,6 +639,7 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			offset:   sg.Offset,
 			off:      sg.Off,
 			length:   sg.Length,
+			poolOff:  -1, // no payload held yet
 			devByte:  sg.DevByte,
 			flowID:   r.ID(),
 			blkAt:    r.QueuedAt(),
@@ -659,11 +648,10 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 		if link.down {
 			// The server backing this range is gone: skip the pool and
 			// the wire entirely and degrade immediately (fallback driver
-			// or per-request error). poolOff -1 marks "no payload held".
-			ph.poolOff = -1
+			// or per-request error).
 			var data []byte
 			if r.Write {
-				data = wdata[sg.Off : sg.Off+sg.Length]
+				data = parent.wdata[sg.Off : sg.Off+sg.Length]
 			}
 			d.routeDegraded(ph, data)
 			continue
@@ -676,50 +664,17 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			// write clears the hold. Swap I/O is page-granular, so a
 			// read either matches an absorbed write's range exactly or
 			// not at all — partial coverage does not arise.
-			ph.poolOff = -1
 			d.routeDegraded(ph, nil)
 			continue
 		}
 		if d.mergeWin > 1 {
 			// Merging defers staging to the sender: only there is it known
-			// whether this request rides its own WR (pool or MR path, via
-			// stageOne) or a merged carrier's MR. The parent holds the
-			// write payload until then.
-			ph.poolOff = -1
+			// whether this request rides its own WR or a merged carrier's
+			// MR. The parent holds the write payload until then.
 			ph.lazy = true
-		} else if d.mrc != nil && sg.Length >= d.hybridThr {
-			// Hybrid fast path: at or above the Fig. 3 crossover the
-			// request skips the pool and the server RDMAs against a
-			// per-request MR from the reuse cache. A cache miss charges
-			// the registration cost here; a hit charges nothing — the
-			// payload pages are (in the modeled driver) registered in
-			// place, so no copy is charged either.
-			ph.mr = d.mrc.get(p, sg.Length)
-			ph.poolOff = -1
-			if r.Write {
-				copy(ph.mr.Buf[:sg.Length], wdata[sg.Off:sg.Off+sg.Length])
-			}
-			d.met.hybridLarge.Inc()
-		} else {
-			poolOff, err := d.pool.Alloc(p, sg.Length)
-			if err != nil {
-				d.finishPhys(&phys{parent: parent}, err)
-				continue
-			}
-			ph.poolOff = poolOff
-			if d.cfg.RegisterOnTheFly {
-				// Ablation: pay the registration cost the pool design avoids
-				// (the data still flows through pool space so the RDMA path
-				// is unchanged; only the cost model differs).
-				p.Sleep(d.mem.Register(sg.Length))
-				if r.Write {
-					copy(d.poolMR.Buf[poolOff:], wdata[sg.Off:sg.Off+sg.Length])
-				}
-			} else if r.Write {
-				// The copy that replaces on-the-fly registration (§4.2.2).
-				p.Sleep(d.mem.Memcpy(sg.Length))
-				copy(d.poolMR.Buf[poolOff:], wdata[sg.Off:sg.Off+sg.Length])
-			}
+		} else if err := d.stage(p, ph); err != nil {
+			d.finishPhys(ph, err)
+			continue
 		}
 		if m := d.mig; m != nil && r.Write && m.overlaps(sg.DevByte, sg.Length) {
 			// A live move covers this write: its completion re-dirties
@@ -792,26 +747,23 @@ func (d *Device) marshalReq(ph *phys) ib.Segment {
 	return ib.Segment{MR: link.reqMR, Off: off, Len: wire.RequestSize}
 }
 
-// sender is the request-issuing thread: it forwards queued physical
-// requests as soon as flow-control credits permit (§4.2.3, §4.2.4). With
-// DoorbellBatch > 1 it drains whatever has queued behind the blocking
-// receive — a decision keyed on queue state at the current instant, never
-// on wall time — and posts each server's share as one chained list.
+// sender is the request-issuing thread, the one stage every request
+// passes through: drain what has queued behind the blocking receive (a
+// decision keyed on queue state at the current instant, never on wall
+// time), merge, then issue. The paper's design (§4.2.3, §4.2.4) is this
+// loop at its parameters' defaults — a drain limit of one, no merging,
+// chains of one.
 func (d *Device) sender(p *sim.Proc) {
+	limit := d.doorbellBatch
+	if d.mergeWin > limit {
+		limit = d.mergeWin
+	}
 	for {
 		ph, ok := d.sendQ.Recv(p)
 		if !ok {
 			return
 		}
-		limit := d.doorbellBatch
-		if d.mergeWin > limit {
-			limit = d.mergeWin
-		}
-		if limit <= 1 {
-			d.sendOne(p, ph)
-			continue
-		}
-		batch := []*phys{ph}
+		batch := append(d.batch[:0], ph)
 		for len(batch) < limit {
 			next, ok2 := d.sendQ.TryRecv()
 			if !ok2 {
@@ -819,16 +771,18 @@ func (d *Device) sender(p *sim.Proc) {
 			}
 			batch = append(batch, next)
 		}
+		d.batch = batch
 		if d.mergeWin > 1 {
 			batch = d.mergeBatch(p, batch)
 		}
-		if d.doorbellBatch <= 1 {
-			for _, mph := range batch {
-				d.sendOne(p, mph)
-			}
+		if d.doorbellBatch > 1 {
+			d.issue(p, batch)
 			continue
 		}
-		d.sendChained(p, batch)
+		// One doorbell per request, in arrival order.
+		for i := range batch {
+			d.issue(p, batch[i:i+1])
+		}
 	}
 }
 
@@ -837,23 +791,21 @@ func (d *Device) sender(p *sim.Proc) {
 // preserves arrival order (a carrier sits where its first constituent
 // did), so merging never reorders the issue stream.
 func (d *Device) mergeBatch(p *sim.Proc, batch []*phys) []*phys {
-	out := make([]*phys, 0, len(batch))
-	for i := 0; i < len(batch); {
-		j := d.mergeRun(batch, i)
-		if j-i < 2 {
-			ph := batch[i]
-			if ph.lazy && !d.failed && !ph.link.down {
-				if !d.stageOne(p, ph) {
-					i = j
-					continue // staging failed; the request is settled
-				}
-			}
-			out = append(out, ph)
-			i = j
+	out := batch[:0] // rewritten in place: out never overtakes the read index
+	for i, j := 0, 0; i < len(batch); i = j {
+		j = d.mergeRun(batch, i)
+		if j-i >= 2 {
+			out = append(out, d.buildCarrier(p, batch[i:j]))
 			continue
 		}
-		out = append(out, d.buildCarrier(p, batch[i:j]))
-		i = j
+		ph := batch[i]
+		if ph.lazy && !d.failed && !ph.link.down {
+			if err := d.stage(p, ph); err != nil {
+				d.settle(p, ph, err)
+				continue
+			}
+		}
+		out = append(out, ph)
 	}
 	return out
 }
@@ -888,39 +840,46 @@ func (d *Device) mergeRun(batch []*phys, i int) int {
 	return j
 }
 
-// stageOne gives a merge-deferred request its payload home — the same
-// pool-or-MR decision Submit makes when merging is off. Returns false
-// when the pool allocation fails (the request is then settled here).
-func (d *Device) stageOne(p *sim.Proc, ph *phys) bool {
+// stage gives a request its payload home: a reuse-cached MR at or above
+// the hybrid threshold, otherwise the registration pool (blocking on the
+// pool's allocation wait queue under pressure). Submit calls it directly;
+// with the merge window armed the sender calls it for every request that
+// rides its own WR. It fails only when the pool cannot satisfy the
+// allocation; the caller settles the request.
+func (d *Device) stage(p *sim.Proc, ph *phys) error {
 	ph.lazy = false
-	wdata := ph.parent.wdata
+	var wdata []byte
+	if ph.write {
+		wdata = ph.parent.wdata[ph.off : ph.off+ph.length]
+	}
 	if d.mrc != nil && ph.length >= d.hybridThr {
+		// Hybrid fast path: at or above the Fig. 3 crossover the request
+		// skips the pool and the server RDMAs against a per-request MR
+		// from the reuse cache. A cache miss charges the registration
+		// cost here; a hit charges nothing — the payload pages are (in
+		// the modeled driver) registered in place, so no copy is charged
+		// either.
 		ph.mr = d.mrc.get(p, ph.length)
-		if ph.write {
-			copy(ph.mr.Buf[:ph.length], wdata[ph.off:ph.off+ph.length])
-		}
+		copy(ph.mr.Buf, wdata)
 		d.met.hybridLarge.Inc()
-		return true
+		return nil
 	}
 	poolOff, err := d.pool.Alloc(p, ph.length)
 	if err != nil {
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.finishPhys(ph, err)
-		}
-		return false
+		return err
 	}
 	ph.poolOff = poolOff
 	if d.cfg.RegisterOnTheFly {
+		// Ablation: pay the registration cost the pool design avoids (the
+		// data still flows through pool space so the RDMA path is
+		// unchanged; only the cost model differs).
 		p.Sleep(d.mem.Register(ph.length))
-		if ph.write {
-			copy(d.poolMR.Buf[poolOff:], wdata[ph.off:ph.off+ph.length])
-		}
 	} else if ph.write {
+		// The copy that replaces on-the-fly registration (§4.2.2).
 		p.Sleep(d.mem.Memcpy(ph.length))
-		copy(d.poolMR.Buf[poolOff:], wdata[ph.off:ph.off+ph.length])
 	}
-	return true
+	copy(d.poolMR.Buf[poolOff:], wdata)
+	return nil
 }
 
 // buildCarrier folds a mergeable run into one carrier WR: one credit,
@@ -972,69 +931,6 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	return c
 }
 
-// sendOne is the paper's per-request issue path: one credit, one WQE, one
-// doorbell.
-func (d *Device) sendOne(p *sim.Proc, ph *phys) {
-	if d.failed {
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.releasePayload(p, ph)
-			d.finishPhys(ph, ErrDeviceFailed)
-		}
-		return
-	}
-	if ph.link.down {
-		// The link died while this request sat in the send queue.
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.retryOrRoute(ph)
-		}
-		return
-	}
-	ph.deqAt = p.Now()
-	d.met.queueWait.Observe(ph.deqAt.Sub(ph.enqAt))
-	if !ph.link.credits.TryAcquire(1) {
-		d.met.creditStalls.Inc()
-		stall := d.tracer.Begin(d.name, "credit-stall")
-		ph.link.credits.Acquire(p, 1)
-		stall.End()
-	}
-	ph.creditAt = p.Now()
-	if ph.link.down {
-		// The link died during the credit stall.
-		ph.link.credits.Release(1)
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.retryOrRoute(ph)
-		}
-		return
-	}
-	seg := d.marshalReq(ph)
-	// Mark in flight before posting: a failure during the post must
-	// not leave the request unaccounted.
-	ph.sent = true
-	err := ph.link.qp.PostSend(p, ib.SendWR{ID: ph.handle, Op: ib.OpSend, Local: seg, Flow: ph.flowID})
-	if err != nil {
-		if d.recovery() {
-			// A rejected post means the QP is gone; failLink requeues
-			// this request (it is sent+pending) with the others.
-			d.failLink(ph.link)
-			return
-		}
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.releasePayload(p, ph)
-			d.finishPhys(ph, err)
-		}
-		ph.link.credits.Release(1)
-		return
-	}
-	ph.sentAt = p.Now()
-	d.markPosted(ph)
-	d.met.physReqs.Inc()
-	d.met.doorbells.Inc()
-}
-
 // markPosted threads the causal flow across the wire: when tracing is on,
 // the server half continues the flow under the same id, which it looks up
 // by wire handle through the shared-registry link table (the wire format
@@ -1047,25 +943,38 @@ func (d *Device) markPosted(ph *phys) {
 	d.lc.LinkFlow(ph.handle, ph.flowID)
 }
 
-// sendChained groups a drained batch by server link — links visited in
-// connect order, never map order — acquires one credit per request, and
-// posts each group as a single chained doorbell.
-func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
+// settle completes a request the sender still owns (queued, never posted)
+// with err, returning whatever payload buffer it holds.
+func (d *Device) settle(p *sim.Proc, ph *phys, err error) {
+	if _, pending := d.pending[ph.handle]; pending {
+		delete(d.pending, ph.handle)
+		d.releasePayload(p, ph)
+		d.finishPhys(ph, err)
+	}
+}
+
+// reroute hands a queued request whose link has died to the recovery path.
+func (d *Device) reroute(ph *phys) {
+	if _, pending := d.pending[ph.handle]; pending {
+		delete(d.pending, ph.handle)
+		d.retryOrRoute(ph)
+	}
+}
+
+// issue is the one issue path: it groups batch by server link — links
+// visited in connect order, never map order — acquires one credit per
+// request, and posts each group as a single chained doorbell. The paper's
+// one credit, one WQE, one doorbell per request is a batch of one.
+func (d *Device) issue(p *sim.Proc, batch []*phys) {
 	live := batch[:0]
 	for _, ph := range batch {
 		if d.failed {
-			if _, pending := d.pending[ph.handle]; pending {
-				delete(d.pending, ph.handle)
-				d.releasePayload(p, ph)
-				d.finishPhys(ph, ErrDeviceFailed)
-			}
+			d.settle(p, ph, ErrDeviceFailed)
 			continue
 		}
 		if ph.link.down {
-			if _, pending := d.pending[ph.handle]; pending {
-				delete(d.pending, ph.handle)
-				d.retryOrRoute(ph)
-			}
+			// The link died while this request sat in the send queue.
+			d.reroute(ph)
 			continue
 		}
 		ph.deqAt = p.Now()
@@ -1073,18 +982,14 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 		live = append(live, ph)
 	}
 	for _, link := range d.links {
-		var wrs []ib.SendWR
-		var items []*phys
+		wrs, items := d.wrs[:0], d.items[:0]
 		for _, ph := range live {
 			if ph.link != link {
 				continue
 			}
 			if link.down {
 				// The link died mid-batch (during an earlier credit stall).
-				if _, pending := d.pending[ph.handle]; pending {
-					delete(d.pending, ph.handle)
-					d.retryOrRoute(ph)
-				}
+				d.reroute(ph)
 				continue
 			}
 			// Every acquired credit has an items entry, so the batch post
@@ -1097,12 +1002,24 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 				//hpbd:allow creditbalance -- credit rides items; len(items)==0 implies no acquisition
 				link.credits.Acquire(p, 1)
 				stall.End()
+				if link.down {
+					// The link died during this stall. failLink requeued
+					// what the chain had already marked sent; this request
+					// was not yet among them, and posting it to the closed
+					// QP would strand it in pending.
+					link.credits.Release(1)
+					d.reroute(ph)
+					continue
+				}
 			}
 			ph.creditAt = p.Now()
 			wrs = append(wrs, ib.SendWR{ID: ph.handle, Op: ib.OpSend, Local: d.marshalReq(ph), Flow: ph.flowID})
+			// Mark in flight before posting: a failure during the post
+			// must not leave the request unaccounted.
 			ph.sent = true
 			items = append(items, ph)
 		}
+		d.wrs, d.items = wrs, items
 		if len(items) == 0 {
 			continue
 		}
@@ -1115,11 +1032,7 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 				continue
 			}
 			for _, ph := range items {
-				if _, pending := d.pending[ph.handle]; pending {
-					delete(d.pending, ph.handle)
-					d.releasePayload(p, ph)
-					d.finishPhys(ph, err)
-				}
+				d.settle(p, ph, err)
 				link.credits.Release(1)
 			}
 			continue
@@ -1248,11 +1161,6 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		return
 	}
 
-	if ph.subs != nil {
-		d.applyMerged(p, ph, replyAt, rep.Status, link)
-		return
-	}
-
 	var ferr error
 	if rep.Status != wire.StatusOK {
 		d.met.remoteErrors.Inc()
@@ -1260,11 +1168,12 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	} else if !ph.write {
 		d.met.opRead.Observe(p.Now().Sub(ph.sentAt))
 		if ph.mr != nil {
-			// Hybrid path: the server's RDMA WRITE landed in the
-			// request's own registered buffer, so there is no copy-out
-			// charge (the registration was paid — or amortized away — at
-			// submit); the MR goes back to the cache, not a deregister.
-			copy(ph.parent.readBuf[ph.off:], ph.mr.Buf[:ph.length])
+			// MR path (hybrid request or merged carrier): the server's
+			// RDMA WRITE landed in the WR's own registered buffer, so
+			// there is no copy-out charge (the registration was paid — or
+			// amortized away — at staging); the MR goes back to the cache,
+			// not a deregister.
+			ph.scatter(ph.mr.Buf)
 		} else {
 			if d.cfg.RegisterOnTheFly {
 				p.Sleep(d.mem.Deregister())
@@ -1272,7 +1181,7 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 				// Copy the RDMA-written data out of the pool into the request.
 				p.Sleep(d.mem.Memcpy(ph.length))
 			}
-			copy(ph.parent.readBuf[ph.off:], d.poolMR.Buf[ph.poolOff:ph.poolOff+ph.length])
+			ph.scatter(d.poolMR.Buf[ph.poolOff:])
 		}
 		d.met.bytesRead.Add(int64(ph.length))
 	} else {
@@ -1291,15 +1200,7 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		}
 	}
 	if d.tracer != nil {
-		name := "read"
-		if ph.write {
-			name = "write"
-		}
-		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), map[string]any{
-			"bytes": ph.length, "server": ph.link.srv.Name(),
-			"flow": ph.flowID, "handle": ph.handle,
-		})
-		d.tracer.FlowEnd(d.name, "req", ph.flowID)
+		d.traceDone(p, ph)
 	}
 	d.recordLifecycle(p, ph, replyAt, ferr)
 	d.releasePayload(p, ph)
@@ -1307,112 +1208,53 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	d.finishPhys(ph, ferr)
 }
 
-// applyMerged completes a carrier WR: the single reply settles every
-// constituent. Reads scatter out of the carrier MR into each parent's
-// gather buffer (no copy charge — the MR path's zero-copy contract);
-// each constituent gets its own lifecycle record and flow end, then the
-// fan-out in finishPhys settles the handles.
-func (d *Device) applyMerged(p *sim.Proc, ph *phys, replyAt sim.Time, status wire.Status, link *serverLink) {
-	var ferr error
-	if status != wire.StatusOK {
-		d.met.remoteErrors.Inc()
-		ferr = fmt.Errorf("%w: %v", ErrRemote, status)
-	} else if !ph.write {
-		d.met.opRead.Observe(p.Now().Sub(ph.sentAt))
-		off := 0
-		for _, s := range ph.subs {
-			copy(s.parent.readBuf[s.off:s.off+s.length], ph.mr.Buf[off:off+s.length])
-			off += s.length
-		}
-		d.met.bytesRead.Add(int64(ph.length))
-	} else {
-		d.met.opWrite.Observe(p.Now().Sub(ph.sentAt))
-		d.met.bytesWritten.Add(int64(ph.length))
-		if !ph.mig {
-			d.clearFallbackHold(ph.devByte, ph.length)
-		}
-	}
-	if d.tracer != nil {
-		name := "read-merged"
-		if ph.write {
-			name = "write-merged"
-		}
-		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), map[string]any{
-			"bytes": ph.length, "server": ph.link.srv.Name(),
-			"flow": ph.flowID, "handle": ph.handle, "reqs": len(ph.subs),
-		})
-		var lastFlow uint64
-		for _, s := range ph.subs {
-			if s.flowID != lastFlow {
-				d.tracer.FlowEnd(d.name, "req", s.flowID)
-				lastFlow = s.flowID
-			}
-		}
-	}
-	d.recordMergedLifecycle(p, ph, replyAt, ferr)
-	d.releasePayload(p, ph)
-	link.credits.Release(1)
-	d.finishPhys(ph, ferr)
-}
-
-// recordMergedLifecycle writes one lifecycle record per constituent of a
-// merged WR. Each record partitions the constituent's own [blkAt, now]
-// exactly: the early stages use its private timestamps, while the shared
-// flight (credit -> send -> rdma/server copy -> reply -> drain) comes
-// from the carrier's clock and single server stamp — the fan-in point is
-// the carrier's dequeue.
-func (d *Device) recordMergedLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
-	if d.lc == nil {
+// scatter copies a completed read's payload, laid out contiguously from
+// src[0], into the gather buffer of every request the WR carried: a
+// carrier's constituents in device order, or ph itself — a plain request
+// is its own only constituent.
+func (ph *phys) scatter(src []byte) {
+	if ph.subs == nil {
+		copy(ph.parent.readBuf[ph.off:ph.off+ph.length], src)
 		return
 	}
-	now := p.Now()
-	flightStart := ph.creditAt
-	st, stOK := d.lc.TakeServerStamp(ph.handle) // carrier stamp: take once, split for all
-	if stOK && !(st.Start >= flightStart && st.Reply >= st.Start && replyAt >= st.Reply) {
-		stOK = false
-	}
 	for _, s := range ph.subs {
-		rec := telemetry.ReqRecord{
-			ID:      s.handle,
-			Flow:    s.flowID,
-			Write:   s.write,
-			Err:     ferr != nil,
-			Bytes:   s.length,
-			Server:  ph.link.srv.Name(),
-			Start:   s.blkAt,
-			End:     now,
-			Retries: retryCount(ph.attempt),
-		}
-		rec.Stages[telemetry.StageQueue] = s.submitAt.Sub(s.blkAt) + ph.deqAt.Sub(s.enqAt)
-		rec.Stages[telemetry.StagePoolWait] = s.enqAt.Sub(s.submitAt)
-		rec.Stages[telemetry.StageCreditStall] = ph.creditAt.Sub(ph.deqAt)
-		if stOK {
-			srvCopy := st.Copy
-			if srvCopy > st.Reply.Sub(st.Start) {
-				srvCopy = st.Reply.Sub(st.Start)
-			}
-			rec.Stages[telemetry.StageSend] = st.Start.Sub(flightStart)
-			rec.Stages[telemetry.StageServerCopy] = srvCopy
-			rec.Stages[telemetry.StageRDMA] = st.Reply.Sub(st.Start) - srvCopy
-			rec.Stages[telemetry.StageReply] = replyAt.Sub(st.Reply)
-		} else {
-			rec.Stages[telemetry.StageSend] = ph.sentAt.Sub(flightStart)
-			rec.Stages[telemetry.StageReply] = replyAt.Sub(ph.sentAt)
-		}
-		rec.Stages[telemetry.StageDrain] = now.Sub(replyAt)
-		d.lc.Record(&rec)
-		if d.xover != nil {
-			d.xover.observe(&rec)
+		copy(s.parent.readBuf[s.off:s.off+s.length], src)
+		src = src[s.length:]
+	}
+}
+
+// traceDone emits the WR's completion span and ends the causal flow of
+// every request it carried.
+func (d *Device) traceDone(p *sim.Proc, ph *phys) {
+	name := "read"
+	if ph.write {
+		name = "write"
+	}
+	args := map[string]any{
+		"bytes": ph.length, "server": ph.link.srv.Name(),
+		"flow": ph.flowID, "handle": ph.handle,
+	}
+	if ph.subs == nil {
+		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), args)
+		d.tracer.FlowEnd(d.name, "req", ph.flowID)
+		return
+	}
+	args["reqs"] = len(ph.subs)
+	d.tracer.Complete(d.name, name+"-merged", ph.enqAt, p.Now(), args)
+	var lastFlow uint64
+	for _, s := range ph.subs {
+		if s.flowID != lastFlow {
+			d.tracer.FlowEnd(d.name, "req", s.flowID)
+			lastFlow = s.flowID
 		}
 	}
 }
 
-// recordLifecycle attributes the completed request's end-to-end latency to
-// the critical-path stages. The stages partition [blkAt, now] exactly by
-// construction: every boundary is a captured timestamp, and the server's
+// recordLifecycle attributes the completed WR's end-to-end latency to the
+// critical-path stages, one record per request it carried. The server's
 // interior split (send/rdma/server-copy/reply) comes from its stamp in the
-// shared registry when available, falling back to post->reply flight time
-// under "send"/"reply" when the server keeps a private registry.
+// shared registry — taken once, shared by every constituent — when
+// available and consistent with the client's clock.
 //
 //hpbd:hotpath
 func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
@@ -1420,35 +1262,55 @@ func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr e
 		return
 	}
 	now := p.Now()
+	st, stOK := d.lc.TakeServerStamp(ph.handle)
+	stOK = stOK && st.Start >= ph.creditAt && st.Reply >= st.Start && replyAt >= st.Reply
+	if ph.subs == nil {
+		d.recordReq(ph, ph, &st, stOK, replyAt, now, ferr)
+		return
+	}
+	for _, s := range ph.subs {
+		d.recordReq(s, ph, &st, stOK, replyAt, now, ferr)
+	}
+}
+
+// recordReq writes the lifecycle record of s, one request carried by WR
+// ph (s == ph for a plain request). The stages partition s's own [blkAt,
+// now] exactly by construction — every boundary is a captured timestamp:
+// the early stages use s's private timestamps, while the shared flight
+// (credit -> send -> rdma/server copy -> reply -> drain) comes from the
+// WR's clock and single server stamp, falling back to post->reply flight
+// time under "send"/"reply" when the server keeps a private registry. The
+// fan-in point is the WR's dequeue.
+//
+//hpbd:hotpath
+func (d *Device) recordReq(s, ph *phys, st *telemetry.ServerStamp, stOK bool, replyAt, now sim.Time, ferr error) {
 	rec := telemetry.ReqRecord{
-		ID:      ph.handle,
-		Flow:    ph.flowID,
-		Write:   ph.write,
+		ID:      s.handle,
+		Flow:    s.flowID,
+		Write:   s.write,
 		Err:     ferr != nil,
-		Bytes:   ph.length,
+		Bytes:   s.length,
 		Server:  ph.link.srv.Name(),
-		Start:   ph.blkAt,
+		Start:   s.blkAt,
 		End:     now,
 		Retries: retryCount(ph.attempt),
 	}
 	// Queueing is two segments: block layer -> driver dispatch, and the
 	// driver's own send queue. Only the sum must partition.
-	rec.Stages[telemetry.StageQueue] = ph.submitAt.Sub(ph.blkAt) + ph.deqAt.Sub(ph.enqAt)
-	rec.Stages[telemetry.StagePoolWait] = ph.enqAt.Sub(ph.submitAt)
+	rec.Stages[telemetry.StageQueue] = s.submitAt.Sub(s.blkAt) + ph.deqAt.Sub(s.enqAt)
+	rec.Stages[telemetry.StagePoolWait] = s.enqAt.Sub(s.submitAt)
 	rec.Stages[telemetry.StageCreditStall] = ph.creditAt.Sub(ph.deqAt)
-	flightStart := ph.creditAt
-	if st, ok := d.lc.TakeServerStamp(ph.handle); ok &&
-		st.Start >= flightStart && st.Reply >= st.Start && replyAt >= st.Reply {
+	if stOK {
 		srvCopy := st.Copy
 		if srvCopy > st.Reply.Sub(st.Start) {
 			srvCopy = st.Reply.Sub(st.Start)
 		}
-		rec.Stages[telemetry.StageSend] = st.Start.Sub(flightStart)
+		rec.Stages[telemetry.StageSend] = st.Start.Sub(ph.creditAt)
 		rec.Stages[telemetry.StageServerCopy] = srvCopy
 		rec.Stages[telemetry.StageRDMA] = st.Reply.Sub(st.Start) - srvCopy
 		rec.Stages[telemetry.StageReply] = replyAt.Sub(st.Reply)
 	} else {
-		rec.Stages[telemetry.StageSend] = ph.sentAt.Sub(flightStart)
+		rec.Stages[telemetry.StageSend] = ph.sentAt.Sub(ph.creditAt)
 		rec.Stages[telemetry.StageReply] = replyAt.Sub(ph.sentAt)
 	}
 	rec.Stages[telemetry.StageDrain] = now.Sub(replyAt)
@@ -1601,11 +1463,7 @@ func (d *Device) retryOrRoute(ph *phys) {
 	if !ph.link.down && ph.attempt < d.cfg.MaxRetries {
 		ph.attempt++
 		d.rmet.retries.Inc()
-		backoff := d.cfg.RetryBackoff
-		if backoff <= 0 {
-			backoff = 50 * sim.Microsecond
-		}
-		backoff <<= uint(ph.attempt - 1)
+		backoff := retryBackoff << uint(ph.attempt-1)
 		d.tracer.InstantArgs(d.name, "retry", map[string]any{
 			"handle": ph.handle, "attempt": ph.attempt, "backoff_us": backoff.Micros(),
 		})
@@ -1706,17 +1564,8 @@ func (d *Device) routeDegraded(ph *phys, data []byte) {
 			err := fr.Wait(p)
 			if err == nil {
 				// The fallback driver scattered into buf (the standalone
-				// request's only IO buffer). A carrier scatters on to its
-				// constituents' parents — it has no parent of its own.
-				if ph.subs != nil {
-					off := 0
-					for _, s := range ph.subs {
-						copy(s.parent.readBuf[s.off:s.off+s.length], buf[off:off+s.length])
-						off += s.length
-					}
-				} else {
-					copy(ph.parent.readBuf[ph.off:], buf)
-				}
+				// request's only IO buffer).
+				ph.scatter(buf)
 			}
 			d.finishDegraded(ph, err, "fallback")
 		})

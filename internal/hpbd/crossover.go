@@ -63,7 +63,7 @@ func newCrossoverCtrl(d *Device, window int, reg *telemetry.Registry) *crossover
 
 // observe feeds one completed request's lifecycle record into the
 // controller; every win-th completion runs a control tick. Called from
-// recordLifecycle/recordMergedLifecycle, so it must not allocate.
+// recordReq, so it must not allocate.
 //
 //hpbd:hotpath
 func (c *crossoverCtrl) observe(rec *telemetry.ReqRecord) {

@@ -2,6 +2,7 @@ package hpbd
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"hpbd/internal/blockdev"
@@ -297,5 +298,126 @@ func TestClientDoorbellBatching(t *testing.T) {
 	}
 	if batched.Doorbells >= plain.Doorbells {
 		t.Errorf("batched doorbells = %d, want < %d", batched.Doorbells, plain.Doorbells)
+	}
+}
+
+// A request whose link is declared dead while it waits for a credit must
+// be rerouted, not posted to the closed QP: six concurrent writes against
+// a server that crashed before any traffic, two credits, no watchdog.
+// The first two post and are flushed back; failLink requeues what was
+// sent. The request stalled on a credit at that instant was not yet
+// marked sent — a chained issue that posts it anyway strands it in
+// pending for ever, holding its credit.
+func TestCreditStallLinkDeathSettles(t *testing.T) {
+	const writers = 6
+	for _, batch := range []int{0, 2} {
+		ccfg := DefaultClientConfig()
+		ccfg.Credits = 2
+		ccfg.DoorbellBatch = batch
+		cb := newChaosBed(t, 1, 1<<20, ccfg, true, "crash@1us=mem0")
+		settled := 0
+		for i := 0; i < writers; i++ {
+			sector := int64(i * 8)
+			cb.env.Go("writer", func(p *sim.Proc) {
+				p.Sleep(10 * sim.Microsecond)
+				r := blockdev.NewRequest(cb.env, true, sector, pattern(4096, byte(sector)))
+				cb.dev.Submit(p, r)
+				if err := r.Wait(p); err != nil {
+					t.Errorf("batch=%d: write at sector %d: %v", batch, sector, err)
+				}
+				settled++
+			})
+		}
+		cb.env.Run()
+		cb.env.Close()
+		if settled != writers {
+			t.Errorf("batch=%d: %d of %d writes settled", batch, settled, writers)
+		}
+		if got := cb.dev.Stats().Fallbacks; got != writers {
+			t.Errorf("batch=%d: Fallbacks = %d, want %d", batch, got, writers)
+		}
+		assertMergeClean(t, cb, ccfg.Credits)
+	}
+}
+
+// The guard for the single data path: every combination of doorbell
+// chaining, WR merging and the hybrid MR path — with and without a server
+// crash absorbed by the fallback disk — must keep the protocol invariants:
+// read-back equals written, credits restored, nothing pending, no pool
+// leak, and the lifecycle stages of every record sum to its end-to-end.
+func TestDataPathFeatureMatrix(t *testing.T) {
+	const (
+		blocks     = 24
+		blockBytes = 32 * 1024
+		credits    = 4
+	)
+	secPerBlock := int64(blockBytes / blockdev.SectorSize)
+	for _, doorbell := range []int{0, 4} {
+		for _, merge := range []int{0, 4} {
+			for _, hybrid := range []bool{false, true} {
+				for _, spec := range []string{"", "crash@600us=mem0"} {
+					name := fmt.Sprintf("doorbell=%d/merge=%d/hybrid=%v/fault=%q", doorbell, merge, hybrid, spec)
+					t.Run(name, func(t *testing.T) {
+						ccfg := DefaultClientConfig()
+						if spec != "" {
+							// In-flight requests die silently with the server;
+							// only the watchdog can reclaim their credits.
+							ccfg = recoveryConfig()
+						}
+						ccfg.Credits = credits
+						ccfg.DoorbellBatch = doorbell
+						ccfg.MergeWindow = merge
+						ccfg.HybridDataPath = hybrid
+						ccfg.HybridThresholdBytes = blockBytes / 2
+						cb := newChaosBed(t, 1, 2<<20, ccfg, spec != "", spec)
+						// Straight into the driver, all at once: the elevator
+						// would pre-merge these, and the backlog is what gives
+						// the sender runs to merge and chains to batch.
+						writeAll := func(p *sim.Proc, seed byte) {
+							reqs := make([]*blockdev.Request, blocks)
+							for i := range reqs {
+								reqs[i] = blockdev.NewRequest(cb.env, true, int64(i)*secPerBlock, pattern(blockBytes, seed+byte(i)))
+								cb.dev.Submit(p, reqs[i])
+							}
+							for i, r := range reqs {
+								if err := r.Wait(p); err != nil {
+									t.Errorf("write %d: %v", i, err)
+								}
+							}
+						}
+						cb.run(func(p *sim.Proc) {
+							writeAll(p, 3)
+							seed := byte(3)
+							if spec != "" {
+								// Ranges that lived only on the dead server
+								// regain an authoritative copy.
+								seed = 11
+								writeAll(p, seed)
+							}
+							cb.verifyBlocks(t, p, blocks, blockBytes, seed)
+						})
+						st := cb.dev.Stats()
+						if cb.servers[0].Stats().Writes == 0 {
+							t.Error("no write reached the server; the case exercises nothing")
+						}
+						if merge > 1 && cb.reg.Counter("hpbd.merge.wrs").Value() == 0 {
+							t.Error("merge window armed but no carrier WR was built")
+						}
+						if doorbell > 1 && merge <= 1 && st.Doorbells >= st.PhysReqs {
+							t.Errorf("doorbells = %d for %d requests; chaining never engaged", st.Doorbells, st.PhysReqs)
+						}
+						if hybrid && st.HybridLarge == 0 && merge <= 1 {
+							t.Error("hybrid path armed but never taken")
+						}
+						if spec != "" && (st.LinkFailures != 1 || st.Fallbacks == 0 || cb.dev.Failed()) {
+							t.Errorf("crash not absorbed: link failures=%d fallbacks=%d failed=%v",
+								st.LinkFailures, st.Fallbacks, cb.dev.Failed())
+						}
+						assertMergeClean(t, cb, credits)
+						assertExactPartition(t, cb.dev)
+					})
+				}
+			}
+		}
 	}
 }

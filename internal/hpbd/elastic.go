@@ -167,27 +167,18 @@ func (d *Device) ensureDir() {
 	d.emet.epoch.Set(int64(dir.Epoch()))
 }
 
+// migrationChunkBytes is the live-migration copy granularity: half the
+// 128 KB bound the server staging buffers put on a single transfer.
+const migrationChunkBytes = 64 * 1024
+
 // ensureMigResources registers the long-lived migration staging MR
-// (one-time registration charge) and sizes the copy chunk.
+// (one-time registration charge).
 func (d *Device) ensureMigResources(p *sim.Proc) {
 	if d.migMR != nil {
 		return
 	}
-	chunk := d.cfg.MigrationChunkBytes
-	if chunk <= 0 {
-		chunk = 64 * 1024
-	}
-	if chunk > blockdev.MaxRequestBytes {
-		// The server staging buffers (and the block layer itself) bound
-		// a single transfer at 128KB.
-		chunk = blockdev.MaxRequestBytes
-	}
-	chunk -= chunk % blockdev.SectorSize
-	if chunk < blockdev.SectorSize {
-		chunk = blockdev.SectorSize
-	}
-	d.migBuf = make([]byte, chunk)
-	d.migMR = d.hca.RegisterMR(p, make([]byte, chunk))
+	d.migBuf = make([]byte, migrationChunkBytes)
+	d.migMR = d.hca.RegisterMR(p, make([]byte, migrationChunkBytes))
 }
 
 // AddServerLive attaches srv to a running device as rebalancing headroom

@@ -109,8 +109,8 @@ func NewBufferPool(env *sim.Env, size int) *BufferPool {
 }
 
 // NewFirstFitPool creates a pool using the paper's original first-fit
-// free-list allocator. It exists as the ablation/benchmark baseline for
-// the size-classed default (ClientConfig.FirstFitPool selects it).
+// free-list allocator. It exists as the test and benchmark reference for
+// the size-classed default.
 func NewFirstFitPool(env *sim.Env, size int) *BufferPool {
 	b := newPool(env, size)
 	b.firstFit = true

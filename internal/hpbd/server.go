@@ -62,13 +62,6 @@ type ServerConfig struct {
 	// creditbalance analyzer's runtime twin) at every credit operation
 	// and scheduler tick, latching the first violation for TenancyCheck.
 	TenantSelfCheck bool
-	// TenantQuantum is the fair queue's issue quantum in bytes: a request
-	// larger than one quantum is transferred one quantum per scheduler
-	// grant, re-entering the queue between chunks, so a small request
-	// never waits behind more than one quantum of a neighbor's bulk
-	// transfer on the wire. Zero means 16 KB. Ignored with TenantFIFO,
-	// which keeps the legacy monolithic issue as the control arm.
-	TenantQuantum int
 }
 
 // DefaultServerConfig returns the paper's server configuration for a

@@ -271,19 +271,23 @@ func (s *Server) tnTouchRead(conn *clientConn, req wire.Request) {
 	}
 }
 
-// tnQuantum returns the fair queue's issue quantum in bytes. The 16 KB
-// default keeps a victim's residual wait under a neighbor's bulk chunk
-// near the small-request service time itself while holding per-chunk
-// posting overhead to a few percent of a 128 KB transfer.
+// tenantQuantum is the fair queue's issue quantum in bytes: a request
+// larger than one quantum is transferred one quantum per scheduler grant,
+// re-entering the queue between chunks, so a small request never waits
+// behind more than one quantum of a neighbor's bulk transfer on the wire.
+// 16 KB keeps a victim's residual wait under a neighbor's bulk chunk near
+// the small-request service time itself while holding per-chunk posting
+// overhead to a few percent of a 128 KB transfer. TenantFIFO keeps the
+// legacy monolithic issue as the control arm.
+const tenantQuantum = 16 * 1024
+
+// tnQuantum returns the issue quantum, bounded by the staging buffer a
+// chunk moves through.
 func (s *Server) tnQuantum() int {
-	q := s.cfg.TenantQuantum
-	if q <= 0 {
-		q = 16 * 1024
+	if tenantQuantum > s.cfg.StagingBytes {
+		return s.cfg.StagingBytes
 	}
-	if q > s.cfg.StagingBytes {
-		q = s.cfg.StagingBytes
-	}
-	return q
+	return tenantQuantum
 }
 
 // tnChunk is the next chunk's size for a request with done bytes moved.

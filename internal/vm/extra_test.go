@@ -70,23 +70,6 @@ func TestPageStateString(t *testing.T) {
 	}
 }
 
-func TestLowSwapHookFires(t *testing.T) {
-	r := newRig(64, 96, 0) // small swap: 96 slots
-	fired := 0
-	r.sys.SetLowSwapHook(64, func() { fired++ })
-	as := r.sys.NewAddressSpace("a", 160)
-	r.run(func(p *sim.Proc) {
-		for i := 0; i < 160; i++ {
-			if err := as.Touch(p, i, true); err != nil {
-				break // OOM is fine here; the hook is what we check
-			}
-		}
-	})
-	if fired != 1 {
-		t.Errorf("hook fired %d times, want exactly 1 (one-shot)", fired)
-	}
-}
-
 func TestSwapDeviceAccessors(t *testing.T) {
 	r := newRig(64, 512, 0)
 	if r.swap.Slots() != 512 {

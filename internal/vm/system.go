@@ -61,11 +61,6 @@ type System struct {
 	// reclaiming serializes direct reclaim so concurrent allocators do
 	// not all launder at once.
 	reclaiming bool
-	// lowSwapHook fires once when free swap slots fall below
-	// lowSwapPages; consumers re-arm it after acting (dynamic swap
-	// growth, see internal/dynswap).
-	lowSwapPages int
-	lowSwapHook  func()
 	// rrCount drives round-robin rotation among equal-priority devices.
 	rrCount int64
 	stats   Stats
@@ -128,33 +123,14 @@ func (s *System) SwapFree() int {
 	return n
 }
 
-// SetLowSwapHook arms fn to fire (once, in callback context) when free
-// swap slots drop below pages. Re-arm after handling.
-func (s *System) SetLowSwapHook(pages int, fn func()) {
-	s.lowSwapPages = pages
-	s.lowSwapHook = fn
-}
-
 // allocSwapSlot picks a device and allocates a slot: highest priority
 // first, round-robin among devices of equal priority (as swapon does, so
 // equal-priority devices share load instead of filling in order).
 func (s *System) allocSwapSlot(pg *Page) (*SwapDevice, int, error) {
 	for _, d := range s.rotatedDevs() {
 		if slot, ok := d.allocSlot(pg); ok {
-			if s.lowSwapHook != nil && s.SwapFree() < s.lowSwapPages {
-				fn := s.lowSwapHook
-				s.lowSwapHook = nil
-				s.env.After(0, fn)
-			}
 			return d, slot, nil
 		}
-	}
-	if s.lowSwapHook != nil {
-		// Swap is already exhausted: fire immediately so growth can
-		// rescue the allocation (the page is retried on the next scan).
-		fn := s.lowSwapHook
-		s.lowSwapHook = nil
-		s.env.After(0, fn)
 	}
 	return nil, 0, ErrSwapFull
 }

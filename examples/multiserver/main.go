@@ -86,7 +86,6 @@ func resizeFleet() {
 		Swap:      cluster.SwapHPBD,
 		SwapBytes: 32 << 20,
 		Servers:   2,
-		Elastic:   true,
 	})
 	if err != nil {
 		log.Fatalf("build node: %v", err)

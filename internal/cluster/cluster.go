@@ -93,12 +93,6 @@ type Config struct {
 	// FallbackDisk gives each HPBD device a local-disk fallback driver,
 	// the last-resort degraded mode when every server is lost. HPBD only.
 	FallbackDisk bool
-	// Elastic enables runtime membership on the HPBD device(s): the node
-	// can grow the fleet, drain and decommission servers while swap I/O
-	// keeps flowing (see membership.go). Until the first membership
-	// operation the node behaves byte-identically to a static one. HPBD
-	// only.
-	Elastic bool
 	// Telemetry, if non-nil, is the node-wide metrics registry shared by
 	// the VM, the fabric, the HPBD client and every server. Nil creates
 	// one per node (metrics are always on; tracing stays opt-in via
@@ -122,10 +116,6 @@ type Config struct {
 	// TenantID is the identity the node's device presents when Tenancy is
 	// set (default: the spec's first tenant).
 	TenantID string
-	// TenantFIFO replaces the fair queue with FIFO issue while keeping
-	// the rest of the tenancy machinery (the isolation experiments'
-	// control arm).
-	TenantFIFO bool
 }
 
 // Node is an assembled machine.
@@ -168,8 +158,8 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 1
 	}
-	if (cfg.Mirror || cfg.Faults != nil || cfg.FallbackDisk || cfg.Elastic) && cfg.Swap != SwapHPBD {
-		return nil, fmt.Errorf("cluster: Mirror/Faults/FallbackDisk/Elastic require SwapHPBD, got %s", cfg.Swap)
+	if (cfg.Mirror || cfg.Faults != nil || cfg.FallbackDisk) && cfg.Swap != SwapHPBD {
+		return nil, fmt.Errorf("cluster: Mirror/Faults/FallbackDisk require SwapHPBD, got %s", cfg.Swap)
 	}
 	if cfg.Tenancy != nil {
 		if cfg.Swap != SwapHPBD {
@@ -243,9 +233,6 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 			ccfg.MaxRetries = 2
 			ccfg.RequestTimeout = 5 * sim.Millisecond
 		}
-		if cfg.Elastic {
-			ccfg.Elastic = true
-		}
 		if cfg.Tenancy != nil {
 			ccfg.Tenant = cfg.TenantID
 			// Credit partitioning surfaces as RNR/quota pushback; the
@@ -289,7 +276,6 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 				}
 				if cfg.Tenancy != nil && sc.Tenancy == nil {
 					sc.Tenancy = cfg.Tenancy
-					sc.TenantFIFO = cfg.TenantFIFO
 				}
 				// A doorbell-batching client implies batching servers unless an
 				// explicit server config already decided.

@@ -1,8 +1,8 @@
 package cluster
 
 // Runtime fleet membership: the controller face of the placement
-// subsystem. A node built with Config.Elastic can grow its server fleet,
-// drain servers and decommission them while swap I/O keeps flowing; the
+// subsystem. An HPBD node can grow its server fleet, drain servers and
+// decommission them while swap I/O keeps flowing; the
 // HPBD device's placement directory and live migration engine do the
 // heavy lifting (internal/hpbd/elastic.go, internal/placement).
 //

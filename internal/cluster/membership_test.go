@@ -13,7 +13,7 @@ func TestGrowFleetUnderSwapPressure(t *testing.T) {
 	env := sim.NewEnv()
 	node, err := Build(env, Config{
 		MemBytes: 1 << 20, Swap: SwapHPBD, SwapBytes: 4 << 20,
-		Servers: 2, Elastic: true,
+		Servers: 2,
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -74,7 +74,7 @@ func TestGrowFleetMirroredAddsBothSides(t *testing.T) {
 	env := sim.NewEnv()
 	node, err := Build(env, Config{
 		MemBytes: 1 << 20, Swap: SwapHPBD, SwapBytes: 2 << 20,
-		Servers: 1, Mirror: true, Elastic: true,
+		Servers: 1, Mirror: true,
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -115,29 +115,4 @@ func TestGrowFleetMirroredAddsBothSides(t *testing.T) {
 	if len(node.HPBDServers) != 4 {
 		t.Errorf("fleet size = %d, want 4", len(node.HPBDServers))
 	}
-}
-
-// TestMembershipRequiresElastic pins the config guard.
-func TestMembershipRequiresElastic(t *testing.T) {
-	if _, err := Build(sim.NewEnv(), Config{
-		MemBytes: 1 << 20, Swap: SwapDisk, SwapBytes: 2 << 20, Elastic: true,
-	}); err == nil {
-		t.Error("Elastic over disk swap must fail at Build")
-	}
-
-	env := sim.NewEnv()
-	node, err := Build(env, Config{
-		MemBytes: 1 << 20, Swap: SwapHPBD, SwapBytes: 2 << 20, Servers: 1,
-	})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	env.Go("w", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		if _, gerr := node.GrowFleet(p, 2<<20); gerr == nil {
-			t.Error("GrowFleet on a non-elastic node must fail")
-		}
-	})
-	env.Run()
-	env.Close()
 }

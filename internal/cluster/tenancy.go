@@ -29,8 +29,6 @@ type TenantFleetConfig struct {
 	SwapBytesPer int64
 	// FIFO selects the strict-FIFO control scheduler instead of WFQ.
 	FIFO bool
-	// SelfCheck arms the servers' credit-conservation runtime check.
-	SelfCheck bool
 	// Fallback gives each tenant device a local fallback disk — the
 	// reclaim target for quota evictions and the overflow path when
 	// admission pushback outlasts the retry budget.
@@ -119,7 +117,6 @@ func NewTenantFleet(env *sim.Env, cfg TenantFleetConfig) (*TenantFleet, error) {
 		}
 		sc.Tenancy = cfg.Spec
 		sc.TenantFIFO = cfg.FIFO
-		sc.TenantSelfCheck = cfg.SelfCheck
 		fleet.Servers = append(fleet.Servers, hpbd.NewServer(fabric, fmt.Sprintf("mem%d", i), sc))
 	}
 	host := netmodel.DefaultHost()

@@ -94,7 +94,6 @@ func replayTenancy(t *testing.T, seed int64) string {
 		Spec:         tenantSpec(t, "pool=32,a:w1:r4,b:w2:r4,c:w4:r4"),
 		Servers:      2,
 		SwapBytesPer: 2 << 20,
-		SelfCheck:    true,
 		Fallback:     true,
 		Faults: &faultsim.Schedule{Faults: []faultsim.Fault{
 			{At: 500 * sim.Microsecond, Kind: faultsim.KindCrash, Target: "mem0"},
@@ -187,7 +186,6 @@ func TestTenancyCreditConservation(t *testing.T) {
 		Spec:         tenantSpec(t, "pool=16,a:w1:r2,b:w4:r2,c:w2"),
 		Servers:      2,
 		SwapBytesPer: 2 << 20,
-		SelfCheck:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

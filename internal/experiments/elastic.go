@@ -34,12 +34,10 @@ func SweepElastic(c Config) (*Result, error) {
 		Swap:      cluster.SwapHPBD,
 		SwapBytes: paperSwap / s,
 		Servers:   2,
-		Elastic:   true,
 		Health:    &health.Config{},
 	}
 
-	// Static baseline: same node shape, no membership changes. Elastic
-	// stays on (it is byte-identical until the first operation), so the
+	// Static baseline: same node shape, no membership changes, so the
 	// two runs differ only by the grows.
 	staticRun, node, err := measureElastic(base, data, 0, 0, nil, nil)
 	if err != nil {
@@ -94,7 +92,6 @@ func PlacementDump(c Config, servers int) (string, error) {
 		Swap:      cluster.SwapHPBD,
 		SwapBytes: paperSwap / s,
 		Servers:   servers,
-		Elastic:   true,
 	}
 	env := sim.NewEnv()
 	node, err := cluster.Build(env, cfg)

@@ -83,7 +83,6 @@ func HealthTopRun(c Config, servers int, hcfg health.Config) (*cluster.Node, err
 		Swap:      cluster.SwapHPBD,
 		SwapBytes: paperSwap / s,
 		Servers:   servers,
-		Elastic:   true,
 		Health:    &hcfg,
 	}
 	env := sim.NewEnv()

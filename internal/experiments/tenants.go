@@ -204,7 +204,6 @@ func TenantsReport(specStr string, fifo bool) (string, error) {
 		Servers:      1,
 		SwapBytesPer: 4 << 20,
 		FIFO:         fifo,
-		SelfCheck:    true,
 		Fallback:     true,
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
+	"hpbd/internal/tenant"
 )
 
 // chaosBed is a testbed with the recovery path armed and a fault
@@ -401,5 +402,164 @@ func TestDefaultConfigStillFailStop(t *testing.T) {
 	}
 	if !cb.dev.Failed() {
 		t.Error("fail-stop device did not fail on server loss")
+	}
+}
+
+// TestRecvWindowConserved guards the receive-window path every connection
+// shares (repost): with and without tenancy, with and without a StarveRecv
+// window opening mid-burst, once the burst drains every receive slot of
+// every connection is either posted or withheld, the credit bank
+// balances, and every byte reads back.
+func TestRecvWindowConserved(t *testing.T) {
+	const blocks, blockBytes = 64, 4096
+	for _, tenancy := range []bool{false, true} {
+		for _, starve := range []bool{false, true} {
+			tenancy, starve := tenancy, starve
+			t.Run(fmt.Sprintf("tenancy=%v/starve=%v", tenancy, starve), func(t *testing.T) {
+				// The window opens while the bursts are still being
+				// submitted: early enough that, under tenancy, the four
+				// pool credits have not all been consumed yet.
+				const starveAt, starveFor = 10 * sim.Microsecond, 200 * sim.Microsecond
+				var env *sim.Env
+				var srv *Server
+				var devs []*Device
+				if tenancy {
+					tb := newTenantBed(t, "pool=4,a:w1,b:w1", 1<<20, false)
+					env, srv, devs = tb.env, tb.srv, []*Device{tb.devs["a"], tb.devs["b"]}
+				} else {
+					cb := newChaosBed(t, 1, 1<<20, DefaultClientConfig(), false, "")
+					env, srv, devs = cb.env, cb.servers[0], []*Device{cb.dev}
+				}
+				if starve {
+					env.After(starveAt, func() { srv.StarveRecv(starveFor) })
+				}
+				stashed := 0
+				env.After(starveAt+starveFor-sim.Microsecond, func() { stashed = len(srv.starved) })
+				for i, dev := range devs {
+					i, dev := i, dev
+					env.Go(fmt.Sprintf("burst%d", i), func(p *sim.Proc) {
+						// The writes go out as one burst, overrunning the
+						// window (under tenancy into RNR pushback, which the
+						// retry budget and the fallback absorb).
+						want := make([][]byte, blocks)
+						reqs := make([]*blockdev.Request, blocks)
+						for b := range want {
+							want[b] = pattern(blockBytes, byte(17*i+b))
+							reqs[b] = blockdev.NewRequest(env, true, int64(b*blockBytes/blockdev.SectorSize), want[b])
+							dev.Submit(p, reqs[b])
+						}
+						for b, r := range reqs {
+							if err := r.Wait(p); err != nil {
+								t.Errorf("dev %d write %d: %v", i, b, err)
+								return
+							}
+						}
+						for b := range want {
+							got := make([]byte, blockBytes)
+							r := blockdev.NewRequest(env, false, int64(b*blockBytes/blockdev.SectorSize), got)
+							dev.Submit(p, r)
+							if err := r.Wait(p); err != nil {
+								t.Errorf("dev %d read %d: %v", i, b, err)
+								return
+							}
+							if !bytes.Equal(got, want[b]) {
+								t.Errorf("dev %d block %d read back different bytes", i, b)
+							}
+						}
+					})
+				}
+				env.Run()
+				env.Close()
+
+				if starve && stashed == 0 {
+					t.Error("the starvation window withheld no slot; case timing is off")
+				}
+				if len(srv.conns) != len(devs) {
+					t.Fatalf("%d connections, want %d", len(srv.conns), len(devs))
+				}
+				for qp, conn := range srv.conns {
+					withheld := 0
+					for _, sl := range srv.starved {
+						if sl.conn == conn {
+							withheld++
+						}
+					}
+					if tenancy {
+						for _, sl := range srv.tn.withheld[conn.tenantID] {
+							if sl.conn == conn {
+								withheld++
+							}
+						}
+					}
+					if got := qp.PostedRecvs() + withheld; got != recvDepth {
+						t.Errorf("tenant %q: %d posted + %d withheld receive slots, want %d in all",
+							conn.tenantID, qp.PostedRecvs(), withheld, recvDepth)
+					}
+				}
+				if err := srv.TenancyCheck(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// TestAttachDuringStarve pins what a connection attached inside a
+// StarveRecv window gets. The paper path posts its whole window outright
+// (the fault withholds reposts, not first posts); under tenancy the slots
+// wait out the window in the stash and then enter through the credit bank.
+func TestAttachDuringStarve(t *testing.T) {
+	for _, tenancy := range []bool{false, true} {
+		tenancy := tenancy
+		t.Run(fmt.Sprintf("tenancy=%v", tenancy), func(t *testing.T) {
+			env := sim.NewEnv()
+			f := ib.NewFabric(env, ib.DefaultConfig())
+			scfg := DefaultServerConfig(1 << 20)
+			ccfg := DefaultClientConfig()
+			if tenancy {
+				spec, err := tenant.ParseSpec("pool=4,a:w1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				scfg.Tenancy = spec
+				ccfg.Tenant = "a"
+			}
+			srv := NewServer(f, "mem0", scfg)
+			dev := NewDevice(f, "hpbd0", ccfg)
+			during := -1
+			env.After(10*sim.Microsecond, func() {
+				srv.StarveRecv(200 * sim.Microsecond)
+				if err := dev.ConnectServer(srv, 1<<20); err != nil {
+					t.Errorf("ConnectServer: %v", err)
+					return
+				}
+				for qp := range srv.conns {
+					during = qp.PostedRecvs()
+				}
+			})
+			env.Run()
+			env.Close()
+
+			want := recvDepth
+			if tenancy {
+				want = 0
+			}
+			if during != want {
+				t.Errorf("%d receives posted inside the window, want %d", during, want)
+			}
+			for qp, conn := range srv.conns {
+				withheld := len(srv.starved)
+				if tenancy {
+					withheld += len(srv.tn.withheld[conn.tenantID])
+				}
+				if got := qp.PostedRecvs() + withheld; got != recvDepth || qp.PostedRecvs() == 0 {
+					t.Errorf("after the window: %d posted + %d withheld, want %d in all and some posted",
+						qp.PostedRecvs(), withheld, recvDepth)
+				}
+			}
+			if err := srv.TenancyCheck(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

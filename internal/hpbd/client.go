@@ -133,13 +133,6 @@ type ClientConfig struct {
 	// Empty (the default) attaches anonymously, exactly as before.
 	Tenant string
 
-	// Elastic enables dynamic membership: AddServerLive, DrainServer and
-	// RemoveServer become available, and the first membership operation
-	// switches the sector→server mapping from the static blocked layout
-	// to the placement directory (until then the device behaves — and
-	// reports — bit-identically to a static one). Requires the blocked
-	// layout (StripeBytes must be 0).
-	Elastic bool
 	// MigrationMBps caps the migration engine's background copy rate in
 	// MB/s: each chunk is stretched to at least its fair-share duration,
 	// bounding migration/foreground interference. Zero leaves migration
@@ -377,9 +370,9 @@ type Device struct {
 	mmet          mergeMetrics
 	xover         *crossoverCtrl // adaptive threshold controller, nil unless enabled
 
-	// Elastic-mode state (see elastic.go). All nil/zero until the first
-	// membership operation, so a static topology — even with
-	// cfg.Elastic set — runs the legacy layout byte-identically.
+	// Elastic membership state (see elastic.go). Apart from the mutex,
+	// all nil/zero until the first membership operation, so a static
+	// topology runs the legacy layout byte-identically.
 	dir      *placement.Directory
 	memberMu *sim.Mutex // serializes membership operations
 	mig      *migState  // the in-progress move, nil when idle
@@ -418,9 +411,7 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 	if d.doorbellBatch > cfg.Credits {
 		d.doorbellBatch = cfg.Credits
 	}
-	if cfg.Elastic {
-		d.memberMu = sim.NewMutex(env)
-	}
+	d.memberMu = sim.NewMutex(env)
 	if d.recovery() {
 		d.rmet = newRecoveryMetrics(tel)
 		if d.cfg.Fallback != nil {

@@ -2,13 +2,12 @@ package hpbd
 
 // Elastic membership and live migration.
 //
-// A Device created with ClientConfig.Elastic can change its server fleet
-// at runtime: AddServerLive attaches a new server and rebalances onto it,
-// DrainServer empties a server, RemoveServer retires a drained one. The
-// sector→server map lives in a placement.Directory; until the first
-// membership operation the directory does not exist and the device splits
-// requests through the legacy static layout, byte-identically to a
-// non-elastic device.
+// A Device on the blocked layout (StripeBytes 0) can change its server
+// fleet at runtime: AddServerLive attaches a new server and rebalances
+// onto it, DrainServer empties a server, RemoveServer retires a drained
+// one. The sector→server map lives in a placement.Directory; the first
+// membership operation creates it, and until then the device splits
+// requests through the legacy static layout.
 //
 // Moves are executed by a live migration engine that copies a sector
 // range from its source server to reserved space on the destination in
@@ -34,10 +33,6 @@ import (
 	"hpbd/internal/telemetry"
 	"hpbd/internal/wire"
 )
-
-// ErrNotElastic reports a membership operation on a device that was not
-// configured with ClientConfig.Elastic.
-var ErrNotElastic = errors.New("hpbd: device not configured for elastic membership")
 
 // ErrMigration wraps a transfer failure that aborted a move.
 var ErrMigration = errors.New("hpbd: migration aborted")
@@ -153,7 +148,7 @@ func (d *Device) HasServer(name string) bool {
 
 // ensureDir bootstraps the placement directory from the legacy layout on
 // the first membership operation. Until then d.dir is nil and split
-// walks the static areas, so merely enabling Elastic changes nothing.
+// walks the static areas.
 func (d *Device) ensureDir() {
 	if d.dir != nil {
 		return
@@ -186,9 +181,6 @@ func (d *Device) ensureMigResources(p *sim.Proc) {
 // device does not grow (swap capacity is fixed at connect time); the new
 // server absorbs load and makes draining others possible.
 func (d *Device) AddServerLive(p *sim.Proc, srv *Server, areaBytes int64) error {
-	if d.memberMu == nil {
-		return ErrNotElastic
-	}
 	if d.cfg.StripeBytes > 0 {
 		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
 	}
@@ -262,9 +254,6 @@ func (d *Device) rebalance(p *sim.Proc) error {
 // stays attached (reads of not-yet-cut-over ranges may still hit it);
 // retire it with RemoveServer once the drain returns.
 func (d *Device) DrainServer(p *sim.Proc, name string) error {
-	if d.memberMu == nil {
-		return ErrNotElastic
-	}
 	if d.cfg.StripeBytes > 0 {
 		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
 	}
@@ -300,8 +289,8 @@ func (d *Device) DrainServer(p *sim.Proc, name string) error {
 // is closed. The flushed completions of the closed QP are ignored (see
 // handleErrorCQE), so decommissioning is not a failure.
 func (d *Device) RemoveServer(p *sim.Proc, name string) error {
-	if d.memberMu == nil {
-		return ErrNotElastic
+	if d.cfg.StripeBytes > 0 {
+		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
 	}
 	d.memberMu.Lock(p)
 	defer d.memberMu.Unlock()

@@ -7,14 +7,6 @@ import (
 	"hpbd/internal/sim"
 )
 
-// elasticRecoveryConfig is the chaos-tier client: retries, watchdog and
-// runtime membership armed together.
-func elasticRecoveryConfig() ClientConfig {
-	ccfg := recoveryConfig()
-	ccfg.Elastic = true
-	return ccfg
-}
-
 // TestChaosCrashMidChunkCopy crashes the destination server while the
 // rebalance copy stream is mid-flight. The move must abort with the
 // range still on its source, every byte written before the grow must
@@ -23,7 +15,7 @@ func elasticRecoveryConfig() ClientConfig {
 func TestChaosCrashMidChunkCopy(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 32, 64 * 1024 // fills the 2 MB device
-	ccfg := elasticRecoveryConfig()
+	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 50 // ~16 ms per planned move: the crash lands mid-copy
 	cb := newChaosBed(t, 2, area, ccfg, false, "")
 
@@ -82,7 +74,7 @@ func TestChaosCrashMidChunkCopy(t *testing.T) {
 func TestChaosDrainDuringSenderrBurst(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 32, 64 * 1024
-	ccfg := elasticRecoveryConfig()
+	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 25 // ~2.6 ms per 64 KB chunk: the drain spans the burst
 	cb := newChaosBed(t, 2, area, ccfg, false, "senderr@80500usx2=hpbd0")
 
@@ -133,7 +125,7 @@ func TestChaosDrainDuringSenderrBurst(t *testing.T) {
 func TestChaosDoubleMembershipChange(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 16, 64 * 1024
-	ccfg := elasticRecoveryConfig()
+	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 200
 	cb := newChaosBed(t, 2, area, ccfg, false, "")
 

@@ -9,13 +9,6 @@ import (
 	"hpbd/internal/sim"
 )
 
-// elasticConfig arms runtime membership on top of the default client.
-func elasticConfig() ClientConfig {
-	ccfg := DefaultClientConfig()
-	ccfg.Elastic = true
-	return ccfg
-}
-
 // addServer spawns a server on the bed's fabric and live-attaches it.
 func (cb *chaosBed) addServer(t *testing.T, p *sim.Proc, name string, areaBytes int64) *Server {
 	t.Helper()
@@ -38,7 +31,7 @@ func (cb *chaosBed) addServer(t *testing.T, p *sim.Proc, name string, areaBytes 
 func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 	const area = 2 << 20
 	const blocks, blockBytes = 32, 128 * 1024 // covers the 4 MB device exactly
-	ccfg := elasticConfig()
+	ccfg := DefaultClientConfig()
 	ccfg.MigrationMBps = 400 // stretch the copy so the writer below overlaps it
 	cb := newChaosBed(t, 2, area, ccfg, false, "")
 
@@ -135,7 +128,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 func TestElasticDrainToDecommission(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 16, 128 * 1024
-	cb := newChaosBed(t, 2, area, elasticConfig(), false, "")
+	cb := newChaosBed(t, 2, area, DefaultClientConfig(), false, "")
 	cb.run(func(p *sim.Proc) {
 		if err := cb.writeBlocks(p, blocks, blockBytes, 5); err != nil {
 			t.Fatalf("write pass: %v", err)
@@ -170,41 +163,13 @@ func TestElasticDrainToDecommission(t *testing.T) {
 	assertExactPartition(t, cb.dev)
 }
 
-// TestElasticConfigAloneChangesNothing pins the bit-identical default:
-// a device with Elastic enabled but no membership operations must
-// produce exactly the same telemetry as a non-elastic one.
-func TestElasticConfigAloneChangesNothing(t *testing.T) {
-	runOnce := func(elastic bool) string {
-		ccfg := DefaultClientConfig()
-		ccfg.Elastic = elastic
-		cb := newChaosBed(t, 2, 1<<20, ccfg, false, "")
-		cb.run(func(p *sim.Proc) {
-			if err := cb.writeBlocks(p, 24, 4096, 3); err != nil {
-				t.Fatalf("writes: %v", err)
-			}
-			cb.verifyBlocks(t, p, 24, 4096, 3)
-		})
-		if cb.dev.Directory() != nil {
-			t.Fatal("static elastic device grew a directory")
-		}
-		return cb.reg.Summary()
-	}
-	plain, elastic := runOnce(false), runOnce(true)
-	if plain != elastic {
-		t.Errorf("enabling Elastic with a static fleet changed telemetry:\n--- plain ---\n%s--- elastic ---\n%s", plain, elastic)
-	}
-	if strings.Contains(elastic, "migration.") || strings.Contains(elastic, "placement.") {
-		t.Error("elastic metrics registered without a membership operation")
-	}
-}
-
 // TestDeterministicReplayMigration replays a full membership scenario —
 // grow, concurrent traffic, drain, decommission — twice in fresh
 // simulations and requires byte-identical telemetry and directory
 // state: the seed-replay contract extended to migration.
 func TestDeterministicReplayMigration(t *testing.T) {
 	runOnce := func() (string, string) {
-		ccfg := elasticConfig()
+		ccfg := DefaultClientConfig()
 		ccfg.MigrationMBps = 800
 		cb := newChaosBed(t, 2, 1<<20, ccfg, false, "")
 		cb.run(func(p *sim.Proc) {
@@ -240,24 +205,16 @@ func TestDeterministicReplayMigration(t *testing.T) {
 	}
 }
 
-// TestElasticGuards pins the API edges: membership on a non-elastic
-// device fails cleanly, as do striped layouts and unknown servers.
+// TestElasticGuards pins the API edges: membership fails cleanly on
+// striped layouts and unknown servers.
 func TestElasticGuards(t *testing.T) {
-	cb := newChaosBed(t, 1, 1<<20, DefaultClientConfig(), false, "")
-	cb.run(func(p *sim.Proc) {
-		srv := NewServer(cb.fabric, "memX", DefaultServerConfig(1<<20))
-		if err := cb.dev.AddServerLive(p, srv, 1<<20); err != ErrNotElastic {
-			t.Errorf("AddServerLive on static device = %v, want ErrNotElastic", err)
-		}
-		if err := cb.dev.DrainServer(p, "mem0"); err != ErrNotElastic {
-			t.Errorf("DrainServer on static device = %v, want ErrNotElastic", err)
-		}
-	})
-
-	striped := elasticConfig()
+	striped := DefaultClientConfig()
 	striped.StripeBytes = 64 * 1024
 	cb2 := newChaosBed(t, 2, 1<<20, striped, false, "")
 	cb2.run(func(p *sim.Proc) {
+		if err := cb2.writeBlocks(p, 16, 128*1024, 3); err != nil {
+			t.Fatal(err)
+		}
 		srv := NewServer(cb2.fabric, "memY", DefaultServerConfig(1<<20))
 		if err := cb2.dev.AddServerLive(p, srv, 1<<20); err == nil {
 			t.Error("AddServerLive under striping must fail")
@@ -265,9 +222,16 @@ func TestElasticGuards(t *testing.T) {
 		if err := cb2.dev.DrainServer(p, "nope"); err == nil {
 			t.Error("drain under striping must fail")
 		}
+		if err := cb2.dev.RemoveServer(p, "mem0"); err == nil ||
+			!strings.Contains(err.Error(), "blocked layout") {
+			t.Errorf("remove under striping = %v, want the blocked-layout refusal", err)
+		}
+		// A refused call must not have bootstrapped a blocked-layout
+		// directory under the striped device.
+		cb2.verifyBlocks(t, p, 16, 128*1024, 3)
 	})
 
-	cb3 := newChaosBed(t, 2, 1<<20, elasticConfig(), false, "")
+	cb3 := newChaosBed(t, 2, 1<<20, DefaultClientConfig(), false, "")
 	cb3.run(func(p *sim.Proc) {
 		if err := cb3.dev.DrainServer(p, "ghost"); err == nil ||
 			!strings.Contains(err.Error(), "unknown server") {

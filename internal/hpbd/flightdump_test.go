@@ -15,7 +15,7 @@ import (
 func TestFlightDumpOnMigrationAbort(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 32, 64 * 1024
-	ccfg := elasticRecoveryConfig()
+	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 50 // ~16 ms per planned move: the crash lands mid-copy
 	cb := newChaosBed(t, 2, area, ccfg, false, "")
 	var dumped bytes.Buffer

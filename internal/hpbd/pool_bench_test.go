@@ -20,10 +20,10 @@ func fig6Mix(rnd *rand.Rand) int {
 // benchPool exercises alloc/free churn with up to outstanding buffers in
 // flight. outstanding=16 is the regime the client's credit window
 // produces; larger values model a shared pool under many devices, where
-// the free list fragments and first-fit's linear scan degenerates.
-func benchPool(b *testing.B, mk func(env *sim.Env, size int) *BufferPool, poolBytes, outstanding int) {
+// the free list fragments and the first-fit scan lengthens.
+func benchPool(b *testing.B, poolBytes, outstanding int) {
 	env := sim.NewEnv()
-	pool := mk(env, poolBytes)
+	pool := NewBufferPool(env, poolBytes)
 	rnd := rand.New(rand.NewSource(1))
 	held := make([]int, 0, outstanding)
 	b.ResetTimer()
@@ -51,28 +51,14 @@ func benchPool(b *testing.B, mk func(env *sim.Env, size int) *BufferPool, poolBy
 	env.Close()
 }
 
-// BenchmarkPoolSizeClassed measures the segregated-fit allocator on the
-// Fig. 6 mix at the paper's scale (1 MB pool, credit-window concurrency);
-// it must at least match the first-fit baseline below.
-func BenchmarkPoolSizeClassed(b *testing.B) {
-	benchPool(b, NewBufferPool, 1<<20, 16)
+// BenchmarkPool measures the allocator on the Fig. 6 mix at the paper's
+// scale (1 MB pool, credit-window concurrency).
+func BenchmarkPool(b *testing.B) {
+	benchPool(b, 1<<20, 16)
 }
 
-// BenchmarkPoolFirstFit measures the paper's original first-fit free list
-// on the same mix.
-func BenchmarkPoolFirstFit(b *testing.B) {
-	benchPool(b, NewFirstFitPool, 1<<20, 16)
-}
-
-// BenchmarkPoolSizeClassedFragmented runs the same mix on a large shared
-// pool with 1024 buffers in flight, where hundreds of free extents
-// accumulate and the class index pays off.
-func BenchmarkPoolSizeClassedFragmented(b *testing.B) {
-	benchPool(b, NewBufferPool, 512<<20, 1024)
-}
-
-// BenchmarkPoolFirstFitFragmented is the first-fit baseline for the
-// fragmented regime.
-func BenchmarkPoolFirstFitFragmented(b *testing.B) {
-	benchPool(b, NewFirstFitPool, 512<<20, 1024)
+// BenchmarkPoolFragmented runs the same mix on a large shared pool with
+// 1024 buffers in flight, where hundreds of free extents accumulate.
+func BenchmarkPoolFragmented(b *testing.B) {
+	benchPool(b, 512<<20, 1024)
 }

@@ -1,11 +1,11 @@
 package hpbd
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"hpbd/internal/sim"
-	"hpbd/internal/telemetry"
 )
 
 func TestPoolFirstFit(t *testing.T) {
@@ -109,8 +109,34 @@ func TestPoolDoubleFreePanics(t *testing.T) {
 	bp.Free(off)
 }
 
+// poolHoles returns the free holes of a size-byte pool whose live
+// allocations are live (off -> len), in address order: the brute-force
+// oracle TestQuickPoolInvariants checks the allocator against.
+func poolHoles(live map[int]int, size int) []extent {
+	offs := make([]int, 0, len(live))
+	for off := range live {
+		offs = append(offs, off)
+	}
+	sort.Ints(offs)
+	var holes []extent
+	end := 0
+	for _, off := range offs {
+		if off > end {
+			holes = append(holes, extent{end, off - end})
+		}
+		end = off + live[off]
+	}
+	if end < size {
+		holes = append(holes, extent{end, size - end})
+	}
+	return holes
+}
+
 // Property: under any interleaving of allocs and frees, allocations never
 // overlap, stay in bounds, and the free/used byte accounting is exact.
+// Against the oracle: every successful TryAlloc(n) returns the lowest
+// offset with n free bytes, every ErrPoolExhausted means no such hole
+// exists, and LargestFree is never below the largest hole.
 func TestQuickPoolInvariants(t *testing.T) {
 	type op struct {
 		Alloc bool
@@ -125,9 +151,22 @@ func TestQuickPoolInvariants(t *testing.T) {
 		for _, o := range ops {
 			if o.Alloc || len(order) == 0 {
 				n := int(o.Size)%4096 + 1
+				want := -1 // lowest offset with n free bytes
+				for _, h := range poolHoles(live, size) {
+					if h.len >= n {
+						want = h.off
+						break
+					}
+				}
 				off, err := bp.TryAlloc(n)
 				if err != nil {
+					if err != ErrPoolExhausted || want >= 0 {
+						return false
+					}
 					continue
+				}
+				if off != want {
+					return false
 				}
 				// Bounds and overlap checks.
 				if off < 0 || off+n > size {
@@ -146,6 +185,18 @@ func TestQuickPoolInvariants(t *testing.T) {
 				order = append(order[:i], order[i+1:]...)
 				bp.Free(off)
 				delete(live, off)
+			}
+			largest := 0
+			for _, h := range poolHoles(live, size) {
+				if h.len > largest {
+					largest = h.len
+				}
+			}
+			// The tally never under-reports. Equality is deferred to the
+			// change that fixes it: TryAlloc counts a split's remainder
+			// twice, so the value can read stale-high (ROADMAP open items).
+			if bp.LargestFree() < largest {
+				return false
 			}
 		}
 		used := 0
@@ -167,25 +218,18 @@ func TestQuickPoolInvariants(t *testing.T) {
 	}
 }
 
-// The adaptive class index must build once fragmentation crosses
-// poolIndexBuild free extents, publish per-class occupancy gauges while
-// active, and drop again once coalescing shrinks the free set — with
-// allocation correctness unaffected on both sides of each transition.
-func TestPoolIndexBuildsAndDrops(t *testing.T) {
+// A checkerboard of isolated page-sized holes: first fit must reuse the
+// lowest hole, not only the tail extent, and freeing the rest must
+// coalesce the free list back to one extent.
+func TestPoolCheckerboard(t *testing.T) {
 	env := sim.NewEnv()
-	reg := telemetry.New(env)
 	bp := NewBufferPool(env, 1<<20)
-	bp.SetTelemetry(reg)
-	if bp.indexed {
-		t.Fatal("index active on a fresh pool")
-	}
 
-	// Checkerboard: allocate 2*poolIndexBuild page-sized blocks, free every
-	// other one. Each freed block is isolated, so the free set grows one
-	// extent per free until the index builds.
-	const n = 4096
-	offs := make([]int, 0, 2*poolIndexBuild)
-	for i := 0; i < 2*poolIndexBuild; i++ {
+	// Allocate 64 page-sized blocks, free every other one. Each freed
+	// block is isolated, so the free list grows one extent per free.
+	const n, blocks = 4096, 64
+	offs := make([]int, 0, blocks)
+	for i := 0; i < blocks; i++ {
 		off, err := bp.TryAlloc(n)
 		if err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
@@ -195,38 +239,25 @@ func TestPoolIndexBuildsAndDrops(t *testing.T) {
 	for i := 0; i < len(offs); i += 2 {
 		bp.Free(offs[i])
 	}
-	if !bp.indexed {
-		t.Fatalf("index not built at %d free extents", bp.Fragments())
-	}
-	// The holes are page-sized, so class 12 (4096..8191) must be populated.
-	if got := reg.Gauge("pool.class.12").Value(); got < poolIndexBuild {
-		t.Errorf("pool.class.12 = %d, want >= %d", got, poolIndexBuild)
+	if got := bp.Fragments(); got != blocks/2+1 {
+		t.Fatalf("fragments = %d, want %d holes plus the tail", got, blocks/2)
 	}
 
-	// Indexed allocation must reuse a hole, not only the tail extent.
 	off, err := bp.TryAlloc(n)
 	if err != nil {
-		t.Fatalf("indexed alloc: %v", err)
+		t.Fatalf("alloc into a hole: %v", err)
 	}
 	if off != offs[0] {
-		t.Errorf("indexed alloc at %d, want lowest hole %d", off, offs[0])
+		t.Errorf("alloc at %d, want lowest hole %d", off, offs[0])
 	}
 	bp.Free(off)
 
-	// Free the rest: coalescing collapses the free set and the index must
-	// drop, zeroing the class gauges.
 	for i := 1; i < len(offs); i += 2 {
 		bp.Free(offs[i])
-	}
-	if bp.indexed {
-		t.Errorf("index still active at %d free extents", bp.Fragments())
 	}
 	if bp.Fragments() != 1 || bp.LargestFree() != 1<<20 || bp.InUse() != 0 {
 		t.Errorf("after drain: fragments=%d largest=%d inuse=%d",
 			bp.Fragments(), bp.LargestFree(), bp.InUse())
-	}
-	if got := reg.Gauge("pool.class.12").Value(); got != 0 {
-		t.Errorf("pool.class.12 = %d after index drop, want 0", got)
 	}
 	env.Close()
 }

@@ -18,19 +18,9 @@ import (
 type ServerConfig struct {
 	// StoreBytes is the total RamDisk capacity exported to clients.
 	StoreBytes int64
-	// Workers is the number of concurrent request processors; each owns
-	// one staging buffer, so it bounds outstanding RDMA operations and
-	// provides the paper's RDMA/memcpy overlap.
-	Workers int
 	// StagingBytes is the size of each staging buffer (>= the largest
 	// request, 128 KB).
 	StagingBytes int
-	// RecvDepth is the number of request receive buffers pre-posted per
-	// client connection; it must be >= the client's credit limit.
-	RecvDepth int
-	// IdleSpin is how long the server polls before yielding the CPU and
-	// sleeping on a completion event (the paper: 200 us).
-	IdleSpin sim.Duration
 	// StoreOpOverhead is the per-request cost of reaching the RamDisk
 	// store through its file-system interface (the paper's server
 	// manipulates RamDisk-based files).
@@ -49,30 +39,36 @@ type ServerConfig struct {
 	Telemetry *telemetry.Registry
 
 	// Tenancy, if non-nil, turns on multi-tenant QoS (see tenancy.go):
-	// the receive window is credit-partitioned per tenant, worker issue
-	// order comes from the byte-weighted fair queue, and per-tenant
-	// quotas are admission-enforced. Nil (the default) keeps the
-	// single-tenant server byte-identical.
+	// the receive window is credit-partitioned per tenant, a single issue
+	// worker takes requests from the byte-weighted fair queue one quantum
+	// at a time, and per-tenant quotas are admission-enforced. Nil (the
+	// default) keeps the paper's single-tenant server.
 	Tenancy *tenant.Spec
 	// TenantFIFO replaces the fair queue with strict FIFO issue while
 	// keeping every other tenancy mechanism — the isolation experiments'
 	// control arm. Ignored without Tenancy.
 	TenantFIFO bool
-	// TenantSelfCheck runs the credit bank's conservation check (the
-	// creditbalance analyzer's runtime twin) at every credit operation
-	// and scheduler tick, latching the first violation for TenancyCheck.
-	TenantSelfCheck bool
 }
+
+const (
+	// serverWorkers is the number of concurrent request processors; each
+	// owns one staging buffer, so it bounds outstanding RDMA operations
+	// and provides the paper's RDMA/memcpy overlap.
+	serverWorkers = 4
+	// recvDepth is the number of request receive buffers pre-posted per
+	// client connection; it must be >= the client's credit limit.
+	recvDepth = 32
+	// idleSpin is how long the server polls before yielding the CPU and
+	// sleeping on a completion event (the paper: 200 us).
+	idleSpin = 200 * sim.Microsecond
+)
 
 // DefaultServerConfig returns the paper's server configuration for a
 // store of the given size.
 func DefaultServerConfig(storeBytes int64) ServerConfig {
 	return ServerConfig{
 		StoreBytes:      storeBytes,
-		Workers:         4,
 		StagingBytes:    128 * 1024,
-		RecvDepth:       32,
-		IdleSpin:        200 * sim.Microsecond,
 		StoreOpOverhead: 80 * sim.Microsecond,
 		Host:            netmodel.DefaultHost(),
 	}
@@ -136,7 +132,7 @@ type clientConn struct {
 	qp       *ib.QP
 	areaOff  int64
 	areaSize int64
-	recvMR   *ib.MR // RecvDepth request buffers
+	recvMR   *ib.MR // recvDepth request buffers
 
 	// Tenancy state (nil/zero without ServerConfig.Tenancy).
 	tenantID    string
@@ -171,14 +167,15 @@ type Server struct {
 	crashed     bool
 	hangUntil   sim.Time
 	starveUntil sim.Time
-	starved     []starvedRecv // receive buffers withheld during starvation
+	starved     []recvSlot // receive buffers withheld during starvation
 }
 
-// starvedRecv records one receive buffer whose repost was withheld by an
-// active StarveRecv fault.
-type starvedRecv struct {
+// recvSlot is one receive buffer of a connection's window (its work
+// request ID is its slot index). The server holds one while its repost
+// is withheld: by an active StarveRecv fault, or under tenancy until its
+// tenant can hold another credit.
+type recvSlot struct {
 	conn *clientConn
-	wrid uint64
 	slot int
 }
 
@@ -219,16 +216,17 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		s.issueQ = sim.NewChan[rdmaIssue](env, 0)
 		env.Go(name+"-issuer", s.rdmaIssuer)
 	}
-	workers := cfg.Workers
-	if s.tn != nil && !cfg.TenantFIFO {
-		// Fair-queue mode issues through a single worker: the wire is the
-		// contended resource, and quantum-granular WFQ can only bound a
-		// small tenant's wait if one scheduler grant means one transfer in
-		// flight. The multi-worker RDMA/memcpy overlap is what the QoS
-		// contract trades away; the FIFO control arm keeps it.
-		workers = 1
+	if s.tn != nil {
+		// Tenancy issues through a single worker: the wire is the
+		// contended resource, and the scheduler can only bound a small
+		// tenant's wait if one grant means one transfer in flight. The
+		// multi-worker RDMA/memcpy overlap is what the QoS contract
+		// trades away.
+		wname := name + "-worker0"
+		env.Go(wname, func(p *sim.Proc) { s.tnWorker(p, wname) })
+		return s
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < serverWorkers; i++ {
 		wname := fmt.Sprintf("%s-worker%d", name, i)
 		env.Go(wname, func(p *sim.Proc) { s.worker(p, wname) })
 	}
@@ -334,36 +332,50 @@ func (s *Server) StarveRecv(d sim.Duration) {
 // repostStarved returns withheld receive buffers once the starvation
 // window has passed (a later StarveRecv extends the window; the earlier
 // callback then finds it still active and leaves the work to the later
-// one). Reposts happen in withholding order, never map order.
+// one). Reposts happen in withholding order, never map order. Under
+// tenancy each slot re-enters through the credit bank, then the free
+// credits that piled up during the window drain to the withheld demand.
 func (s *Server) repostStarved() {
 	if s.env.Now() < s.starveUntil {
 		return
 	}
-	if s.tn != nil {
-		// Tenancy: each withheld slot re-enters through the credit bank
-		// (acquire or withhold), then accumulated free credits drain to
-		// whatever demand built up during the window.
-		starved := s.starved
-		s.starved = nil
-		for _, sr := range starved {
-			if sr.conn.qp.Closed() {
-				continue
-			}
-			s.tnRepostOrWithhold(sr.conn, sr.wrid, sr.slot)
-		}
-		s.tnGrantDrain()
-		return
-	}
-	for _, sr := range s.starved {
-		if sr.conn.qp.Closed() {
+	starved := s.starved
+	s.starved = nil
+	for _, sl := range starved {
+		if sl.conn.qp.Closed() {
 			continue
 		}
-		_ = sr.conn.qp.PostRecv(ib.RecvWR{
-			ID:    sr.wrid,
-			Local: ib.Segment{MR: sr.conn.recvMR, Off: sr.slot * wire.RequestSize, Len: wire.RequestSize},
-		})
+		_ = s.repost(sl) // a post error means the connection is gone
 	}
-	s.starved = s.starved[:0]
+	if s.tn != nil {
+		s.tnGrantDrain()
+	}
+}
+
+// postSlot posts one receive buffer of a connection's window.
+func postSlot(sl recvSlot) error {
+	return sl.conn.qp.PostRecv(ib.RecvWR{
+		ID:    uint64(sl.slot),
+		Local: ib.Segment{MR: sl.conn.recvMR, Off: sl.slot * wire.RequestSize, Len: wire.RequestSize},
+	})
+}
+
+// repost decides a free receive slot's fate, for handleRecvCQE,
+// repostStarved and a tenancy attach. An active StarveRecv fault stashes
+// it until the window lifts. Tenancy routes it through the credit bank
+// (posted under a fresh credit or withheld; a failed post returns the
+// credit, so there is no error to report). Otherwise it is posted, and a
+// post error means the connection is torn down.
+func (s *Server) repost(sl recvSlot) error {
+	if s.env.Now() < s.starveUntil {
+		s.starved = append(s.starved, sl)
+		return nil
+	}
+	if s.tn != nil {
+		s.tnRepostOrWithhold(sl)
+		return nil
+	}
+	return postSlot(sl)
 }
 
 // attach allocates an area of size bytes for a client and wires a QP; it
@@ -393,22 +405,20 @@ func (s *Server) attach(clientQP *ib.QP, size int64, tenantID string) (*ib.QP, i
 		qp:       qp,
 		areaOff:  off,
 		areaSize: size,
-		recvMR:   s.hca.RegisterMRAtSetup(make([]byte, s.cfg.RecvDepth*wire.RequestSize)),
+		recvMR:   s.hca.RegisterMRAtSetup(make([]byte, recvDepth*wire.RequestSize)),
 		tenantID: tenantID,
 	}
 	s.conns[qp] = conn
+	// The paper path posts a new connection's window outright: StarveRecv
+	// withholds reposts, not first posts. Under tenancy the window enters
+	// through repost like every later slot (credit bank, starve stash).
+	post := postSlot
 	if s.tn != nil {
 		conn.resident = make(map[int64]pageHeat)
-		for i := 0; i < s.cfg.RecvDepth; i++ {
-			s.tnRepostOrWithhold(conn, uint64(i), i)
-		}
-		return qp, conn.areaOff, nil
+		post = s.repost
 	}
-	for i := 0; i < s.cfg.RecvDepth; i++ {
-		if err := qp.PostRecv(ib.RecvWR{
-			ID:    uint64(i),
-			Local: ib.Segment{MR: conn.recvMR, Off: i * wire.RequestSize, Len: wire.RequestSize},
-		}); err != nil {
+	for i := 0; i < recvDepth; i++ {
+		if err := post(recvSlot{conn: conn, slot: i}); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -416,11 +426,11 @@ func (s *Server) attach(clientQP *ib.QP, size int64, tenantID string) (*ib.QP, i
 }
 
 // recvLoop is the daemon's main thread: it drains request completions,
-// reposts receive buffers, and feeds the worker pool. After IdleSpin with
+// reposts receive buffers, and feeds the worker pool. After idleSpin with
 // no work it yields the CPU and sleeps until a completion event (§5).
 func (s *Server) recvLoop(p *sim.Proc) {
 	for {
-		e, ok := s.reqCQ.WaitPollTimeout(p, s.cfg.IdleSpin)
+		e, ok := s.reqCQ.WaitPollTimeout(p, idleSpin)
 		if !ok {
 			// Yield: arm the completion event and sleep.
 			s.met.idleSleeps.Inc()
@@ -456,14 +466,7 @@ func (s *Server) handleRecvCQE(p *sim.Proc, e ib.CQE) {
 	// Tenancy routes the repost through the credit bank: the arriving
 	// request keeps the buffer's credit until its reply, and the
 	// replacement buffer needs a credit of its own.
-	if s.tn != nil {
-		s.tnRepostOrWithhold(conn, e.WRID, slot)
-	} else if s.env.Now() < s.starveUntil {
-		s.starved = append(s.starved, starvedRecv{conn: conn, wrid: e.WRID, slot: slot})
-	} else if perr := conn.qp.PostRecv(ib.RecvWR{
-		ID:    e.WRID,
-		Local: ib.Segment{MR: conn.recvMR, Off: slot * wire.RequestSize, Len: wire.RequestSize},
-	}); perr != nil {
+	if perr := s.repost(recvSlot{conn: conn, slot: slot}); perr != nil {
 		return // connection torn down
 	}
 	if err != nil {
@@ -605,46 +608,51 @@ func (s *Server) sendReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, handle
 	})
 }
 
+// srvStamp is the lifecycle bookkeeping a request carries to its reply:
+// start anchors the server's interior split of the request and copyNs
+// accumulates the local memcpy share.
+type srvStamp struct {
+	start  sim.Time
+	copyNs sim.Duration
+}
+
+// reply publishes the request's server stamp and sends its reply, so the
+// client's breakdown can attribute send / rdma / server-copy / reply
+// exactly. An active hang fault wedges the reply (and its stamp) until
+// the deadline; sleeping before StampServer keeps the client's exact
+// stage partition intact — the hang shows up as server time, which is
+// where it was actually spent.
+func (s *Server) reply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, handle uint64, stamp srvStamp, st wire.Status) {
+	if s.hangUntil > p.Now() {
+		p.Sleep(s.hangUntil.Sub(p.Now()))
+	}
+	s.lifecycle().StampServer(handle, telemetry.ServerStamp{
+		Start: stamp.start, Reply: p.Now(), Copy: stamp.copyNs,
+	})
+	s.sendReply(p, conn, replyMR, handle, st)
+}
+
+// checkReq validates a request before any data moves: its length against
+// the staging buffer, its range against the connection's area, and its
+// type. It returns StatusOK or the status to refuse the request with.
+func (s *Server) checkReq(conn *clientConn, req wire.Request) wire.Status {
+	n := int(req.Length)
+	if n <= 0 || n > s.cfg.StagingBytes ||
+		req.Offset+uint64(n) > uint64(conn.areaSize) {
+		return wire.StatusOutOfRange
+	}
+	if req.Type != wire.ReqWrite && req.Type != wire.ReqRead {
+		return wire.StatusBadRequest
+	}
+	return wire.StatusOK
+}
+
 // worker processes requests with its own staging buffer, providing the
 // multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels this
-// worker's trace track so the overlap is visible across workers. Under
-// tenancy the worker pool feeds from the weighted fair queue instead of
-// the FIFO work channel, observes each request's queueing delay into its
-// tenant's sched-wait histogram, and releases the request's credit after
-// service.
+// worker's trace track so the overlap is visible across workers.
 func (s *Server) worker(p *sim.Proc, wname string) {
 	staging := s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))
 	replyMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-	if s.tn != nil {
-		for {
-			item, pushAt, ok := s.tn.sched.Pop(p)
-			if !ok {
-				return
-			}
-			s.tnCheck()
-			if item.cont == nil {
-				// Continuations are issue grants, not arrivals: only the
-				// request's first grant measures its queueing delay.
-				s.tn.met[item.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
-			}
-			if s.cfg.TenantFIFO {
-				s.serveOne(p, wname, staging, replyMR, item)
-				s.tnRelease(item.conn)
-				continue
-			}
-			item, grant := s.tnServeQuantum(p, wname, replyMR, item)
-			switch grant {
-			case tnDone:
-				s.tnRelease(item.conn)
-			case tnMore:
-				rest := s.tnChunk(int(item.req.Length), item.cont.done)
-				s.tn.sched.Push(item.conn.tenantID, rest, p.Now(), item)
-			case tnParked:
-				// A store proc owns the request now; it re-queues the
-				// continuation or finishes and releases the credit itself.
-			}
-		}
-	}
 	for {
 		item, ok := s.work.Recv(p)
 		if !ok {
@@ -658,54 +666,29 @@ func (s *Server) worker(p *sim.Proc, wname string) {
 // reply buffers.
 func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, item srvReq) {
 	conn, req := item.conn, item.req
-	// Lifecycle instrumentation: wstart anchors the server's interior
-	// split of the request, copyNs accumulates the local memcpy share,
-	// and the client's flow (linked by handle through the shared
-	// registry) continues on this worker's trace track. The stamp is
-	// published just before every reply so the client's breakdown can
-	// attribute send / rdma / server-copy / reply exactly.
-	lc := s.lifecycle()
-	wstart := p.Now()
-	var copyNs sim.Duration
-	flow, hasFlow := lc.TakeFlow(req.Handle)
+	// Lifecycle instrumentation: the client's flow (linked by handle
+	// through the shared registry) continues on this worker's trace
+	// track, and stamp is published just before every reply.
+	stamp := srvStamp{start: p.Now()}
+	flow, hasFlow := s.lifecycle().TakeFlow(req.Handle)
 	if hasFlow {
 		s.tracer.FlowStep(wname, "req", flow)
 	}
-	reply := func(st wire.Status) {
-		// An active hang fault wedges the reply (and its stamp) until
-		// the deadline; sleeping before StampServer keeps the client's
-		// exact stage partition intact — the hang shows up as server
-		// time, which is where it was actually spent.
-		if s.hangUntil > p.Now() {
-			p.Sleep(s.hangUntil.Sub(p.Now()))
-		}
-		lc.StampServer(req.Handle, telemetry.ServerStamp{
-			Start: wstart, Reply: p.Now(), Copy: copyNs,
-		})
-		s.sendReply(p, conn, replyMR, req.Handle, st)
-	}
-	n := int(req.Length)
-	if n <= 0 || n > s.cfg.StagingBytes ||
-		req.Offset+uint64(n) > uint64(conn.areaSize) {
+	if st := s.checkReq(conn, req); st != wire.StatusOK {
 		s.met.badRequests.Inc()
-		reply(wire.StatusOutOfRange)
+		s.reply(p, conn, replyMR, req.Handle, stamp, st)
 		return
 	}
+	n := int(req.Length)
 	storeOff := conn.areaOff + int64(req.Offset)
 	switch req.Type {
 	case wire.ReqWrite:
-		// Quota admission: over-quota growth is refused before any RDMA
-		// is issued; the client's recovery path backs off and retries.
-		if s.tn != nil && !s.tnAdmitWrite(conn, req) {
-			reply(wire.StatusRetry)
-			return
-		}
 		// Swap-out: pull the page data out of the client's pool.
 		span := s.tracer.Begin(wname, "rdma-read")
 		ev, err := s.postRDMA(p, conn, ib.OpRDMARead,
 			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
 		if err != nil {
-			reply(wire.StatusServerError)
+			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
 		ev.Wait(p)
@@ -716,35 +699,32 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 		span = s.tracer.Begin(wname, "store-write")
 		copyStart := p.Now()
 		if err := s.store.WriteAt(p, staging.Buf[:n], storeOff); err != nil {
-			copyNs = p.Now().Sub(copyStart)
-			reply(wire.StatusServerError)
+			stamp.copyNs = p.Now().Sub(copyStart)
+			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
-		copyNs = p.Now().Sub(copyStart)
+		stamp.copyNs = p.Now().Sub(copyStart)
 		span.EndBytes(n)
 		s.met.writes.Inc()
 		s.met.bytesStored.Add(int64(n))
-		if s.tn != nil {
-			s.tnMarkWrite(conn, req)
-		}
-		reply(wire.StatusOK)
+		s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusOK)
 
 	case wire.ReqRead:
 		// Swap-in: push stored data into the client's pool.
 		span := s.tracer.Begin(wname, "store-read")
 		copyStart := p.Now()
 		if err := s.store.ReadAt(p, staging.Buf[:n], storeOff); err != nil {
-			copyNs = p.Now().Sub(copyStart)
-			reply(wire.StatusServerError)
+			stamp.copyNs = p.Now().Sub(copyStart)
+			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
-		copyNs = p.Now().Sub(copyStart)
+		stamp.copyNs = p.Now().Sub(copyStart)
 		span.EndBytes(n)
 		span = s.tracer.Begin(wname, "rdma-write")
 		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
 			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
 		if err != nil {
-			reply(wire.StatusServerError)
+			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
 		ev.Wait(p)
@@ -754,13 +734,6 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 		}
 		s.met.reads.Inc()
 		s.met.bytesServed.Add(int64(n))
-		if s.tn != nil {
-			s.tnTouchRead(conn, req)
-		}
-		reply(wire.StatusOK)
-
-	default:
-		s.met.badRequests.Inc()
-		reply(wire.StatusBadRequest)
+		s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusOK)
 	}
 }

@@ -21,21 +21,14 @@ import (
 // window shrinks and its excess sends complete as RNR errors that its
 // client retries with backoff. Replying releases the request's credit,
 // and freed credits are granted to withheld slots in the bank's
-// deterministic priority order. Worker issue order comes from the
-// byte-weighted fair queue instead of the FIFO work channel, and
+// deterministic priority order. A single issue worker (tnWorker) takes
+// requests from the byte-weighted fair queue instead of the paper path's
+// work channel and moves them one quantum per grant (tnServeQuantum), and
 // per-tenant resident bytes are tracked page-granular for the quota
 // admission check and cold-page reclaim.
 
 // tenantPageBytes is the residency-accounting granule (one 4K page).
 const tenantPageBytes = 4096
-
-// recvSlot is one receive buffer whose repost is withheld until its
-// tenant can hold another credit.
-type recvSlot struct {
-	conn *clientConn
-	wrid uint64
-	slot int
-}
 
 // tenantMetrics are one tenant's server-side metric handles, registered
 // lazily at server creation only when tenancy is on (so tenancy-off
@@ -51,15 +44,14 @@ type tenantMetrics struct {
 
 // srvTenancy is the server's tenancy state.
 type srvTenancy struct {
-	spec      *tenant.Spec
-	bank      *tenant.CreditBank
-	sched     *tenant.Sched[srvReq]
-	met       map[string]*tenantMetrics // keyed access only, never iterated
-	withheld  map[string][]recvSlot     // per-tenant FIFO of withheld slots
-	resident  map[string]int64          // per-tenant resident bytes on this server
-	bufs      []*ib.MR                  // per-request staging pool (quantum mode)
-	selfCheck bool
-	checkErr  error
+	spec     *tenant.Spec
+	bank     *tenant.CreditBank
+	sched    *tenant.Sched[srvReq]
+	met      map[string]*tenantMetrics // keyed access only, never iterated
+	withheld map[string][]recvSlot     // per-tenant FIFO of withheld slots
+	resident map[string]int64          // per-tenant resident bytes on this server
+	bufs     []*ib.MR                  // per-request staging pool
+	checkErr error
 }
 
 // tnInit builds the tenancy state for a validated spec. Flows, metrics
@@ -67,22 +59,19 @@ type srvTenancy struct {
 func (s *Server) tnInit() {
 	spec := s.cfg.Tenancy
 	tn := &srvTenancy{
-		spec:      spec,
-		bank:      tenant.NewCreditBank(spec),
-		sched:     tenant.NewSched[srvReq](s.env, s.cfg.TenantFIFO),
-		met:       make(map[string]*tenantMetrics, len(spec.Tenants)),
-		withheld:  make(map[string][]recvSlot, len(spec.Tenants)),
-		resident:  make(map[string]int64, len(spec.Tenants)),
-		selfCheck: s.cfg.TenantSelfCheck,
+		spec:     spec,
+		bank:     tenant.NewCreditBank(spec),
+		sched:    tenant.NewSched[srvReq](s.env, s.cfg.TenantFIFO),
+		met:      make(map[string]*tenantMetrics, len(spec.Tenants)),
+		withheld: make(map[string][]recvSlot, len(spec.Tenants)),
+		resident: make(map[string]int64, len(spec.Tenants)),
 	}
-	if !s.cfg.TenantFIFO {
-		// Quantum mode stages each in-service request in its own buffer
-		// (the data outlives any single scheduler grant). A request in
-		// service holds a credit, so the provisioned credit count bounds
-		// the pool; registering at setup mirrors the workers' staging.
-		for i := 0; i < spec.Provisioned(); i++ {
-			tn.bufs = append(tn.bufs, s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)))
-		}
+	// Each in-service request is staged in its own buffer (the data
+	// outlives any single scheduler grant). A request in service holds a
+	// credit, so the provisioned credit count bounds the pool; registering
+	// at setup mirrors the paper workers' staging.
+	for i := 0; i < spec.Provisioned(); i++ {
+		tn.bufs = append(tn.bufs, s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)))
 	}
 	for i := range spec.Tenants {
 		t := &spec.Tenants[i]
@@ -101,10 +90,10 @@ func (s *Server) tnInit() {
 }
 
 // tnCheck runs the bank's conservation check (the creditbalance
-// analyzer's runtime twin) when self-checking is armed, latching the
-// first violation.
+// analyzer's runtime twin) at every credit operation and scheduler tick,
+// latching the first violation for TenancyCheck.
 func (s *Server) tnCheck() {
-	if s.tn.selfCheck && s.tn.checkErr == nil {
+	if s.tn.checkErr == nil {
 		s.tn.checkErr = s.tn.bank.Check()
 	}
 }
@@ -129,37 +118,25 @@ func (s *Server) tnGauges(id string) {
 // credit). A post failure means the connection is torn down: the credit
 // goes back to the bank.
 func (s *Server) tnPostSlot(sl recvSlot) {
-	if sl.conn.qp.Closed() {
-		s.tn.bank.Release(sl.conn.tenantID)
-		return
-	}
-	if err := sl.conn.qp.PostRecv(ib.RecvWR{
-		ID:    sl.wrid,
-		Local: ib.Segment{MR: sl.conn.recvMR, Off: sl.slot * wire.RequestSize, Len: wire.RequestSize},
-	}); err != nil {
+	if err := postSlot(sl); err != nil {
 		s.tn.bank.Release(sl.conn.tenantID)
 	}
 }
 
-// tnRepostOrWithhold decides a freed receive slot's fate: repost under
-// a fresh credit when the tenant may hold one, otherwise withhold the
-// slot until a release grants it. Buffer posts use the capped acquire —
-// a posted buffer pins its credit until a request lands on it, which an
-// idle tenant may never do, so only the revocable Grant path (one
-// decision per release, with live demand in view) hands out beyond-cap
-// pool credits. An active StarveRecv fault withholds the slot in the
-// fault's own stash, credit-free, exactly as the non-tenant path does.
-func (s *Server) tnRepostOrWithhold(conn *clientConn, wrid uint64, slot int) {
-	if s.env.Now() < s.starveUntil {
-		s.starved = append(s.starved, starvedRecv{conn: conn, wrid: wrid, slot: slot})
-		return
-	}
-	id := conn.tenantID
+// tnRepostOrWithhold is repost's tenancy arm: post the slot under a
+// fresh credit when the tenant may hold one, otherwise withhold it until
+// a release grants it. Buffer posts use the capped acquire — a posted
+// buffer pins its credit until a request lands on it, which an idle
+// tenant may never do, so only the revocable Grant path (one decision
+// per release, with live demand in view) hands out beyond-cap pool
+// credits.
+func (s *Server) tnRepostOrWithhold(sl recvSlot) {
+	id := sl.conn.tenantID
 	if s.tn.bank.TryAcquireCapped(id) {
 		s.tnCheck()
-		s.tnPostSlot(recvSlot{conn: conn, wrid: wrid, slot: slot})
+		s.tnPostSlot(sl)
 	} else {
-		s.tn.withheld[id] = append(s.tn.withheld[id], recvSlot{conn: conn, wrid: wrid, slot: slot})
+		s.tn.withheld[id] = append(s.tn.withheld[id], sl)
 		s.tn.bank.Waitlist(id, 1)
 	}
 	s.tnGauges(id)
@@ -277,14 +254,14 @@ func (s *Server) tnTouchRead(conn *clientConn, req wire.Request) {
 // behind more than one quantum of a neighbor's bulk transfer on the wire.
 // 16 KB keeps a victim's residual wait under a neighbor's bulk chunk near
 // the small-request service time itself while holding per-chunk posting
-// overhead to a few percent of a 128 KB transfer. TenantFIFO keeps the
-// legacy monolithic issue as the control arm.
+// overhead to a few percent of a 128 KB transfer.
 const tenantQuantum = 16 * 1024
 
 // tnQuantum returns the issue quantum, bounded by the staging buffer a
-// chunk moves through.
+// chunk moves through. TenantFIFO, the control arm, moves every request
+// in one chunk.
 func (s *Server) tnQuantum() int {
-	if tenantQuantum > s.cfg.StagingBytes {
+	if s.cfg.TenantFIFO || tenantQuantum > s.cfg.StagingBytes {
 		return s.cfg.StagingBytes
 	}
 	return tenantQuantum
@@ -300,22 +277,17 @@ func (s *Server) tnChunk(n, done int) int {
 }
 
 // tnDispatchBytes is the byte cost the receive loop charges when it
-// queues a fresh request. In quantum mode every grant that moves a chunk
-// over the wire is charged that chunk — so a flow's virtual time
-// advances by exactly its payload bytes — which makes the dispatch
-// charge the first chunk for writes (the first grant RDMA-reads it) and
-// zero for reads (the first grant only dispatches the store read; the
-// chunks charge themselves when the data is ready). FIFO charges the
-// whole request up front; there the cost only feeds the byte counters.
+// queues a fresh request. Every grant that moves a chunk over the wire is
+// charged that chunk — so a flow's virtual time advances by exactly its
+// payload bytes — which makes the dispatch charge the first chunk for
+// writes (the first grant RDMA-reads it) and zero for reads (the first
+// grant only dispatches the store read; the chunks charge themselves
+// when the data is ready).
 func (s *Server) tnDispatchBytes(req wire.Request) int {
-	n := int(req.Length)
-	if s.cfg.TenantFIFO {
-		return n
-	}
 	if req.Type == wire.ReqRead {
 		return 0
 	}
-	return s.tnChunk(n, 0)
+	return s.tnChunk(int(req.Length), 0)
 }
 
 // tnGetBuf takes a staging buffer from the pool (registering a spare is
@@ -331,17 +303,15 @@ func (s *Server) tnGetBuf() *ib.MR {
 
 func (s *Server) tnPutBuf(b *ib.MR) { s.tn.bufs = append(s.tn.bufs, b) }
 
-// tnCont is the state a request carries across scheduler grants in
-// quantum mode: its staging buffer, how many payload bytes have moved,
-// the store stage's outcome, and the lifecycle bookkeeping serveOne
-// would have kept on its stack.
+// tnCont is the state a request carries across scheduler grants: its
+// staging buffer, how many payload bytes have moved, the store stage's
+// outcome, and the lifecycle bookkeeping serveOne keeps on its stack.
 type tnCont struct {
 	buf     *ib.MR
 	done    int
 	ready   bool // read: store read completed, chunks may stream
 	fail    bool // read: store read failed
-	wstart  sim.Time
-	copyNs  sim.Duration
+	stamp   srvStamp
 	flow    uint64
 	hasFlow bool
 }
@@ -355,23 +325,42 @@ const (
 	tnParked                // handed to a store proc, which re-queues or finishes it
 )
 
-// tnReply stamps and sends one reply (shared by the issue worker and the
-// store procs, which reply off the worker's critical path).
-func (s *Server) tnReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, req wire.Request, c *tnCont, st wire.Status) {
-	if s.hangUntil > p.Now() {
-		p.Sleep(s.hangUntil.Sub(p.Now()))
+// tnWorker is the tenancy path's issue worker: it pops requests in the
+// scheduler's order, observes each one's queueing delay into its tenant's
+// sched-wait histogram, serves one grant, and releases the request's
+// credit once it is done. wname labels its trace track.
+func (s *Server) tnWorker(p *sim.Proc, wname string) {
+	replyMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
+	for {
+		item, pushAt, ok := s.tn.sched.Pop(p)
+		if !ok {
+			return
+		}
+		s.tnCheck()
+		if item.cont == nil {
+			// Continuations are issue grants, not arrivals: only the
+			// request's first grant measures its queueing delay.
+			s.tn.met[item.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
+		}
+		item, grant := s.tnServeQuantum(p, wname, replyMR, item)
+		switch grant {
+		case tnDone:
+			s.tnRelease(item.conn)
+		case tnMore:
+			rest := s.tnChunk(int(item.req.Length), item.cont.done)
+			s.tn.sched.Push(item.conn.tenantID, rest, p.Now(), item)
+		case tnParked:
+			// A store proc owns the request now; it re-queues the
+			// continuation or finishes and releases the credit itself.
+		}
 	}
-	s.lifecycle().StampServer(req.Handle, telemetry.ServerStamp{
-		Start: c.wstart, Reply: p.Now(), Copy: c.copyNs,
-	})
-	s.sendReply(p, conn, replyMR, req.Handle, st)
 }
 
-// tnServeQuantum services one scheduler grant of item in quantum mode.
-// Validation and quota admission happen on the first grant; after that a
-// grant moves at most one quantum of payload over the wire, and the
-// store stage runs in a spawned proc off the issue worker entirely. Two
-// properties fall out, and both are load-bearing for isolation:
+// tnServeQuantum services one scheduler grant of item. Validation and
+// quota admission happen on the first grant; after that a grant moves at
+// most one quantum of payload over the wire, and the store stage runs in
+// a spawned proc off the issue worker entirely. Two properties fall out,
+// and both are load-bearing for isolation:
 //
 //   - a competing tenant's small request waits at most one quantum of
 //     wire time behind a neighbor's bulk transfer (the ingress link is
@@ -381,8 +370,8 @@ func (s *Server) tnReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, req wire
 //     that overhead — paid once per request, as in the monolithic path —
 //     never becomes the preemption granularity.
 //
-// A request in flight stages its payload in a pool buffer (tnGetBuf) so
-// nothing borrows the worker's staging across a preemption. Writes
+// A request in flight stages its payload in a pool buffer (tnGetBuf)
+// that it keeps across preemptions. Writes
 // RDMA-read chunk by chunk, then hand buffer, store write and reply to a
 // storer proc (tnParked). Reads dispatch the store read first (tnParked),
 // whose proc re-queues the request when the data is staged; the chunks
@@ -392,28 +381,21 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 	n := int(req.Length)
 	c := item.cont
 	if c == nil {
-		c = &tnCont{wstart: p.Now()}
+		c = &tnCont{stamp: srvStamp{start: p.Now()}}
 		c.flow, c.hasFlow = s.lifecycle().TakeFlow(req.Handle)
 		if c.hasFlow {
 			s.tracer.FlowStep(wname, "req", c.flow)
 		}
 		item.cont = c
-		if n <= 0 || n > s.cfg.StagingBytes ||
-			req.Offset+uint64(n) > uint64(conn.areaSize) {
+		if st := s.checkReq(conn, req); st != wire.StatusOK {
 			s.met.badRequests.Inc()
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusOutOfRange)
+			s.reply(p, conn, replyMR, req.Handle, c.stamp, st)
 			return item, tnDone
 		}
-		switch req.Type {
-		case wire.ReqWrite:
-			if !s.tnAdmitWrite(conn, req) {
-				s.tnReply(p, conn, replyMR, req, c, wire.StatusRetry)
-				return item, tnDone
-			}
-		case wire.ReqRead:
-		default:
-			s.met.badRequests.Inc()
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusBadRequest)
+		// Quota admission: over-quota growth is refused before any RDMA
+		// is issued; the client's recovery path backs off and retries.
+		if req.Type == wire.ReqWrite && !s.tnAdmitWrite(conn, req) {
+			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusRetry)
 			return item, tnDone
 		}
 		c.buf = s.tnGetBuf()
@@ -427,7 +409,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
 		if err != nil {
 			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
+			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
 			return item, tnDone
 		}
 		ev.Wait(p)
@@ -446,7 +428,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			span := s.tracer.Begin(s.name+"-store", "store-write")
 			copyStart := sp.Now()
 			err := s.store.WriteAt(sp, c.buf.Buf[:n], storeOff)
-			c.copyNs += sp.Now().Sub(copyStart)
+			c.stamp.copyNs += sp.Now().Sub(copyStart)
 			span.EndBytes(n)
 			st := wire.StatusServerError
 			if err == nil {
@@ -458,7 +440,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			s.tnPutBuf(c.buf)
 			if !conn.qp.Closed() {
 				mr := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-				s.tnReply(sp, conn, mr, req, c, st)
+				s.reply(sp, conn, mr, req.Handle, c.stamp, st)
 			}
 			s.tnRelease(conn)
 		})
@@ -470,7 +452,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 				span := s.tracer.Begin(s.name+"-store", "store-read")
 				copyStart := sp.Now()
 				err := s.store.ReadAt(sp, c.buf.Buf[:n], storeOff)
-				c.copyNs += sp.Now().Sub(copyStart)
+				c.stamp.copyNs += sp.Now().Sub(copyStart)
 				span.EndBytes(n)
 				c.ready = true
 				c.fail = err != nil
@@ -480,7 +462,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 		}
 		if c.fail {
 			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
+			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
 			return item, tnDone
 		}
 		chunk := s.tnChunk(n, c.done)
@@ -489,7 +471,7 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
 		if err != nil {
 			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
+			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
 			return item, tnDone
 		}
 		ev.Wait(p)
@@ -508,12 +490,10 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 		s.met.bytesServed.Add(int64(n))
 		s.tnTouchRead(conn, req)
 		s.tnPutBuf(c.buf)
-		s.tnReply(p, conn, replyMR, req, c, wire.StatusOK)
+		s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusOK)
 		return item, tnDone
 	}
-	s.met.badRequests.Inc()
-	s.tnReply(p, conn, replyMR, req, c, wire.StatusBadRequest)
-	return item, tnDone
+	panic("hpbd: tnServeQuantum past checkReq with an unknown request type")
 }
 
 // ColdPage is one resident page with its last-touch time, the token the

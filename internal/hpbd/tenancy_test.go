@@ -35,7 +35,6 @@ func newTenantBed(t *testing.T, specStr string, areaBytes int64, fifo bool) *ten
 	scfg := DefaultServerConfig(areaBytes * int64(len(spec.Tenants)))
 	scfg.Tenancy = spec
 	scfg.TenantFIFO = fifo
-	scfg.TenantSelfCheck = true
 	tb := &tenantBed{
 		env:    env,
 		srv:    NewServer(f, "mem0", scfg),

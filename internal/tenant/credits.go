@@ -238,7 +238,7 @@ func (b *CreditBank) Provisioned() int {
 // provisioned, per-flow holdings inside their bounds, and the running
 // acquire/release tally consistent with the per-flow state. It is the
 // runtime twin of the creditbalance analyzer: the server runs it at
-// every scheduler tick under TenantSelfCheck.
+// every credit operation and scheduler tick.
 func (b *CreditBank) Check() error {
 	if b.poolFree < 0 || b.poolFree > b.pool {
 		return fmt.Errorf("tenant: pool free %d outside [0,%d]", b.poolFree, b.pool)

@@ -162,11 +162,31 @@ func runChaos(t *testing.T, withHealth bool) (*cluster.Node, *bytes.Buffer) {
 	burst("burst-credit", 2050*sim.Microsecond, 24, 4096, func(i int) int64 {
 		return 1024 + int64(i)*64%(half/4)
 	})
-	// Pool burst: 48 concurrent 16KB stagings against an exhausted pool
-	// turn every allocation into a block-wake cycle.
-	burst("burst-pool", 12050*sim.Microsecond, 48, 16<<10, func(i int) int64 {
-		return 2048 + int64(i)*64%(half/4)
-	})
+	// Pool burst: the fault holds the whole pool, and the queue's single
+	// dispatch process can only ever have one allocation blocked on it. So
+	// eight procs submit to the driver directly, the way a layered driver
+	// does: each parks in its first 16KB staging while the pool is held,
+	// and the 48 stagings turn into block-wake cycles once it is returned.
+	drv := node.Queue.Driver()
+	for w := 0; w < 8; w++ {
+		w := w
+		env.Go(fmt.Sprintf("burst-pool%d", w), func(p *sim.Proc) {
+			node.Ready.Wait(p)
+			p.Sleep(12050 * sim.Microsecond)
+			buf := make([]byte, 16<<10)
+			var reqs []*blockdev.Request
+			for i := w * 6; i < w*6+6; i++ {
+				r := blockdev.NewRequest(env, true, 2048+int64(i)*64%(half/4), buf)
+				drv.Submit(p, r)
+				reqs = append(reqs, r)
+			}
+			for _, r := range reqs {
+				if err := r.Wait(p); err != nil {
+					t.Errorf("burst-pool%d: %v", w, err)
+				}
+			}
+		})
+	}
 	// ODP burst: 16 concurrent 128KB hybrid-path writes across both
 	// halves while the inval train keeps dropping their windows.
 	burst("burst-odp", 15050*sim.Microsecond, 16, 128<<10, func(i int) int64 {

@@ -121,8 +121,7 @@ func (b *BufferPool) FreeBytes() int { return b.size - b.inUse }
 
 // LargestFree returns the largest contiguous free block in O(1): the max
 // is maintained incrementally across alloc/free (rescanning the free list
-// here would make telemetry sampling an every-operation cost). It never
-// under-reports, but can read stale-high after a split (ROADMAP item 6).
+// here would make telemetry sampling an every-operation cost).
 func (b *BufferPool) LargestFree() int {
 	return b.largest
 }
@@ -183,9 +182,6 @@ func (b *BufferPool) TryAlloc(n int) (int, error) {
 				b.free = append(b.free[:i], b.free[i+1:]...)
 			}
 			b.dropLargest(l)
-			if l > n {
-				b.bumpLargest(l - n)
-			}
 			b.allocs[off] = n
 			b.inUse += n
 			b.allocsTotal++

@@ -136,7 +136,7 @@ func poolHoles(live map[int]int, size int) []extent {
 // overlap, stay in bounds, and the free/used byte accounting is exact.
 // Against the oracle: every successful TryAlloc(n) returns the lowest
 // offset with n free bytes, every ErrPoolExhausted means no such hole
-// exists, and LargestFree is never below the largest hole.
+// exists, and LargestFree equals the largest hole.
 func TestQuickPoolInvariants(t *testing.T) {
 	type op struct {
 		Alloc bool
@@ -192,10 +192,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 					largest = h.len
 				}
 			}
-			// The tally never under-reports. Equality is deferred to the
-			// change that fixes it: TryAlloc counts a split's remainder
-			// twice, so the value can read stale-high (ROADMAP open items).
-			if bp.LargestFree() < largest {
+			if bp.LargestFree() != largest {
 				return false
 			}
 		}

@@ -9,7 +9,7 @@
 //   - A deterministic simulation (internal/sim, internal/ib, internal/vm,
 //     internal/blockdev, internal/hpbd, internal/nbd, ...) calibrated to
 //     the paper's microbenchmarks, which regenerates every figure of the
-//     evaluation (internal/experiments, cmd/hpbd-bench, bench_test.go).
+//     evaluation (internal/experiments, cmd/hpbd-bench); bench/ measures it.
 //
 //   - A real user-space remote-memory block device over TCP
 //     (internal/netblock, cmd/hpbd-server, cmd/hpbdctl) speaking the same

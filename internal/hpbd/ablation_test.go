@@ -11,23 +11,16 @@ import (
 func TestStripedLayoutRoundTrip(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.StripeBytes = 64 * 1024
-	tb := newTestbed(t, 4, 1<<20, ccfg)
+	tb := newBed(t, bedOpts{servers: 4, client: ccfg})
 	// A 128K write covers two 64K stripes on two servers.
 	want := pattern(128*1024, 5)
 	var got []byte
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, 0, append([]byte(nil), want...))
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, append([]byte(nil), want...)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		buf := make([]byte, len(want))
-		r, _ := tb.queue.Submit(false, 0, buf)
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, 0, buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		got = buf
@@ -49,15 +42,10 @@ func TestStripedLayoutRoundTrip(t *testing.T) {
 func TestStripedCoversWholeDevice(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.StripeBytes = 64 * 1024
-	tb := newTestbed(t, 4, 1<<20, ccfg)
+	tb := newBed(t, bedOpts{servers: 4, client: ccfg})
 	last := tb.dev.Sectors() - 8 // final page of the device
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, last, pattern(4096, 9))
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, last, pattern(4096, 9)); err != nil {
 			t.Fatalf("write at device end: %v", err)
 		}
 	})
@@ -67,7 +55,7 @@ func TestRegisterOnTheFlySlowerButCorrect(t *testing.T) {
 	run := func(fly bool) (sim.Duration, []byte) {
 		ccfg := DefaultClientConfig()
 		ccfg.RegisterOnTheFly = fly
-		tb := newTestbed(t, 1, 4<<20, ccfg)
+		tb := newBed(t, bedOpts{area: 4 << 20, client: ccfg})
 		want := pattern(128*1024, 3)
 		var got []byte
 		var elapsed sim.Duration
@@ -85,9 +73,7 @@ func TestRegisterOnTheFlySlowerButCorrect(t *testing.T) {
 				}
 			}
 			buf := make([]byte, len(want))
-			r, _ := tb.queue.Submit(false, 0, buf)
-			tb.queue.Unplug()
-			if err := r.Wait(p); err != nil {
+			if err := tb.do(p, false, 0, buf); err != nil {
 				t.Fatalf("read: %v", err)
 			}
 			got = buf
@@ -110,19 +96,15 @@ func TestRegisterOnTheFlySlowerButCorrect(t *testing.T) {
 func TestPollingReceiverWorks(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.PollingReceiver = true
-	tb := newTestbed(t, 1, 1<<20, ccfg)
+	tb := newBed(t, bedOpts{client: ccfg})
 	want := pattern(4096, 8)
 	var got []byte
 	tb.run(func(p *sim.Proc) {
-		w, _ := tb.queue.Submit(true, 0, append([]byte(nil), want...))
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, append([]byte(nil), want...)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		buf := make([]byte, 4096)
-		r, _ := tb.queue.Submit(false, 0, buf)
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, 0, buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		got = buf

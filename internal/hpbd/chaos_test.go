@@ -6,74 +6,18 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/disk"
-	"hpbd/internal/faultsim"
 	"hpbd/internal/ib"
-	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 	"hpbd/internal/tenant"
 )
 
-// chaosBed is a testbed with the recovery path armed and a fault
-// schedule replayed against it: a client device (optionally with a
-// local-disk fallback) over nServers servers, with the injector hooked
-// into the fabric.
-type chaosBed struct {
-	*testbed
-	reg *telemetry.Registry
-	inj *faultsim.Injector
-}
-
-func newChaosBed(t *testing.T, nServers int, areaBytes int64, ccfg ClientConfig, fallback bool, spec string) *chaosBed {
-	t.Helper()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	ccfg.Telemetry = reg
-	if fallback {
-		ccfg.Fallback = disk.New(env, "hda-fb", areaBytes*int64(nServers), disk.DefaultParams())
-	}
-	dev := NewDevice(f, "hpbd0", ccfg)
-	tb := &testbed{env: env, fabric: f, dev: dev}
-	for i := 0; i < nServers; i++ {
-		sc := DefaultServerConfig(areaBytes)
-		sc.Telemetry = reg
-		srv := NewServer(f, fmt.Sprintf("mem%d", i), sc)
-		if err := dev.ConnectServer(srv, areaBytes); err != nil {
-			t.Fatalf("ConnectServer: %v", err)
-		}
-		tb.servers = append(tb.servers, srv)
-	}
-	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	cb := &chaosBed{testbed: tb, reg: reg}
-	if spec != "" {
-		sched, err := faultsim.ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec: %v", err)
-		}
-		cb.inj = faultsim.New(env, *sched, reg)
-		for _, s := range tb.servers {
-			cb.inj.AddServer(s)
-		}
-		cb.inj.AddClient(dev)
-		f.SetFaultHook(cb.inj)
-		cb.inj.Start()
-	}
-	return cb
-}
-
 // writeBlocks writes count blocks of blockBytes each, sequentially, with
 // a per-block pattern derived from seed, and returns the first error.
-func (cb *chaosBed) writeBlocks(p *sim.Proc, count, blockBytes int, seed byte) error {
+func (cb *testbed) writeBlocks(p *sim.Proc, count, blockBytes int, seed byte) error {
 	secPerBlock := int64(blockBytes / blockdev.SectorSize)
 	for i := 0; i < count; i++ {
-		w, err := cb.queue.Submit(true, int64(i)*secPerBlock, pattern(blockBytes, seed+byte(i)))
-		if err != nil {
-			return fmt.Errorf("submit write %d: %w", i, err)
-		}
-		cb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := cb.do(p, true, int64(i)*secPerBlock, pattern(blockBytes, seed+byte(i))); err != nil {
 			return fmt.Errorf("write %d: %w", i, err)
 		}
 	}
@@ -82,18 +26,12 @@ func (cb *chaosBed) writeBlocks(p *sim.Proc, count, blockBytes int, seed byte) e
 
 // verifyBlocks reads every block back and compares against the seed
 // pattern, failing the test on any mismatch (the corruption check).
-func (cb *chaosBed) verifyBlocks(t *testing.T, p *sim.Proc, count, blockBytes int, seed byte) {
+func (cb *testbed) verifyBlocks(t *testing.T, p *sim.Proc, count, blockBytes int, seed byte) {
 	t.Helper()
 	secPerBlock := int64(blockBytes / blockdev.SectorSize)
 	for i := 0; i < count; i++ {
 		buf := make([]byte, blockBytes)
-		r, err := cb.queue.Submit(false, int64(i)*secPerBlock, buf)
-		if err != nil {
-			t.Errorf("submit read %d: %v", i, err)
-			return
-		}
-		cb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := cb.do(p, false, int64(i)*secPerBlock, buf); err != nil {
 			t.Errorf("read %d: %v", i, err)
 			return
 		}
@@ -151,7 +89,7 @@ func TestChaosTable(t *testing.T) {
 		blocks     int
 		spec       string
 		rewrite    bool // second write pass after the faults
-		check      func(t *testing.T, cb *chaosBed)
+		check      func(t *testing.T, cb *testbed)
 	}{
 		{
 			// Server dies mid swap-out stream; the fallback disk absorbs
@@ -161,7 +99,7 @@ func TestChaosTable(t *testing.T) {
 			name: "crash-during-swap-out", servers: 1, fallback: true,
 			blockBytes: blockBytes, blocks: 24,
 			spec: "crash@400us=mem0", rewrite: true,
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				st := cb.dev.Stats()
 				if st.LinkFailures != 1 {
 					t.Errorf("LinkFailures = %d, want 1", st.LinkFailures)
@@ -180,7 +118,7 @@ func TestChaosTable(t *testing.T) {
 			name: "crash-during-rdma", servers: 1, fallback: true, hybrid: true,
 			blockBytes: 128 << 10, blocks: 12,
 			spec: "crash@400us=mem0", rewrite: true,
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				st := cb.dev.Stats()
 				if st.HybridLarge == 0 {
 					t.Error("hybrid path never used; case mis-configured")
@@ -198,7 +136,7 @@ func TestChaosTable(t *testing.T) {
 			name: "double-fault", servers: 2, fallback: true,
 			blockBytes: blockBytes, blocks: 24,
 			spec: "crash@300us=mem0,crash@700us=mem1", rewrite: true,
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				st := cb.dev.Stats()
 				if st.LinkFailures != 2 {
 					t.Errorf("LinkFailures = %d, want 2", st.LinkFailures)
@@ -221,7 +159,7 @@ func TestChaosTable(t *testing.T) {
 			name: "recovery-then-steady-state", servers: 1, fallback: false,
 			blockBytes: blockBytes, blocks: 24,
 			spec: "senderr@200usx2=hpbd0",
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				st := cb.dev.Stats()
 				if st.Retries == 0 {
 					t.Error("send-error burst caused no retries")
@@ -242,7 +180,7 @@ func TestChaosTable(t *testing.T) {
 			name: "recv-starvation", servers: 1, fallback: false,
 			blockBytes: blockBytes, blocks: 24,
 			spec: "starve@200us+1ms=mem0",
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				if cb.dev.Failed() {
 					t.Error("device failed under starvation")
 				}
@@ -257,7 +195,7 @@ func TestChaosTable(t *testing.T) {
 			name: "pool-exhaustion", servers: 1, fallback: false,
 			blockBytes: blockBytes, blocks: 24,
 			spec: "poolx@200us+1ms=hpbd0",
-			check: func(t *testing.T, cb *chaosBed) {
+			check: func(t *testing.T, cb *testbed) {
 				if cb.dev.Failed() {
 					t.Error("device failed under pool exhaustion")
 				}
@@ -271,7 +209,7 @@ func TestChaosTable(t *testing.T) {
 				ccfg.HybridDataPath = true
 			}
 			area := int64(tc.blocks*tc.blockBytes)/int64(tc.servers) + 1<<20
-			cb := newChaosBed(t, tc.servers, area, ccfg, tc.fallback, tc.spec)
+			cb := newBed(t, bedOpts{servers: tc.servers, area: area, client: ccfg, shared: true, fallback: tc.fallback, faults: tc.spec})
 			cb.run(func(p *sim.Proc) {
 				if err := cb.writeBlocks(p, tc.blocks, tc.blockBytes, 3); err != nil {
 					t.Errorf("write pass: %v", err)
@@ -309,7 +247,7 @@ func TestChaosTable(t *testing.T) {
 // device stays alive and the data reads back intact.
 func TestWedgedServerRecovers(t *testing.T) {
 	ccfg := recoveryConfig()
-	cb := newChaosBed(t, 1, 1<<20, ccfg, true, "hang@100us+20ms=mem0")
+	cb := newBed(t, bedOpts{client: ccfg, shared: true, fallback: true, faults: "hang@100us+20ms=mem0"})
 	const blocks = 8
 	cb.run(func(p *sim.Proc) {
 		if err := cb.writeBlocks(p, blocks, 4096, 7); err != nil {
@@ -333,7 +271,7 @@ func TestWedgedServerRecovers(t *testing.T) {
 // must resume once the hang lifts.
 func TestWedgedServerNoFallback(t *testing.T) {
 	ccfg := recoveryConfig()
-	cb := newChaosBed(t, 1, 1<<20, ccfg, false, "hang@100us+10ms=mem0")
+	cb := newBed(t, bedOpts{client: ccfg, shared: true, faults: "hang@100us+10ms=mem0"})
 	var errs, oks int
 	cb.run(func(p *sim.Proc) {
 		var ios []*blockdev.IO
@@ -373,15 +311,10 @@ func TestWedgedServerNoFallback(t *testing.T) {
 // recovery disabled (the default config) a lost server still fails the
 // whole device, exactly as before this package grew a recovery path.
 func TestDefaultConfigStillFailStop(t *testing.T) {
-	cb := newChaosBed(t, 1, 1<<20, DefaultClientConfig(), false, "crash@300us=mem0")
+	cb := newBed(t, bedOpts{shared: true, faults: "crash@300us=mem0"})
 	var failed int
 	cb.run(func(p *sim.Proc) {
-		w, err := cb.queue.Submit(true, 0, pattern(4096, 5))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		cb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := cb.do(p, true, 0, pattern(4096, 5)); err != nil {
 			t.Fatalf("pre-crash write: %v", err)
 		}
 		p.Sleep(400 * sim.Microsecond) // outlast the scheduled crash
@@ -427,7 +360,7 @@ func TestRecvWindowConserved(t *testing.T) {
 					tb := newTenantBed(t, "pool=4,a:w1,b:w1", 1<<20, false)
 					env, srv, devs = tb.env, tb.srv, []*Device{tb.devs["a"], tb.devs["b"]}
 				} else {
-					cb := newChaosBed(t, 1, 1<<20, DefaultClientConfig(), false, "")
+					cb := newBed(t, bedOpts{shared: true})
 					env, srv, devs = cb.env, cb.servers[0], []*Device{cb.dev}
 				}
 				if starve {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"hpbd/internal/blockdev"
 	"hpbd/internal/ib"
@@ -106,11 +105,10 @@ type ClientConfig struct {
 	FlightDumpWriter io.Writer
 	// RequestTimeout, when > 0, arms a watchdog process that flags
 	// requests outstanding longer than this, counts them in
-	// hpbd.timeouts, and dumps the flight recorder. Zero (the default)
-	// spawns no watchdog, leaving the simulation schedule untouched.
-	// With recovery enabled (MaxRetries/Fallback) the watchdog also
-	// cancels each overdue request and re-routes it (retry or fallback),
-	// so a wedged server cannot wedge the device forever.
+	// hpbd.timeouts, and dumps the flight recorder; with recovery enabled
+	// (MaxRetries/Fallback) it also cancels each overdue request and
+	// re-routes it (retry or fallback), so a wedged server cannot wedge
+	// the device forever. Zero (the default) spawns no watchdog.
 	RequestTimeout sim.Duration
 
 	// MaxRetries enables the recovery path: a physical request that
@@ -130,7 +128,7 @@ type ClientConfig struct {
 	// appear in the servers' QoS spec). When the device also has a
 	// Fallback driver, a reclaimer process demotes the tenant's coldest
 	// server pages to the fallback whenever a quota refusal kicks it.
-	// Empty (the default) attaches anonymously, exactly as before.
+	// Empty (the default) attaches anonymously.
 	Tenant string
 
 	// MigrationMBps caps the migration engine's background copy rate in
@@ -268,7 +266,6 @@ type serverLink struct {
 	srvQP     *ib.QP // server-side QP (keys the server's per-conn tenancy state)
 	credits   *sim.Semaphore
 	startByte int64
-	size      int64
 	reqMR     *ib.MR // Credits control-message staging slots
 	recvMR    *ib.MR // Credits reply buffers
 	slot      int    // next reqMR slot (round-robin)
@@ -278,38 +275,35 @@ type serverLink struct {
 
 // parentReq tracks one block-layer request across its physical requests.
 type parentReq struct {
-	req     *blockdev.Request
-	readBuf []byte // gather buffer for reads
-	wdata   []byte // write payload, held until stage copies it out
-	remain  int
-	err     error
+	req    *blockdev.Request
+	buf    []byte // a write's payload, held until staging copies it out; a read's gather buffer
+	remain int
+	err    error
 }
 
 // phys is one physical request to one server.
 type phys struct {
 	parent  *parentReq
 	link    *serverLink
-	write   bool
 	offset  int64 // byte offset within the server area
 	off     int   // byte offset within the parent request
 	length  int
-	poolOff int    // pool allocation, -1 on the hybrid path
-	mr      *ib.MR // hybrid path: per-request registered payload buffer
+	home    home // where the payload lives while in flight
 	handle  uint64
-	sent    bool
 	devByte int64 // absolute device byte offset (fallback addressing)
 	attempt int   // recovery re-sends already performed
 
-	lazy bool // staging deferred to the sender's merge window
 	// subs marks a merge carrier: the sector-contiguous requests riding
 	// this WR, in device order. A carrier has no parent of its own —
 	// completion (success or any error path) fans out to the subs, each
 	// keeping its own handle, lifecycle record, and flow id.
 	subs []*phys
 
-	mig    bool      // a migration engine transfer (shared staging MR)
 	mtrack *migState // in-range foreground write tracked by a live move
 
+	write    bool
+	sent     bool
+	mig      bool     // a migration engine transfer: never merged, never degraded
 	timedOut bool     // the watchdog already flagged this request
 	flowID   uint64   // block-layer request id, threads the causal flow
 	blkAt    sim.Time // block-layer submission (parent request queued)
@@ -339,16 +333,12 @@ type Device struct {
 	wrs   []ib.SendWR
 	items []*phys
 
-	links   []*serverLink
-	byQP    map[*ib.QP]*serverLink
-	areas   []placement.Area // legacy-layout view of the links
-	total   int64
-	sendQ   *sim.Chan[*phys]
-	pending map[uint64]*phys
-	nextH   uint64
-	sleepQ  *sim.WaitQueue
-	// wdQ parks the watchdog while no requests are in flight.
-	wdQ *sim.WaitQueue
+	links    []*serverLink
+	byQP     map[*ib.QP]*serverLink
+	areas    []placement.Area // legacy-layout view of the links
+	total    int64
+	inflight inflight // every request owed a completion, and the sender's queue
+	sleepQ   *sim.WaitQueue
 	// reclaimQ parks the tenancy reclaimer until a quota refusal kicks it
 	// (nil unless cfg.Tenant and cfg.Fallback are both set).
 	reclaimQ *sim.WaitQueue
@@ -362,22 +352,18 @@ type Device struct {
 	downLinks int            // count of links the recovery path failed
 	fbHeld    map[int64]bool // sectors whose authoritative copy is on Fallback
 
-	hybridThr     int      // requests >= this register on the fly (0: hybrid off)
-	mrc           *mrCache // nil unless HybridDataPath or MergeWindow
+	mrc           *mrCache // the register path and its threshold; nil unless HybridDataPath or MergeWindow
 	doorbellBatch int      // effective batch limit (clamped to Credits)
 	mergeWin      int      // sender merge window in requests (<= 1: off)
 	mergeBytes    int      // merged WR payload cap
 	mmet          mergeMetrics
-	xover         *crossoverCtrl // adaptive threshold controller, nil unless enabled
 
-	// Elastic membership state (see elastic.go). Apart from the mutex,
-	// all nil/zero until the first membership operation, so a static
-	// topology runs the legacy layout byte-identically.
+	// Elastic membership state (see elastic.go): apart from the mutex, all
+	// nil until the first membership operation.
 	dir      *placement.Directory
 	memberMu *sim.Mutex // serializes membership operations
 	mig      *migState  // the in-progress move, nil when idle
 	migMR    *ib.MR     // long-lived migration staging MR
-	migBuf   []byte     // host-side chunk scratch buffer
 	emet     elasticMetrics
 }
 
@@ -391,26 +377,21 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		tel = telemetry.New(env)
 	}
 	d := &Device{
-		tel:     tel,
-		met:     newDeviceMetrics(tel),
-		tracer:  tel.Tracer(),
-		env:     env,
-		name:    name,
-		cfg:     cfg,
-		mem:     f.Config().Mem,
-		hca:     hca,
-		cq:      hca.CreateCQ(name + "-cq"),
-		pool:    NewBufferPool(env, cfg.PoolBytes),
-		byQP:    make(map[*ib.QP]*serverLink),
-		sendQ:   sim.NewChan[*phys](env, 0),
-		pending: make(map[uint64]*phys),
-		sleepQ:  sim.NewWaitQueue(env),
-		wdQ:     sim.NewWaitQueue(env),
+		tel:      tel,
+		met:      newDeviceMetrics(tel),
+		tracer:   tel.Tracer(),
+		env:      env,
+		name:     name,
+		cfg:      cfg,
+		mem:      f.Config().Mem,
+		hca:      hca,
+		cq:       hca.CreateCQ(name + "-cq"),
+		pool:     NewBufferPool(env, cfg.PoolBytes),
+		byQP:     make(map[*ib.QP]*serverLink),
+		inflight: newInflight(env),
+		sleepQ:   sim.NewWaitQueue(env),
 	}
-	d.doorbellBatch = cfg.DoorbellBatch
-	if d.doorbellBatch > cfg.Credits {
-		d.doorbellBatch = cfg.Credits
-	}
+	d.doorbellBatch = min(cfg.DoorbellBatch, cfg.Credits)
 	d.memberMu = sim.NewMutex(env)
 	if d.recovery() {
 		d.rmet = newRecoveryMetrics(tel)
@@ -419,21 +400,8 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		}
 	}
 	if cfg.HybridDataPath || cfg.MergeWindow > 1 {
-		entries := cfg.MRCacheEntries
-		if entries <= 0 {
-			entries = 8
-		}
-		d.mrc = newMRCache(hca, entries, tel)
-		// Merged WRs ride reuse-cached MRs even when the hybrid path is
-		// off; a threshold past any request size keeps unmerged singles
-		// on the paper's copy-into-pool path.
-		d.hybridThr = int(^uint(0) >> 1)
-		if cfg.HybridDataPath {
-			d.hybridThr = cfg.HybridThresholdBytes
-			if d.hybridThr <= 0 {
-				d.hybridThr = netmodel.Fig3CrossoverBytes
-			}
-		}
+		// Merged WRs ride reuse-cached MRs even when the hybrid path is off.
+		d.mrc = newMRCache(hca, d.mem, cfg, tel)
 	}
 	if cfg.MergeWindow > 1 {
 		d.mergeWin = cfg.MergeWindow
@@ -442,12 +410,6 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 			d.mergeBytes = blockdev.MaxRequestBytes
 		}
 		d.mmet = newMergeMetrics(tel)
-	}
-	if cfg.ODP && d.mrc != nil {
-		d.mrc.odp = true
-	}
-	if cfg.AdaptiveCrossover && cfg.HybridDataPath && cfg.FlightRecEntries >= 0 {
-		d.xover = newCrossoverCtrl(d, cfg.CrossoverWindow, tel)
 	}
 	// The request-lifecycle analyzer and its flight recorder are always on
 	// (cheap: timestamp reads and a ring copy per request, never a sleep)
@@ -524,17 +486,20 @@ func (d *Device) Telemetry() *telemetry.Registry { return d.tel }
 func (d *Device) Pool() *BufferPool { return d.pool }
 
 // HybridThreshold returns the current copy/register cutover in bytes —
-// static configuration, or the adaptive controller's latest output.
-func (d *Device) HybridThreshold() int { return d.hybridThr }
+// static configuration, or the adaptive controller's latest output; zero
+// when no single request takes the register path.
+func (d *Device) HybridThreshold() int {
+	if d.mrc == nil {
+		return 0
+	}
+	return d.mrc.thr
+}
 
 // InvalidateODP implements the faultsim ODPHost capability: it drops
 // every resident on-demand-paging window on the client HCA, forcing the
 // next WR through each ODP region to re-fault. Returns the number of
 // windows invalidated (zero when the device holds no ODP regions).
 func (d *Device) InvalidateODP() int { return d.hca.InvalidateODP() }
-
-// Links returns the number of connected servers.
-func (d *Device) Links() int { return len(d.links) }
 
 // Failed reports whether the device has lost a server.
 func (d *Device) Failed() bool { return d.failed }
@@ -545,8 +510,27 @@ func (d *Device) ConnectServer(srv *Server, areaBytes int64) error {
 	if areaBytes <= 0 || areaBytes%blockdev.SectorSize != 0 {
 		return fmt.Errorf("hpbd: invalid area size %d", areaBytes)
 	}
+	if err := d.newLink(srv, areaBytes, d.total); err != nil {
+		return err
+	}
+	d.areas = append(d.areas, placement.Area{Start: d.total, Size: areaBytes})
+	d.total += areaBytes
+	return nil
+}
+
+// newLink brings up the connection to srv, the same way at connect time
+// and for a live add: a QP attached to areaBytes of the server's memory,
+// Credits control-message slots and Credits pre-posted reply buffers (the
+// water-mark, §4.2.4), and the reclaim kick when the device runs a
+// reclaimer. startByte places the area in the legacy blocked address
+// space; -1 marks a link only the placement directory maps sectors onto.
+func (d *Device) newLink(srv *Server, areaBytes, startByte int64) error {
+	var kick func() // a quota refusal on this link wakes the reclaimer
+	if d.reclaimQ != nil {
+		kick = d.reclaimQ.WakeAll
+	}
 	qp := d.hca.CreateQP(d.cq, d.cq)
-	srvQP, _, err := srv.attach(qp, areaBytes, d.cfg.Tenant)
+	srvQP, err := srv.attach(qp, areaBytes, d.cfg.Tenant, kick)
 	if err != nil {
 		return err
 	}
@@ -555,27 +539,44 @@ func (d *Device) ConnectServer(srv *Server, areaBytes int64) error {
 		qp:        qp,
 		srvQP:     srvQP,
 		credits:   sim.NewSemaphore(d.env, d.cfg.Credits),
-		startByte: d.total,
-		size:      areaBytes,
+		startByte: startByte,
 		reqMR:     d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
 		recvMR:    d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
 	}
-	if d.reclaimQ != nil {
-		srv.setReclaimKick(srvQP, d.reclaimQ.WakeAll)
-	}
-	for i := 0; i < d.cfg.Credits; i++ {
-		if err := qp.PostRecv(ib.RecvWR{
-			ID:    uint64(i),
-			Local: ib.Segment{MR: link.recvMR, Off: i * wire.ReplySize, Len: wire.ReplySize},
-		}); err != nil {
+	for slot := 0; slot < d.cfg.Credits; slot++ {
+		if err := link.postReplyBuf(slot); err != nil {
 			return err
 		}
 	}
 	d.links = append(d.links, link)
 	d.byQP[qp] = link
-	d.areas = append(d.areas, placement.Area{Start: d.total, Size: areaBytes})
-	d.total += areaBytes
 	return nil
+}
+
+// postReplyBuf posts reply buffer slot to the link's receive queue.
+func (l *serverLink) postReplyBuf(slot int) error {
+	return l.qp.PostRecv(ib.RecvWR{
+		ID:    uint64(slot),
+		Local: ib.Segment{MR: l.recvMR, Off: slot * wire.ReplySize, Len: wire.ReplySize},
+	})
+}
+
+// newPhys builds the physical request for segment sg of block request r
+// on link, not yet staged or admitted. parent is nil for a merge carrier,
+// which borrows r and submitAt from its first constituent.
+func newPhys(parent *parentReq, r *blockdev.Request, link *serverLink, sg placement.Segment, submitAt sim.Time) *phys {
+	return &phys{
+		parent:   parent,
+		link:     link,
+		write:    r.Write,
+		offset:   sg.Offset,
+		off:      sg.Off,
+		length:   sg.Length,
+		devByte:  sg.DevByte,
+		flowID:   r.ID(),
+		blkAt:    r.QueuedAt(),
+		submitAt: submitAt,
+	}
 }
 
 // split maps a contiguous byte range of the device onto server areas:
@@ -617,34 +618,18 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 	}
 	parent := &parentReq{req: r, remain: len(segs)}
 	if r.Write {
-		parent.wdata = r.Data()
+		parent.buf = r.Data()
 	} else {
-		parent.readBuf = make([]byte, n)
+		parent.buf = make([]byte, n)
 	}
 	for _, sg := range segs {
 		link := d.links[sg.Server]
-		ph := &phys{
-			parent:   parent,
-			link:     link,
-			write:    r.Write,
-			offset:   sg.Offset,
-			off:      sg.Off,
-			length:   sg.Length,
-			poolOff:  -1, // no payload held yet
-			devByte:  sg.DevByte,
-			flowID:   r.ID(),
-			blkAt:    r.QueuedAt(),
-			submitAt: p.Now(),
-		}
+		ph := newPhys(parent, r, link, sg, p.Now())
 		if link.down {
 			// The server backing this range is gone: skip the pool and
 			// the wire entirely and degrade immediately (fallback driver
 			// or per-request error).
-			var data []byte
-			if r.Write {
-				data = parent.wdata[sg.Off : sg.Off+sg.Length]
-			}
-			d.routeDegraded(ph, data)
+			d.routeDegraded(ph)
 			continue
 		}
 		if !r.Write && d.fallbackCovers(sg.DevByte, sg.Length) {
@@ -655,17 +640,17 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			// write clears the hold. Swap I/O is page-granular, so a
 			// read either matches an absorbed write's range exactly or
 			// not at all — partial coverage does not arise.
-			d.routeDegraded(ph, nil)
+			d.routeDegraded(ph)
 			continue
 		}
-		if d.mergeWin > 1 {
-			// Merging defers staging to the sender: only there is it known
-			// whether this request rides its own WR or a merged carrier's
-			// MR. The parent holds the write payload until then.
-			ph.lazy = true
-		} else if err := d.stage(p, ph); err != nil {
-			d.finishPhys(ph, err)
-			continue
+		// Merging defers staging to the sender: only there is it known
+		// whether this request rides its own WR or a merged carrier's MR.
+		// The parent holds the write payload until then.
+		if d.mergeWin <= 1 {
+			if err := d.stage(p, ph); err != nil {
+				d.finishPhys(ph, err)
+				continue
+			}
 		}
 		if m := d.mig; m != nil && r.Write && m.overlaps(sg.DevByte, sg.Length) {
 			// A live move covers this write: its completion re-dirties
@@ -674,34 +659,8 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			ph.mtrack = m
 			m.inflight++
 		}
-		d.nextH++
-		ph.handle = d.nextH
-		ph.enqAt = p.Now()
-		d.pending[ph.handle] = ph
-		d.sendQ.Send(p, ph)
+		d.inflight.admit(ph)
 	}
-	// An armed watchdog parks while nothing is in flight; wake it now
-	// that pending is (possibly) non-empty.
-	d.wdQ.WakeAll()
-}
-
-// releasePayload returns a request's payload buffer to its source: the MR
-// reuse cache for hybrid requests, the registration pool otherwise. p may
-// be nil on failure paths (a cache eviction then skips the deregistration
-// charge — there is no process to bill).
-func (d *Device) releasePayload(p *sim.Proc, ph *phys) {
-	if ph.mig {
-		return // the migration staging MR is device-owned and long-lived
-	}
-	if ph.mr != nil {
-		d.mrc.put(p, ph.mr)
-		ph.mr = nil
-		return
-	}
-	if ph.poolOff < 0 {
-		return // merge-deferred staging never happened: nothing held
-	}
-	d.pool.Free(ph.poolOff)
 }
 
 // marshalReq encodes ph's control message into the link's next staging
@@ -718,12 +677,7 @@ func (d *Device) marshalReq(ph *phys) ib.Segment {
 	if ph.write {
 		typ = wire.ReqWrite
 	}
-	addr, rkey := uint64(0), uint32(0)
-	if ph.mr != nil {
-		rkey = ph.mr.RKey // hybrid: server RDMAs against the request's own MR
-	} else {
-		addr, rkey = uint64(ph.poolOff), d.poolMR.RKey
-	}
+	addr, rkey := ph.home.remote(d)
 	slot := link.slot
 	link.slot = (link.slot + 1) % d.cfg.Credits
 	off := slot * wire.RequestSize
@@ -750,13 +704,13 @@ func (d *Device) sender(p *sim.Proc) {
 		limit = d.mergeWin
 	}
 	for {
-		ph, ok := d.sendQ.Recv(p)
+		ph, ok := d.inflight.sendQ.Recv(p)
 		if !ok {
 			return
 		}
 		batch := append(d.batch[:0], ph)
 		for len(batch) < limit {
-			next, ok2 := d.sendQ.TryRecv()
+			next, ok2 := d.inflight.sendQ.TryRecv()
 			if !ok2 {
 				break
 			}
@@ -790,7 +744,7 @@ func (d *Device) mergeBatch(p *sim.Proc, batch []*phys) []*phys {
 			continue
 		}
 		ph := batch[i]
-		if ph.lazy && !d.failed && !ph.link.down {
+		if !ph.home.staged() && !d.failed && !ph.link.down {
 			if err := d.stage(p, ph); err != nil {
 				d.settle(p, ph, err)
 				continue
@@ -802,21 +756,22 @@ func (d *Device) mergeBatch(p *sim.Proc, batch []*phys) []*phys {
 }
 
 // mergeRun scans the drained batch from i for the longest mergeable run:
-// unstaged foreground requests to the same live server, same direction,
-// contiguous in both device bytes and server-area offset, bounded by the
-// merge window and payload cap. Returns the index one past the run.
+// unstaged requests (a migration chunk arrives staged, so never merges) to
+// the same live server, same direction, contiguous in both device bytes
+// and server-area offset, bounded by the merge window and payload cap.
+// Returns the index one past the run.
 //
 //hpbd:hotpath
 func (d *Device) mergeRun(batch []*phys, i int) int {
 	ph := batch[i]
-	if d.failed || !ph.lazy || ph.mig || ph.link.down {
+	if d.failed || ph.home.staged() || ph.link.down {
 		return i + 1
 	}
 	total := ph.length
 	j := i + 1
 	for j < len(batch) && j-i < d.mergeWin {
 		nx := batch[j]
-		if nx.link != ph.link || nx.write != ph.write || !nx.lazy || nx.mig || nx.link.down {
+		if nx.link != ph.link || nx.write != ph.write || nx.home.staged() {
 			break
 		}
 		if nx.devByte != ph.devByte+int64(total) || nx.offset != ph.offset+int64(total) {
@@ -831,54 +786,22 @@ func (d *Device) mergeRun(batch []*phys, i int) int {
 	return j
 }
 
-// stage gives a request its payload home: a reuse-cached MR at or above
-// the hybrid threshold, otherwise the registration pool (blocking on the
-// pool's allocation wait queue under pressure). Submit calls it directly;
-// with the merge window armed the sender calls it for every request that
-// rides its own WR. It fails only when the pool cannot satisfy the
-// allocation; the caller settles the request.
+// stage gives a request its payload home (see home.stage): Submit does,
+// or with the merge window armed the sender, for every request that rides
+// its own WR. On an error the caller settles the request.
 func (d *Device) stage(p *sim.Proc, ph *phys) error {
-	ph.lazy = false
 	var wdata []byte
 	if ph.write {
-		wdata = ph.parent.wdata[ph.off : ph.off+ph.length]
+		wdata = ph.parent.buf[ph.off : ph.off+ph.length]
 	}
-	if d.mrc != nil && ph.length >= d.hybridThr {
-		// Hybrid fast path: at or above the Fig. 3 crossover the request
-		// skips the pool and the server RDMAs against a per-request MR
-		// from the reuse cache. A cache miss charges the registration
-		// cost here; a hit charges nothing — the payload pages are (in
-		// the modeled driver) registered in place, so no copy is charged
-		// either.
-		ph.mr = d.mrc.get(p, ph.length)
-		copy(ph.mr.Buf, wdata)
-		d.met.hybridLarge.Inc()
-		return nil
-	}
-	poolOff, err := d.pool.Alloc(p, ph.length)
-	if err != nil {
-		return err
-	}
-	ph.poolOff = poolOff
-	if d.cfg.RegisterOnTheFly {
-		// Ablation: pay the registration cost the pool design avoids (the
-		// data still flows through pool space so the RDMA path is
-		// unchanged; only the cost model differs).
-		p.Sleep(d.mem.Register(ph.length))
-	} else if ph.write {
-		// The copy that replaces on-the-fly registration (§4.2.2).
-		p.Sleep(d.mem.Memcpy(ph.length))
-	}
-	copy(d.poolMR.Buf[poolOff:], wdata)
-	return nil
+	return ph.home.stage(d, p, ph.length, wdata)
 }
 
 // buildCarrier folds a mergeable run into one carrier WR: one credit,
-// one WQE, one reuse-cached MR spanning the whole payload. Write data is
-// gathered through the HCA's scatter/gather list (no memcpy charge — the
-// point of merged I/O); the constituents leave the pending table and are
-// settled exactly once by the carrier's completion fan-out, on every
-// path.
+// one WQE, one reuse-cached MR spanning the whole payload. The
+// constituents leave the in-flight table — the carrier stands in for them
+// under a fresh handle — and are settled exactly once by the carrier's
+// completion fan-out, on every path.
 func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	subs := append([]*phys(nil), run...) // run aliases the batch being rewritten
 	first := subs[0]
@@ -886,35 +809,22 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	for _, s := range subs {
 		total += s.length
 	}
-	c := &phys{
-		link:     first.link,
-		write:    first.write,
-		offset:   first.offset,
-		length:   total,
-		poolOff:  -1,
-		devByte:  first.devByte,
-		flowID:   first.flowID,
-		blkAt:    first.blkAt,
-		submitAt: first.submitAt,
-		enqAt:    first.enqAt,
-		subs:     subs,
-	}
-	c.mr = d.mrc.get(p, total)
+	c := newPhys(nil, first.parent.req, first.link,
+		placement.Segment{Offset: first.offset, Length: total, DevByte: first.devByte}, first.submitAt)
+	c.enqAt = first.enqAt
+	c.subs = subs
+	c.home.stageMR(d, p, total)
 	if c.write {
-		off := 0
+		buf := c.home.bytes(d)
 		for _, s := range subs {
-			copy(c.mr.Buf[off:off+s.length], s.parent.wdata[s.off:s.off+s.length])
-			off += s.length
+			buf = buf[copy(buf, s.parent.buf[s.off:s.off+s.length]):]
 		}
 	}
 	for _, s := range subs {
-		s.lazy = false
-		//hpbd:allow handleonce -- subs are settled exactly once via the carrier's finishPhys fan-out
-		delete(d.pending, s.handle)
+		d.inflight.take(s.handle)
 	}
-	d.nextH++
-	c.handle = d.nextH
-	d.pending[c.handle] = c
+	d.inflight.stamp(c)
+	d.inflight.hold(c)
 	d.mmet.reqs.Add(int64(len(subs)))
 	d.mmet.wrs.Inc()
 	d.mmet.bytes.Add(int64(total))
@@ -922,32 +832,18 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	return c
 }
 
-// markPosted threads the causal flow across the wire: when tracing is on,
-// the server half continues the flow under the same id, which it looks up
-// by wire handle through the shared-registry link table (the wire format
-// itself is frozen — see telemetry.ServerStamp).
-func (d *Device) markPosted(ph *phys) {
-	if d.tracer == nil {
-		return
-	}
-	d.tracer.FlowStep(d.name, "req", ph.flowID)
-	d.lc.LinkFlow(ph.handle, ph.flowID)
-}
-
 // settle completes a request the sender still owns (queued, never posted)
 // with err, returning whatever payload buffer it holds.
 func (d *Device) settle(p *sim.Proc, ph *phys, err error) {
-	if _, pending := d.pending[ph.handle]; pending {
-		delete(d.pending, ph.handle)
-		d.releasePayload(p, ph)
+	if _, ok := d.inflight.take(ph.handle); ok {
+		ph.home.release(d, p)
 		d.finishPhys(ph, err)
 	}
 }
 
 // reroute hands a queued request whose link has died to the recovery path.
 func (d *Device) reroute(ph *phys) {
-	if _, pending := d.pending[ph.handle]; pending {
-		delete(d.pending, ph.handle)
+	if _, ok := d.inflight.take(ph.handle); ok {
 		d.retryOrRoute(ph)
 	}
 }
@@ -1031,7 +927,14 @@ func (d *Device) issue(p *sim.Proc, batch []*phys) {
 		now := p.Now()
 		for _, ph := range items {
 			ph.sentAt = now
-			d.markPosted(ph)
+			if d.tracer != nil {
+				// Thread the causal flow across the wire: the server half
+				// continues it under the same id, looked up by wire handle
+				// through the shared-registry link table (the wire format
+				// itself is frozen — see telemetry.ServerStamp).
+				d.tracer.FlowStep(d.name, "req", ph.flowID)
+				d.lc.LinkFlow(ph.handle, ph.flowID)
+			}
 			d.met.physReqs.Inc()
 		}
 		d.met.doorbells.Inc()
@@ -1087,12 +990,8 @@ func (d *Device) handleErrorCQE(e ib.CQE) {
 		// receives; those CQEs are expected, not a failure.
 		return
 	}
-	if !d.recovery() {
+	if !d.recovery() || link == nil {
 		// A failed send or flushed receive means a server is gone.
-		d.fail()
-		return
-	}
-	if link == nil {
 		d.fail()
 		return
 	}
@@ -1100,12 +999,11 @@ func (d *Device) handleErrorCQE(e ib.CQE) {
 		d.failLink(link)
 		return
 	}
-	ph, ok := d.pending[e.WRID]
+	ph, ok := d.inflight.get(e.WRID)
 	if !ok || ph.link != link {
 		return // already canceled or rerouted
 	}
-	delete(d.pending, e.WRID)
-	link.credits.Release(1)
+	d.inflight.cancel(e.WRID)
 	d.retryOrRoute(ph)
 }
 
@@ -1115,30 +1013,21 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	if link == nil {
 		return
 	}
-	if e.Status != ib.StatusSuccess {
-		d.fail()
-		return
-	}
 	slot := int(e.WRID)
 	rep, err := wire.UnmarshalReply(link.recvMR.Buf[slot*wire.ReplySize : (slot+1)*wire.ReplySize])
+	if err == nil {
+		// Repost the reply buffer before releasing the credit so the
+		// server can never overrun our receive queue.
+		err = link.postReplyBuf(slot)
+	}
 	if err != nil {
 		d.fail()
 		return
 	}
-	// Repost the reply buffer before releasing the credit so the server
-	// can never overrun our receive queue.
-	if perr := link.qp.PostRecv(ib.RecvWR{
-		ID:    e.WRID,
-		Local: ib.Segment{MR: link.recvMR, Off: slot * wire.ReplySize, Len: wire.ReplySize},
-	}); perr != nil {
-		d.fail()
-		return
-	}
-	ph, ok := d.pending[rep.Handle]
+	ph, ok := d.inflight.get(rep.Handle)
 	if !ok {
 		return // duplicate or stale
 	}
-	delete(d.pending, rep.Handle)
 	d.met.replies.Inc()
 
 	if rep.Status == wire.StatusRetry && d.recovery() {
@@ -1147,10 +1036,11 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		// while reclaim makes room — the payload is still held for the
 		// re-send — degrading to the fallback when retries exhaust.
 		d.tracer.InstantArgs(d.name, "quota-pushback", map[string]any{"handle": rep.Handle})
-		link.credits.Release(1)
+		d.inflight.cancel(rep.Handle)
 		d.retryOrRoute(ph)
 		return
 	}
+	d.inflight.take(rep.Handle)
 
 	var ferr error
 	if rep.Status != wire.StatusOK {
@@ -1158,28 +1048,12 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		ferr = fmt.Errorf("%w: %v", ErrRemote, rep.Status)
 	} else if !ph.write {
 		d.met.opRead.Observe(p.Now().Sub(ph.sentAt))
-		if ph.mr != nil {
-			// MR path (hybrid request or merged carrier): the server's
-			// RDMA WRITE landed in the WR's own registered buffer, so
-			// there is no copy-out charge (the registration was paid — or
-			// amortized away — at staging); the MR goes back to the cache,
-			// not a deregister.
-			ph.scatter(ph.mr.Buf)
-		} else {
-			if d.cfg.RegisterOnTheFly {
-				p.Sleep(d.mem.Deregister())
-			} else {
-				// Copy the RDMA-written data out of the pool into the request.
-				p.Sleep(d.mem.Memcpy(ph.length))
-			}
-			ph.scatter(d.poolMR.Buf[ph.poolOff:])
-		}
+		ph.home.landed(d, p, false, ph.length)
+		ph.scatter(ph.home.bytes(d))
 		d.met.bytesRead.Add(int64(ph.length))
 	} else {
 		d.met.opWrite.Observe(p.Now().Sub(ph.sentAt))
-		if ph.mr == nil && d.cfg.RegisterOnTheFly {
-			p.Sleep(d.mem.Deregister())
-		}
+		ph.home.landed(d, p, true, ph.length)
 		d.met.bytesWritten.Add(int64(ph.length))
 		// A server-acknowledged write makes the server copy authoritative
 		// again for this range; drop any fallback hold left by an earlier
@@ -1194,7 +1068,7 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		d.traceDone(p, ph)
 	}
 	d.recordLifecycle(p, ph, replyAt, ferr)
-	d.releasePayload(p, ph)
+	ph.home.release(d, p)
 	link.credits.Release(1)
 	d.finishPhys(ph, ferr)
 }
@@ -1205,11 +1079,11 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 // is its own only constituent.
 func (ph *phys) scatter(src []byte) {
 	if ph.subs == nil {
-		copy(ph.parent.readBuf[ph.off:ph.off+ph.length], src)
+		copy(ph.parent.buf[ph.off:ph.off+ph.length], src)
 		return
 	}
 	for _, s := range ph.subs {
-		copy(s.parent.readBuf[s.off:s.off+s.length], src)
+		copy(s.parent.buf[s.off:s.off+s.length], src)
 		src = src[s.length:]
 	}
 }
@@ -1284,7 +1158,7 @@ func (d *Device) recordReq(s, ph *phys, st *telemetry.ServerStamp, stOK bool, re
 		Server:  ph.link.srv.Name(),
 		Start:   s.blkAt,
 		End:     now,
-		Retries: retryCount(ph.attempt),
+		Retries: uint8(min(ph.attempt, 255)),
 	}
 	// Queueing is two segments: block layer -> driver dispatch, and the
 	// driver's own send queue. Only the sum must partition.
@@ -1306,9 +1180,7 @@ func (d *Device) recordReq(s, ph *phys, st *telemetry.ServerStamp, stOK bool, re
 	}
 	rec.Stages[telemetry.StageDrain] = now.Sub(replyAt)
 	d.lc.Record(&rec)
-	if d.xover != nil {
-		d.xover.observe(&rec)
-	}
+	d.mrc.observe(&rec)
 }
 
 // finishPhys records one physical completion and completes the parent
@@ -1338,20 +1210,18 @@ func (d *Device) finishPhys(ph *phys, err error) {
 		return
 	}
 	if parent.err == nil && !parent.req.Write {
-		parent.req.Scatter(parent.readBuf)
+		parent.req.Scatter(parent.buf)
 	}
 	parent.req.Complete(parent.err)
 }
 
-// watchdog periodically scans the pending table for overdue requests
-// (outstanding longer than RequestTimeout): each is counted once in
-// hpbd.timeouts and triggers one flight-recorder dump, so a wedged server
-// leaves the last N request records in the log. Without recovery it only
-// reads the virtual clock and never completes requests, so arming it does
-// not change request timing; with recovery enabled it also cancels each
-// overdue in-flight request — releasing its credit and handing it to
-// retryOrRoute — so a wedged server no longer wedges the device forever.
-// It is only spawned when RequestTimeout > 0.
+// watchdog (spawned when RequestTimeout > 0) periodically scans the
+// in-flight table for requests outstanding longer than RequestTimeout:
+// each is counted once in hpbd.timeouts and triggers one flight-recorder
+// dump, so a wedged server leaves the last N request records in the log.
+// Without recovery it only reads the virtual clock, so arming it does not
+// change request timing; with recovery it also cancels each overdue sent
+// request and re-routes it, so a wedged server cannot wedge the device.
 func (d *Device) watchdog(p *sim.Proc) {
 	period := d.cfg.RequestTimeout / 2
 	if period <= 0 {
@@ -1359,25 +1229,17 @@ func (d *Device) watchdog(p *sim.Proc) {
 	}
 	for {
 		// Park event-free while nothing is in flight (or the device is
-		// dead): a sleeping loop would keep the simulation's event queue
-		// non-empty forever and Env.Run would never drain. Submit wakes
-		// the queue when requests appear.
-		for len(d.pending) == 0 || d.failed {
-			d.wdQ.Wait(p)
+		// dead): a sleeping loop would keep the event queue non-empty for
+		// ever and Env.Run would never drain. Every admission wakes it.
+		for d.inflight.len() == 0 || d.failed {
+			d.inflight.wdQ.Wait(p)
 		}
 		p.Sleep(period)
 		if d.failed {
 			continue
 		}
 		now := p.Now()
-		// Scan in handle order: the dump reason must not inherit map order.
-		handles := make([]uint64, 0, len(d.pending))
-		for h := range d.pending {
-			handles = append(handles, h)
-		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-		for _, h := range handles {
-			ph := d.pending[h]
+		for _, ph := range d.inflight.ordered() {
 			age := now.Sub(ph.submitAt)
 			if ph.timedOut || age < d.cfg.RequestTimeout {
 				continue
@@ -1388,14 +1250,10 @@ func (d *Device) watchdog(p *sim.Proc) {
 				"request timeout: handle=%d flow=%d server=%s age=%v",
 				ph.handle, ph.flowID, ph.link.srv.Name(), age))
 			if d.recovery() && ph.sent {
-				// Cancel and re-route. A late reply to the old handle is
-				// ignored by handleReply's pending-miss path (which also
-				// leaves the credit alone — it is released here).
-				delete(d.pending, h)
-				ph.link.credits.Release(1)
+				d.inflight.cancel(ph.handle)
 				d.rmet.cancels.Inc()
 				d.tracer.InstantArgs(d.name, "timeout-cancel", map[string]any{
-					"handle": h, "server": ph.link.srv.Name(),
+					"handle": ph.handle, "server": ph.link.srv.Name(),
 				})
 				d.retryOrRoute(ph)
 			}
@@ -1419,37 +1277,26 @@ func (d *Device) failLink(link *serverLink) {
 	d.lc.Flight().DumpOnEvent(fmt.Sprintf(
 		"server %s lost: %d link(s) down, rerouting in-flight requests",
 		link.srv.Name(), d.downLinks))
-	if !link.qp.Closed() {
-		link.qp.Close()
-	}
+	link.qp.Close()
 	if d.downLinks == len(d.links) && d.cfg.Fallback == nil {
 		d.fail()
 		return
 	}
-	// Requeue the sent in-flight requests of this link in handle order
-	// (completing a phys can complete its parent and wake its issuer, so
-	// the order must not inherit map order). Unsent queued requests are
-	// cleaned up by the sender on dequeue.
-	handles := make([]uint64, 0, len(d.pending))
-	for h, ph := range d.pending {
+	// Requeue the sent in-flight requests of this link. Unsent queued
+	// requests are cleaned up by the sender on dequeue.
+	for _, ph := range d.inflight.ordered() {
 		if ph.link == link && ph.sent {
-			handles = append(handles, h)
+			d.inflight.cancel(ph.handle)
+			d.retryOrRoute(ph)
 		}
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	for _, h := range handles {
-		ph := d.pending[h]
-		delete(d.pending, h)
-		link.credits.Release(1)
-		d.retryOrRoute(ph)
 	}
 }
 
 // retryOrRoute decides what happens to a request that failed in flight:
 // retry with exponential backoff on its own (live) link while attempts
 // remain, otherwise degrade to the fallback driver / per-request error.
-// The caller has already removed ph from pending and released its
-// credit; the payload buffer is still held (a retry re-sends it).
+// The caller has already cancelled ph out of the in-flight table; its
+// payload home is still held (a retry re-sends it).
 func (d *Device) retryOrRoute(ph *phys) {
 	if !ph.link.down && ph.attempt < d.cfg.MaxRetries {
 		ph.attempt++
@@ -1458,113 +1305,74 @@ func (d *Device) retryOrRoute(ph *phys) {
 		d.tracer.InstantArgs(d.name, "retry", map[string]any{
 			"handle": ph.handle, "attempt": ph.attempt, "backoff_us": backoff.Micros(),
 		})
-		// A fresh handle isolates this attempt from any late reply to the
-		// previous one (handleReply drops unknown handles on the floor).
-		d.nextH++
-		ph.handle = d.nextH
-		ph.sent = false
-		ph.timedOut = false
+		// The fresh handle is taken now and enters the table only after
+		// the backoff: in between the request is in nobody's scan.
+		d.inflight.stamp(ph)
 		d.env.After(backoff, func() {
 			if d.failed {
-				d.releasePayload(nil, ph)
+				ph.home.release(d, nil)
 				d.finishPhys(ph, ErrDeviceFailed)
 				return
 			}
 			if ph.link.down {
-				if ph.mig {
-					d.finishPhys(ph, ErrServerLost)
-					return
-				}
-				data := d.extractPayload(ph)
-				d.routeDegraded(ph, data)
+				d.routeDegraded(ph)
 				return
 			}
-			ph.enqAt = d.env.Now()
-			d.pending[ph.handle] = ph
-			d.sendQ.TrySend(ph)
-			d.wdQ.WakeAll()
+			d.inflight.enqueue(ph)
 		})
 		return
 	}
-	if ph.mig {
-		// Out of retries (or the link is down): a migration transfer is
-		// never degraded to the fallback — the engine observes the error
-		// and aborts the move, leaving the range on its source. Nothing
-		// is lost; the move just did not happen.
-		d.finishPhys(ph, ErrServerLost)
-		return
-	}
-	data := d.extractPayload(ph)
-	d.routeDegraded(ph, data)
-}
-
-// extractPayload copies a write's payload out of the pool/MR and returns
-// the buffers; the returned slice backs the degraded-path write. Reads
-// just release (their data was never produced).
-func (d *Device) extractPayload(ph *phys) []byte {
-	var data []byte
-	if ph.write {
-		data = make([]byte, ph.length)
-		if ph.mr != nil {
-			copy(data, ph.mr.Buf[:ph.length])
-		} else if ph.lazy {
-			// Merge-deferred staging never happened: the payload still
-			// lives in the parent's gather buffer.
-			copy(data, ph.parent.wdata[ph.off:ph.off+ph.length])
-		} else {
-			copy(data, d.poolMR.Buf[ph.poolOff:ph.poolOff+ph.length])
-		}
-	}
-	d.releasePayload(nil, ph)
-	ph.poolOff = -1
-	return data
+	d.routeDegraded(ph)
 }
 
 // routeDegraded completes ph outside the RDMA path: through the fallback
-// driver when it can absorb the request, otherwise with ErrServerLost.
-// The payload buffer must already be released (data carries a write's
-// bytes). Runs from proc or callback context; fallback I/O happens in a
-// spawned process so no caller ever blocks on the fallback device.
-func (d *Device) routeDegraded(ph *phys, data []byte) {
+// driver when it can absorb the request — any write, or a read of sectors
+// it holds — otherwise with ErrServerLost (the authoritative copy died
+// with the server; this is a single-copy device, and mirrored cluster
+// configurations mask the loss at the RAID layer). A write's bytes are
+// taken from wherever they live — copied out of the home, which is then
+// released, or still the parent's buffer when staging never happened.
+// Runs from proc or callback context; fallback I/O happens in a spawned
+// process so no caller ever blocks on the fallback device.
+func (d *Device) routeDegraded(ph *phys) {
+	if ph.mig {
+		// A migration transfer is never degraded to the fallback: the
+		// engine observes the error and aborts the move, leaving the range
+		// on its source. Nothing is lost; the move just did not happen.
+		d.finishPhys(ph, ErrServerLost)
+		return
+	}
+	var data []byte
+	if ph.write && ph.home.staged() {
+		data = append(data, ph.home.bytes(d)[:ph.length]...)
+	} else if ph.write {
+		data = ph.parent.buf[ph.off : ph.off+ph.length]
+	}
+	ph.home.release(d, nil)
 	fb := d.cfg.Fallback
-	if ph.write {
-		if fb != nil {
-			d.rmet.fallbacks.Inc()
-			d.tracer.InstantArgs(d.name, "fallback-write", map[string]any{"bytes": ph.length})
-			d.env.Go(d.name+"-fbw", func(p *sim.Proc) {
-				fr := blockdev.NewRequest(d.env, true, ph.devByte/blockdev.SectorSize, data)
-				fb.Submit(p, fr)
-				err := fr.Wait(p)
-				if err == nil {
-					d.holdOnFallback(ph.devByte, ph.length)
-				}
-				d.finishDegraded(ph, err, "fallback")
-			})
-			return
-		}
+	if fb == nil || !ph.write && !d.fallbackCovers(ph.devByte, ph.length) {
 		d.finishDegraded(ph, ErrServerLost, ph.link.srv.Name())
 		return
 	}
-	if fb != nil && d.fallbackCovers(ph.devByte, ph.length) {
-		d.rmet.fallbacks.Inc()
-		d.tracer.InstantArgs(d.name, "fallback-read", map[string]any{"bytes": ph.length})
-		d.env.Go(d.name+"-fbr", func(p *sim.Proc) {
-			buf := make([]byte, ph.length)
-			fr := blockdev.NewRequest(d.env, false, ph.devByte/blockdev.SectorSize, buf)
-			fb.Submit(p, fr)
-			err := fr.Wait(p)
-			if err == nil {
-				// The fallback driver scattered into buf (the standalone
-				// request's only IO buffer).
-				ph.scatter(buf)
-			}
-			d.finishDegraded(ph, err, "fallback")
-		})
-		return
+	op := "fallback-write"
+	if !ph.write {
+		op, data = "fallback-read", make([]byte, ph.length)
 	}
-	// The authoritative copy died with the server (single-copy device;
-	// mirrored cluster configurations mask this at the RAID layer).
-	d.finishDegraded(ph, ErrServerLost, ph.link.srv.Name())
+	d.rmet.fallbacks.Inc()
+	d.tracer.InstantArgs(d.name, op, map[string]any{"bytes": ph.length})
+	d.env.Go(d.name+"-"+op, func(p *sim.Proc) {
+		fr := blockdev.NewRequest(d.env, ph.write, ph.devByte/blockdev.SectorSize, data)
+		fb.Submit(p, fr)
+		err := fr.Wait(p)
+		if err == nil && ph.write {
+			d.holdOnFallback(ph.devByte, ph.length)
+		} else if err == nil {
+			// The fallback driver scattered into data (the standalone
+			// request's only IO buffer).
+			ph.scatter(data)
+		}
+		d.finishDegraded(ph, err, "fallback")
+	})
 }
 
 // holdOnFallback marks the sectors of [devByte, devByte+n) as living on
@@ -1601,48 +1409,36 @@ func (d *Device) fallbackCovers(devByte int64, n int) bool {
 	return true
 }
 
-// finishDegraded records a degraded-path lifecycle record (stages still
+// finishDegraded writes the degraded-path lifecycle records (stages still
 // partition [Start, End] exactly: everything after dispatch is drain
 // time) and completes the physical request. A carrier degrades as its
 // constituents: one record each, then one fan-out.
 func (d *Device) finishDegraded(ph *phys, err error, server string) {
+	reqs := ph.subs
+	if reqs == nil {
+		reqs = []*phys{ph}
+	}
 	now := d.env.Now()
-	if d.lc != nil {
-		if ph.subs != nil {
-			for _, s := range ph.subs {
-				d.degradedRecord(s, err, server, now, retryCount(ph.attempt))
-			}
-		} else {
-			d.degradedRecord(ph, err, server, now, retryCount(ph.attempt))
+	for _, s := range reqs {
+		if d.lc == nil {
+			break
 		}
+		rec := telemetry.ReqRecord{
+			ID:      s.handle,
+			Flow:    s.flowID,
+			Write:   s.write,
+			Err:     err != nil,
+			Bytes:   s.length,
+			Server:  server,
+			Start:   s.blkAt,
+			End:     now,
+			Retries: uint8(min(ph.attempt, 255)),
+		}
+		rec.Stages[telemetry.StageQueue] = s.submitAt.Sub(s.blkAt)
+		rec.Stages[telemetry.StageDrain] = now.Sub(s.submitAt)
+		d.lc.Record(&rec)
 	}
 	d.finishPhys(ph, err)
-}
-
-// degradedRecord writes one degraded-path lifecycle record for ph.
-func (d *Device) degradedRecord(ph *phys, err error, server string, now sim.Time, retries uint8) {
-	rec := telemetry.ReqRecord{
-		ID:      ph.handle,
-		Flow:    ph.flowID,
-		Write:   ph.write,
-		Err:     err != nil,
-		Bytes:   ph.length,
-		Server:  server,
-		Start:   ph.blkAt,
-		End:     now,
-		Retries: retries,
-	}
-	rec.Stages[telemetry.StageQueue] = ph.submitAt.Sub(ph.blkAt)
-	rec.Stages[telemetry.StageDrain] = now.Sub(ph.submitAt)
-	d.lc.Record(&rec)
-}
-
-// retryCount clamps an attempt count into the record's uint8.
-func retryCount(n int) uint8 {
-	if n > 255 {
-		return 255
-	}
-	return uint8(n)
 }
 
 // ExhaustPool implements the faultsim client fault surface: it grabs the
@@ -1680,21 +1476,13 @@ func (d *Device) fail() {
 		return
 	}
 	d.failed = true
-	d.lc.Flight().DumpOnEvent(fmt.Sprintf("device %s failed: %d requests pending", d.name, len(d.pending)))
-	// Error out in handle order: completing a phys can complete its parent
-	// request and wake its issuer, so the order must not inherit map order.
-	handles := make([]uint64, 0, len(d.pending))
-	for h := range d.pending {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	for _, h := range handles {
-		ph := d.pending[h]
+	d.lc.Flight().DumpOnEvent(fmt.Sprintf("device %s failed: %d requests pending", d.name, d.inflight.len()))
+	for _, ph := range d.inflight.ordered() {
 		if !ph.sent {
 			continue // the sender cleans up queued requests on dequeue
 		}
-		delete(d.pending, h)
-		d.releasePayload(nil, ph)
+		d.inflight.take(ph.handle)
+		ph.home.release(d, nil)
 		d.finishPhys(ph, ErrDeviceFailed)
 	}
 }

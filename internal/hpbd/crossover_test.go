@@ -4,63 +4,38 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/ib"
 	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
-	"hpbd/internal/telemetry"
 )
 
-// adaptiveBed is a hybrid-path client with the crossover controller armed
-// at a small observation window so short tests tick it many times.
-func newAdaptiveBed(t *testing.T, odp bool) *chaosBed {
-	t.Helper()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
+// newAdaptiveBed is a hybrid-path client with the crossover controller
+// armed at a small observation window so short tests tick it many times.
+func newAdaptiveBed(t *testing.T, odp bool) *testbed {
 	ccfg := DefaultClientConfig()
 	ccfg.HybridDataPath = true
 	ccfg.AdaptiveCrossover = true
 	ccfg.CrossoverWindow = 8
 	ccfg.ODP = odp
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	tb := &testbed{env: env, fabric: f, dev: dev}
-	srv := NewServer(f, "mem0", DefaultServerConfig(64<<20))
-	if err := dev.ConnectServer(srv, 64<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	tb.servers = append(tb.servers, srv)
-	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	return &chaosBed{testbed: tb, reg: reg}
+	return newBed(t, bedOpts{area: 64 << 20, client: ccfg})
 }
 
 // adaptiveWorkload drives two phases: small discontiguous writes that
 // carry no MR-reuse signal (the controller must probe downward), then
 // repeated 64K writes whose reuse the controller can measure.
-func adaptiveWorkload(t *testing.T, cb *chaosBed, smalls, larges int) (thrAfterSmalls int) {
+func adaptiveWorkload(t *testing.T, cb *testbed, smalls, larges int) (thrAfterSmalls int) {
 	t.Helper()
 	cb.run(func(p *sim.Proc) {
 		for i := 0; i < smalls; i++ {
 			// Stride 64 sectors so the elevator cannot coalesce the phase
 			// into a handful of large requests.
-			w, err := cb.queue.Submit(true, int64(i*64), pattern(4096, byte(i)))
-			if err != nil {
-				t.Fatalf("submit small %d: %v", i, err)
-			}
-			cb.queue.Unplug()
-			if err := w.Wait(p); err != nil {
+			if err := cb.do(p, true, int64(i*64), pattern(4096, byte(i))); err != nil {
 				t.Fatalf("small write %d: %v", i, err)
 			}
 		}
 		thrAfterSmalls = cb.dev.HybridThreshold()
 		const size = 64 * 1024
 		for i := 0; i < larges; i++ {
-			w, err := cb.queue.Submit(true, 1<<20/blockdev.SectorSize, pattern(size, byte(i)))
-			if err != nil {
-				t.Fatalf("submit large %d: %v", i, err)
-			}
-			cb.queue.Unplug()
-			if err := w.Wait(p); err != nil {
+			if err := cb.do(p, true, 1<<20/blockdev.SectorSize, pattern(size, byte(i))); err != nil {
 				t.Fatalf("large write %d: %v", i, err)
 			}
 		}
@@ -140,28 +115,15 @@ func TestAdaptiveCrossoverDeterministic(t *testing.T) {
 // AdaptiveCrossover without the hybrid path has nothing to control and
 // must stay inert.
 func TestAdaptiveCrossoverRequiresHybrid(t *testing.T) {
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
 	ccfg := DefaultClientConfig()
 	ccfg.AdaptiveCrossover = true
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	srv := NewServer(f, "mem0", DefaultServerConfig(1<<20))
-	if err := dev.ConnectServer(srv, 1<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	queue := blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	env.Go("io", func(p *sim.Proc) {
-		w, _ := queue.Submit(true, 0, pattern(4096, 1))
-		queue.Unplug()
-		if err := w.Wait(p); err != nil {
+	tb := newBed(t, bedOpts{client: ccfg})
+	tb.run(func(p *sim.Proc) {
+		if err := tb.do(p, true, 0, pattern(4096, 1)); err != nil {
 			t.Errorf("write: %v", err)
 		}
 	})
-	env.Run()
-	env.Close()
-	if ticks := reg.Counter("hpbd.crossover.ticks").Value(); ticks != 0 {
+	if ticks := tb.reg.Counter("hpbd.crossover.ticks").Value(); ticks != 0 {
 		t.Errorf("controller ticked %d times without a hybrid path", ticks)
 	}
 }

@@ -23,7 +23,7 @@ func checkSegs(t *testing.T, d *Device, segs []placement.Segment, n int) {
 		if sg.Length <= 0 {
 			t.Errorf("seg %d has length %d", i, sg.Length)
 		}
-		size := d.links[sg.Server].size
+		size := d.areas[sg.Server].Size
 		if sg.Offset < 0 || sg.Offset+int64(sg.Length) > size {
 			t.Errorf("seg %d [%d,+%d) spills out of its %d-byte area",
 				i, sg.Offset, sg.Length, size)
@@ -40,7 +40,7 @@ func checkSegs(t *testing.T, d *Device, segs []placement.Segment, n int) {
 // both sides of a range edge.
 func TestSplitExactBoundaries(t *testing.T) {
 	const area = 1 << 20
-	tb := newTestbed(t, 2, area, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 2, area: area})
 	defer tb.env.Close()
 	d := tb.dev
 
@@ -82,7 +82,7 @@ func TestSplitExactBoundaries(t *testing.T) {
 // boundary sector lands on the right store.
 func TestSplitSixteenServerLayout(t *testing.T) {
 	const area = 256 * 1024
-	tb := newTestbed(t, 16, area, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 16, area: area})
 	d := tb.dev
 
 	segs := d.split(0, 16*area)
@@ -136,7 +136,7 @@ func TestSplitStripedBoundaries(t *testing.T) {
 	const stripe = 64 * 1024
 	ccfg := DefaultClientConfig()
 	ccfg.StripeBytes = stripe
-	tb := newTestbed(t, 2, area, ccfg)
+	tb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg})
 	defer tb.env.Close()
 	d := tb.dev
 
@@ -174,28 +174,18 @@ func TestSplitStripedBoundaries(t *testing.T) {
 func TestHybridLargeBypassesPool(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.HybridDataPath = true
-	tb := newTestbed(t, 1, 8<<20, ccfg)
+	tb := newBed(t, bedOpts{area: 8 << 20, client: ccfg})
 	const size = 128 * 1024
 	const reps = 6
 	tb.run(func(p *sim.Proc) {
 		for i := 0; i < reps; i++ {
 			want := pattern(size, byte(i))
 			sector := int64(i) * 2 * size / blockdev.SectorSize
-			w, err := tb.queue.Submit(true, sector, append([]byte(nil), want...))
-			if err != nil {
-				t.Fatalf("Submit write %d: %v", i, err)
-			}
-			tb.queue.Unplug()
-			if err := w.Wait(p); err != nil {
+			if err := tb.do(p, true, sector, append([]byte(nil), want...)); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
 			buf := make([]byte, size)
-			r, err := tb.queue.Submit(false, sector, buf)
-			if err != nil {
-				t.Fatalf("Submit read %d: %v", i, err)
-			}
-			tb.queue.Unplug()
-			if err := r.Wait(p); err != nil {
+			if err := tb.do(p, false, sector, buf); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 			if !bytes.Equal(buf, want) {
@@ -225,12 +215,10 @@ func TestHybridLargeBypassesPool(t *testing.T) {
 func TestHybridSmallStaysOnPool(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.HybridDataPath = true
-	tb := newTestbed(t, 1, 1<<20, ccfg)
+	tb := newBed(t, bedOpts{client: ccfg})
 	want := pattern(4096, 5)
 	tb.run(func(p *sim.Proc) {
-		w, _ := tb.queue.Submit(true, 0, append([]byte(nil), want...))
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, append([]byte(nil), want...)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	})
@@ -254,7 +242,7 @@ func TestClientDoorbellBatching(t *testing.T) {
 		ccfg := DefaultClientConfig()
 		ccfg.Credits = 8
 		ccfg.DoorbellBatch = batch
-		tb := newTestbed(t, 1, 16<<20, ccfg)
+		tb := newBed(t, bedOpts{area: 16 << 20, client: ccfg})
 		tb.run(func(p *sim.Proc) {
 			var ios []*blockdev.IO
 			for i := 0; i < writes; i++ {
@@ -274,9 +262,7 @@ func TestClientDoorbellBatching(t *testing.T) {
 			// Read everything back.
 			for i := 0; i < writes; i++ {
 				buf := make([]byte, 4096)
-				r, _ := tb.queue.Submit(false, int64(i*64), buf)
-				tb.queue.Unplug()
-				if err := r.Wait(p); err != nil {
+				if err := tb.do(p, false, int64(i*64), buf); err != nil {
 					t.Fatalf("read %d: %v", i, err)
 				}
 				if !bytes.Equal(buf, pattern(4096, byte(i))) {
@@ -314,7 +300,7 @@ func TestCreditStallLinkDeathSettles(t *testing.T) {
 		ccfg := DefaultClientConfig()
 		ccfg.Credits = 2
 		ccfg.DoorbellBatch = batch
-		cb := newChaosBed(t, 1, 1<<20, ccfg, true, "crash@1us=mem0")
+		cb := newBed(t, bedOpts{client: ccfg, shared: true, fallback: true, faults: "crash@1us=mem0"})
 		settled := 0
 		for i := 0; i < writers; i++ {
 			sector := int64(i * 8)
@@ -341,8 +327,9 @@ func TestCreditStallLinkDeathSettles(t *testing.T) {
 }
 
 // The guard for the single data path: every combination of doorbell
-// chaining, WR merging and the hybrid MR path — with and without a server
-// crash absorbed by the fallback disk — must keep the protocol invariants:
+// chaining, WR merging, the hybrid MR path and pinned or on-demand-paging
+// MRs — with and without a server crash absorbed by the fallback disk —
+// must keep the protocol invariants:
 // read-back equals written, credits restored, nothing pending, no pool
 // leak, and the lifecycle stages of every record sum to its end-to-end.
 func TestDataPathFeatureMatrix(t *testing.T) {
@@ -356,66 +343,77 @@ func TestDataPathFeatureMatrix(t *testing.T) {
 		for _, merge := range []int{0, 4} {
 			for _, hybrid := range []bool{false, true} {
 				for _, spec := range []string{"", "crash@600us=mem0"} {
-					name := fmt.Sprintf("doorbell=%d/merge=%d/hybrid=%v/fault=%q", doorbell, merge, hybrid, spec)
-					t.Run(name, func(t *testing.T) {
-						ccfg := DefaultClientConfig()
-						if spec != "" {
-							// In-flight requests die silently with the server;
-							// only the watchdog can reclaim their credits.
-							ccfg = recoveryConfig()
+					for _, odp := range []bool{false, true} {
+						if odp && !hybrid && merge <= 1 {
+							continue // no MR path for ODP to act on
 						}
-						ccfg.Credits = credits
-						ccfg.DoorbellBatch = doorbell
-						ccfg.MergeWindow = merge
-						ccfg.HybridDataPath = hybrid
-						ccfg.HybridThresholdBytes = blockBytes / 2
-						cb := newChaosBed(t, 1, 2<<20, ccfg, spec != "", spec)
-						// Straight into the driver, all at once: the elevator
-						// would pre-merge these, and the backlog is what gives
-						// the sender runs to merge and chains to batch.
-						writeAll := func(p *sim.Proc, seed byte) {
-							reqs := make([]*blockdev.Request, blocks)
-							for i := range reqs {
-								reqs[i] = blockdev.NewRequest(cb.env, true, int64(i)*secPerBlock, pattern(blockBytes, seed+byte(i)))
-								cb.dev.Submit(p, reqs[i])
+						name := fmt.Sprintf("doorbell=%d/merge=%d/hybrid=%v/odp=%v/fault=%q", doorbell, merge, hybrid, odp, spec)
+						t.Run(name, func(t *testing.T) {
+							ccfg := DefaultClientConfig()
+							if spec != "" {
+								// In-flight requests die silently with the server;
+								// only the watchdog can reclaim their credits.
+								ccfg = recoveryConfig()
 							}
-							for i, r := range reqs {
-								if err := r.Wait(p); err != nil {
-									t.Errorf("write %d: %v", i, err)
+							ccfg.Credits = credits
+							ccfg.DoorbellBatch = doorbell
+							ccfg.MergeWindow = merge
+							ccfg.HybridDataPath = hybrid
+							ccfg.HybridThresholdBytes = blockBytes / 2
+							ccfg.ODP = odp
+							cb := newBed(t, bedOpts{area: 2 << 20, client: ccfg, shared: true, fallback: spec != "", faults: spec})
+							// Straight into the driver, all at once: the elevator
+							// would pre-merge these, and the backlog is what gives
+							// the sender runs to merge and chains to batch.
+							writeAll := func(p *sim.Proc, seed byte) {
+								reqs := make([]*blockdev.Request, blocks)
+								for i := range reqs {
+									reqs[i] = blockdev.NewRequest(cb.env, true, int64(i)*secPerBlock, pattern(blockBytes, seed+byte(i)))
+									cb.dev.Submit(p, reqs[i])
+								}
+								for i, r := range reqs {
+									if err := r.Wait(p); err != nil {
+										t.Errorf("write %d: %v", i, err)
+									}
 								}
 							}
-						}
-						cb.run(func(p *sim.Proc) {
-							writeAll(p, 3)
-							seed := byte(3)
-							if spec != "" {
-								// Ranges that lived only on the dead server
-								// regain an authoritative copy.
-								seed = 11
-								writeAll(p, seed)
+							cb.run(func(p *sim.Proc) {
+								writeAll(p, 3)
+								seed := byte(3)
+								if spec != "" {
+									// Ranges that lived only on the dead server
+									// regain an authoritative copy.
+									seed = 11
+									writeAll(p, seed)
+								}
+								cb.verifyBlocks(t, p, blocks, blockBytes, seed)
+							})
+							st := cb.dev.Stats()
+							if cb.servers[0].Stats().Writes == 0 {
+								t.Error("no write reached the server; the case exercises nothing")
 							}
-							cb.verifyBlocks(t, p, blocks, blockBytes, seed)
+							if merge > 1 && cb.reg.Counter("hpbd.merge.wrs").Value() == 0 {
+								t.Error("merge window armed but no carrier WR was built")
+							}
+							if doorbell > 1 && merge <= 1 && st.Doorbells >= st.PhysReqs {
+								t.Errorf("doorbells = %d for %d requests; chaining never engaged", st.Doorbells, st.PhysReqs)
+							}
+							if hybrid && st.HybridLarge == 0 && merge <= 1 {
+								t.Error("hybrid path armed but never taken")
+							}
+							// After a crash the cached MRs may be ones the server
+							// never touched, so residency is only required without.
+							if windows := cb.dev.InvalidateODP(); !odp && windows > 0 || odp && spec == "" && windows == 0 {
+								t.Errorf("odp=%v but %d ODP windows were resident after MR-path traffic", odp, windows)
+							}
+							if spec != "" && (st.LinkFailures != 1 || st.Fallbacks == 0 || cb.dev.Failed()) {
+								t.Errorf("crash not absorbed: link failures=%d fallbacks=%d failed=%v",
+									st.LinkFailures, st.Fallbacks, cb.dev.Failed())
+							}
+							assertMergeClean(t, cb, credits)
+							assertExactPartition(t, cb.dev)
 						})
-						st := cb.dev.Stats()
-						if cb.servers[0].Stats().Writes == 0 {
-							t.Error("no write reached the server; the case exercises nothing")
-						}
-						if merge > 1 && cb.reg.Counter("hpbd.merge.wrs").Value() == 0 {
-							t.Error("merge window armed but no carrier WR was built")
-						}
-						if doorbell > 1 && merge <= 1 && st.Doorbells >= st.PhysReqs {
-							t.Errorf("doorbells = %d for %d requests; chaining never engaged", st.Doorbells, st.PhysReqs)
-						}
-						if hybrid && st.HybridLarge == 0 && merge <= 1 {
-							t.Error("hybrid path armed but never taken")
-						}
-						if spec != "" && (st.LinkFailures != 1 || st.Fallbacks == 0 || cb.dev.Failed()) {
-							t.Errorf("crash not absorbed: link failures=%d fallbacks=%d failed=%v",
-								st.LinkFailures, st.Fallbacks, cb.dev.Failed())
-						}
-						assertMergeClean(t, cb, credits)
-						assertExactPartition(t, cb.dev)
-					})
+					}
 				}
 			}
 		}

@@ -27,11 +27,9 @@ import (
 	"sort"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/ib"
 	"hpbd/internal/placement"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
-	"hpbd/internal/wire"
 )
 
 // ErrMigration wraps a transfer failure that aborted a move.
@@ -116,20 +114,14 @@ func (m *migState) noteDone(ph *phys, err error) {
 // authoritative until the epoch flips.
 func (d *Device) migGate(p *sim.Proc, r *blockdev.Request) {
 	start := r.Sector * blockdev.SectorSize
-	n := r.Bytes()
-	m := d.mig
-	if m == nil || !m.freeze || !m.overlaps(start, n) {
-		return
-	}
-	t0 := p.Now()
-	for {
-		m = d.mig
-		if m == nil || !m.freeze || !m.overlaps(start, n) {
-			break
-		}
+	t0, stalled := p.Now(), false
+	for m := d.mig; m != nil && m.freeze && m.overlaps(start, r.Bytes()); m = d.mig {
 		m.freezeQ.Wait(p)
+		stalled = true
 	}
-	d.emet.stall.Observe(p.Now().Sub(t0))
+	if stalled {
+		d.emet.stall.Observe(p.Now().Sub(t0))
+	}
 }
 
 // Directory returns the placement directory, or nil while the device
@@ -146,81 +138,56 @@ func (d *Device) HasServer(name string) bool {
 	return false
 }
 
-// ensureDir bootstraps the placement directory from the legacy layout on
-// the first membership operation. Until then d.dir is nil and split
-// walks the static areas.
-func (d *Device) ensureDir() {
-	if d.dir != nil {
-		return
+// beginMembership opens a membership operation: it takes the membership
+// lock (the caller unlocks) and, on the first one, makes the device
+// elastic — the placement directory bootstrapped from the legacy layout
+// (until then d.dir is nil and split walks the static areas) and the
+// long-lived migration staging MR, a one-time registration charge.
+func (d *Device) beginMembership(p *sim.Proc) error {
+	if d.cfg.StripeBytes > 0 {
+		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
 	}
-	d.emet = newElasticMetrics(d.tel)
-	dir := placement.NewDirectory()
-	for _, l := range d.links {
-		dir.Bootstrap(l.srv.Name(), l.size)
+	d.memberMu.Lock(p)
+	if d.failed {
+		d.memberMu.Unlock()
+		return ErrDeviceFailed
 	}
-	d.dir = dir
-	d.emet.epoch.Set(int64(dir.Epoch()))
+	if d.dir == nil {
+		d.emet = newElasticMetrics(d.tel)
+		d.dir = placement.NewDirectory()
+		for i, l := range d.links {
+			d.dir.Bootstrap(l.srv.Name(), d.areas[i].Size)
+		}
+		d.emet.epoch.Set(int64(d.dir.Epoch()))
+		d.migMR = d.hca.RegisterMR(p, make([]byte, migrationChunkBytes))
+	}
+	return nil
 }
 
 // migrationChunkBytes is the live-migration copy granularity: half the
 // 128 KB bound the server staging buffers put on a single transfer.
-const migrationChunkBytes = 64 * 1024
-
-// ensureMigResources registers the long-lived migration staging MR
-// (one-time registration charge).
-func (d *Device) ensureMigResources(p *sim.Proc) {
-	if d.migMR != nil {
-		return
-	}
-	d.migBuf = make([]byte, migrationChunkBytes)
-	d.migMR = d.hca.RegisterMR(p, make([]byte, migrationChunkBytes))
-}
+const (
+	migrationChunkBytes = 64 * 1024
+	chunkSecs           = int64(migrationChunkBytes / blockdev.SectorSize)
+)
 
 // AddServerLive attaches srv to a running device as rebalancing headroom
 // and migrates the fleet toward capacity-proportional balance. The
 // device does not grow (swap capacity is fixed at connect time); the new
 // server absorbs load and makes draining others possible.
 func (d *Device) AddServerLive(p *sim.Proc, srv *Server, areaBytes int64) error {
-	if d.cfg.StripeBytes > 0 {
-		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
-	}
 	if areaBytes <= 0 || areaBytes%blockdev.SectorSize != 0 {
 		return fmt.Errorf("hpbd: invalid area size %d", areaBytes)
 	}
-	d.memberMu.Lock(p)
-	defer d.memberMu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	d.ensureDir()
-	d.ensureMigResources(p)
-	qp := d.hca.CreateQP(d.cq, d.cq)
-	srvQP, _, err := srv.attach(qp, areaBytes, d.cfg.Tenant)
-	if err != nil {
+	if err := d.beginMembership(p); err != nil {
 		return err
 	}
-	link := &serverLink{
-		srv:     srv,
-		qp:      qp,
-		srvQP:   srvQP,
-		credits: sim.NewSemaphore(d.env, d.cfg.Credits),
-		// startByte -1: this link is not part of the legacy address
-		// space; only the directory maps sectors onto it.
-		startByte: -1,
-		size:      areaBytes,
-		reqMR:     d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
-		recvMR:    d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
+	defer d.memberMu.Unlock()
+	// Not part of the legacy address space: only the directory maps
+	// sectors onto this link.
+	if err := d.newLink(srv, areaBytes, -1); err != nil {
+		return err
 	}
-	for i := 0; i < d.cfg.Credits; i++ {
-		if err := qp.PostRecv(ib.RecvWR{
-			ID:    uint64(i),
-			Local: ib.Segment{MR: link.recvMR, Off: i * wire.ReplySize, Len: wire.ReplySize},
-		}); err != nil {
-			return err
-		}
-	}
-	d.links = append(d.links, link)
-	d.byQP[qp] = link
 	id := d.dir.AddServer(srv.Name(), areaBytes)
 	if id != len(d.links)-1 {
 		return fmt.Errorf("hpbd: directory/link index skew: %d != %d", id, len(d.links)-1)
@@ -254,16 +221,10 @@ func (d *Device) rebalance(p *sim.Proc) error {
 // stays attached (reads of not-yet-cut-over ranges may still hit it);
 // retire it with RemoveServer once the drain returns.
 func (d *Device) DrainServer(p *sim.Proc, name string) error {
-	if d.cfg.StripeBytes > 0 {
-		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
+	if err := d.beginMembership(p); err != nil {
+		return err
 	}
-	d.memberMu.Lock(p)
 	defer d.memberMu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	d.ensureDir()
-	d.ensureMigResources(p)
 	id := d.dir.FindServer(name)
 	if id < 0 {
 		return fmt.Errorf("hpbd: unknown server %q", name)
@@ -289,15 +250,10 @@ func (d *Device) DrainServer(p *sim.Proc, name string) error {
 // is closed. The flushed completions of the closed QP are ignored (see
 // handleErrorCQE), so decommissioning is not a failure.
 func (d *Device) RemoveServer(p *sim.Proc, name string) error {
-	if d.cfg.StripeBytes > 0 {
-		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
+	if err := d.beginMembership(p); err != nil {
+		return err
 	}
-	d.memberMu.Lock(p)
 	defer d.memberMu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	d.ensureDir()
 	id := d.dir.FindServer(name)
 	if id < 0 {
 		return fmt.Errorf("hpbd: unknown server %q", name)
@@ -309,23 +265,12 @@ func (d *Device) RemoveServer(p *sim.Proc, name string) error {
 	// Let straggler reads (left behind on the source at a cutover)
 	// finish before tearing the QP down; the directory no longer maps
 	// anything here, so the count only ever shrinks.
-	for {
-		n := 0
-		for _, ph := range d.pending {
-			if ph.link == link {
-				n++
-			}
-		}
-		if n == 0 {
-			break
-		}
+	for d.inflight.on(link) > 0 {
 		p.Sleep(50 * sim.Microsecond)
 	}
 	link.removed = true
 	link.down = true // Submit's down-link guard routes around it
-	if !link.qp.Closed() {
-		link.qp.Close()
-	}
+	link.qp.Close()
 	d.emet.epoch.Set(int64(d.dir.Epoch()))
 	d.tracer.InstantArgs(d.name, "member-remove", map[string]any{
 		"server": name, "epoch": d.dir.Epoch(),
@@ -360,13 +305,7 @@ func (d *Device) runMove(p *sim.Proc, mv placement.Move) error {
 	}()
 	// Adopt foreground writes already in flight inside the range: their
 	// completions must re-dirty and the cutover drain must wait for them.
-	handles := make([]uint64, 0, len(d.pending))
-	for h := range d.pending {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	for _, h := range handles {
-		ph := d.pending[h]
+	for _, ph := range d.inflight.ordered() {
 		if ph.write && !ph.mig && ph.mtrack == nil && m.overlaps(ph.devByte, ph.length) {
 			ph.mtrack = m
 			m.inflight++
@@ -374,33 +313,25 @@ func (d *Device) runMove(p *sim.Proc, mv placement.Move) error {
 	}
 	span := d.tracer.Begin(d.name, "migrate")
 	d.tracer.FlowBegin(d.name, "migration", seq)
+	from, to := d.links[mv.From].srv.Name(), d.links[mv.To].srv.Name()
 	abort := func(xerr error) error {
 		d.emet.aborted.Inc()
 		d.lc.Flight().DumpOnEvent(fmt.Sprintf(
 			"migration aborted: %s -> %s sectors=%d frontier=%d err=%v",
-			d.links[mv.From].srv.Name(), d.links[mv.To].srv.Name(),
-			mv.Sectors, m.frontier, xerr))
+			from, to, mv.Sectors, m.frontier, xerr))
 		d.tracer.FlowEnd(d.name, "migration", seq)
 		span.EndArgs(map[string]any{
-			"from": d.links[mv.From].srv.Name(), "to": d.links[mv.To].srv.Name(),
-			"sectors": mv.Sectors, "aborted": true, "err": xerr.Error(),
+			"from": from, "to": to, "sectors": mv.Sectors, "aborted": true, "err": xerr.Error(),
 		})
 		return xerr
 	}
-	chunkSecs := int64(len(d.migBuf)) / blockdev.SectorSize
 	for m.frontier < m.endSec {
 		t0 := p.Now()
-		secs := chunkSecs
-		if m.frontier+secs > m.endSec {
-			secs = m.endSec - m.frontier
-		}
-		n := int(secs * blockdev.SectorSize)
-		devByte := m.frontier * blockdev.SectorSize
-		srcOff := mv.SrcAreaOff + (m.frontier-mv.Start)*blockdev.SectorSize
-		dstByte := dstOff + (m.frontier-mv.Start)*blockdev.SectorSize
-		if err := d.copyChunk(p, mv, srcOff, dstByte, devByte, n); err != nil {
+		secs := min(chunkSecs, m.endSec-m.frontier)
+		if err := d.copyChunk(p, mv, dstOff, m.frontier, secs); err != nil {
 			return abort(err)
 		}
+		n := int(secs * blockdev.SectorSize)
 		// Advancing the frontier after the copy means a write completing
 		// mid-copy of its own chunk still re-dirties it (noteDone sees
 		// the old frontier) — conservative, never lossy.
@@ -435,20 +366,23 @@ func (d *Device) runMove(p *sim.Proc, mv placement.Move) error {
 		"freeze_us": p.Now().Sub(freezeAt).Micros(),
 	})
 	span.EndArgs(map[string]any{
-		"from": d.links[mv.From].srv.Name(), "to": d.links[mv.To].srv.Name(),
-		"sectors": mv.Sectors, "bytes": mv.Bytes(), "epoch": d.dir.Epoch(),
+		"from": from, "to": to, "sectors": mv.Sectors, "bytes": mv.Bytes(), "epoch": d.dir.Epoch(),
 	})
 	return nil
 }
 
-// copyChunk moves one chunk source→destination through the normal
+// copyChunk moves secs sectors of the range from sector lo, source→
+// destination (whose reserved space starts at dstOff), through the normal
 // request path: an RDMA read off the source into the migration MR, then
 // an RDMA write of that MR to the destination.
-func (d *Device) copyChunk(p *sim.Proc, mv placement.Move, srcOff, dstByte, devByte int64, n int) error {
-	if err := d.migXfer(p, d.links[mv.From], false, srcOff, devByte, n); err != nil {
+func (d *Device) copyChunk(p *sim.Proc, mv placement.Move, dstOff, lo, secs int64) error {
+	n := int(secs * blockdev.SectorSize)
+	devByte := lo * blockdev.SectorSize
+	rel := devByte - mv.Start*blockdev.SectorSize
+	if err := d.migXfer(p, d.links[mv.From], false, mv.SrcAreaOff+rel, devByte, n); err != nil {
 		return err
 	}
-	return d.migXfer(p, d.links[mv.To], true, dstByte, devByte, n)
+	return d.migXfer(p, d.links[mv.To], true, dstOff+rel, devByte, n)
 }
 
 // resendDirty sweeps the current write-forwarding set: dirty sectors are
@@ -465,22 +399,16 @@ func (d *Device) resendDirty(p *sim.Proc, m *migState, mv placement.Move, dstOff
 	}
 	sort.Slice(secs, func(i, j int) bool { return secs[i] < secs[j] })
 	m.dirty = make(map[int64]struct{})
-	chunkSecs := int64(len(d.migBuf)) / blockdev.SectorSize
 	for i := 0; i < len(secs); {
 		j := i + 1
 		for j < len(secs) && secs[j] == secs[j-1]+1 && int64(j-i) < chunkSecs {
 			j++
 		}
-		lo := secs[i]
-		n := int((secs[j-1] - lo + 1) * blockdev.SectorSize)
-		devByte := lo * blockdev.SectorSize
-		srcOff := mv.SrcAreaOff + (lo-mv.Start)*blockdev.SectorSize
-		dstByte := dstOff + (lo-mv.Start)*blockdev.SectorSize
-		if err := d.copyChunk(p, mv, srcOff, dstByte, devByte, n); err != nil {
+		if err := d.copyChunk(p, mv, dstOff, secs[i], int64(j-i)); err != nil {
 			return err
 		}
 		d.emet.dirtyResent.Add(int64(j - i))
-		d.emet.migBytes.Add(int64(n))
+		d.emet.migBytes.Add(int64(j-i) * blockdev.SectorSize)
 		i = j
 	}
 	return nil
@@ -496,14 +424,8 @@ func (d *Device) resendDirty(p *sim.Proc, m *migState, mv placement.Move, dstOff
 // such reads remain correct.
 func (d *Device) requeueRange(mv placement.Move) {
 	dst := d.links[mv.To]
-	all := make([]uint64, 0, len(d.pending))
-	for h := range d.pending {
-		all = append(all, h)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var sentH, queuedH []uint64
-	for _, h := range all {
-		ph := d.pending[h]
+	var sent []*phys
+	for _, ph := range d.inflight.ordered() {
 		if ph.mig || ph.link == dst {
 			continue
 		}
@@ -513,35 +435,18 @@ func (d *Device) requeueRange(mv placement.Move) {
 			continue
 		}
 		if ph.sent {
-			sentH = append(sentH, h)
-		} else {
-			queuedH = append(queuedH, h)
+			// Its credit belongs to the source link: return it before the
+			// request is retargeted.
+			d.inflight.cancel(ph.handle)
+			sent = append(sent, ph)
 		}
-	}
-	retarget := func(ph *phys) {
 		segs := d.dir.Split(ph.devByte, ph.length)
 		ph.link = d.links[segs[0].Server]
 		ph.offset = segs[0].Offset
 	}
-	for _, h := range queuedH {
-		retarget(d.pending[h])
-	}
-	for _, h := range sentH {
-		ph := d.pending[h]
-		delete(d.pending, h)
-		ph.link.credits.Release(1)
-		retarget(ph)
-		d.nextH++
-		ph.handle = d.nextH
-		ph.sent = false
-		ph.timedOut = false
-		ph.enqAt = d.env.Now()
-		d.pending[ph.handle] = ph
-		d.sendQ.TrySend(ph)
+	for _, ph := range sent {
+		d.inflight.admit(ph)
 		d.emet.requeued.Inc()
-	}
-	if len(sentH) > 0 {
-		d.wdQ.WakeAll()
 	}
 }
 
@@ -557,32 +462,15 @@ func (d *Device) migXfer(p *sim.Proc, link *serverLink, write bool, areaOff, dev
 	if link.down {
 		return ErrServerLost
 	}
-	r := blockdev.NewRequest(d.env, write, devByte/blockdev.SectorSize, d.migBuf[:n])
-	parent := &parentReq{req: r, remain: 1}
-	if !write {
-		parent.readBuf = make([]byte, n)
-	}
-	ph := &phys{
-		parent:   parent,
-		link:     link,
-		write:    write,
-		offset:   areaOff,
-		off:      0,
-		length:   n,
-		poolOff:  -1,
-		mr:       d.migMR,
-		devByte:  devByte,
-		mig:      true,
-		flowID:   r.ID(),
-		blkAt:    r.QueuedAt(),
-		submitAt: p.Now(),
-	}
-	d.nextH++
-	ph.handle = d.nextH
-	ph.enqAt = p.Now()
-	d.pending[ph.handle] = ph
-	d.sendQ.Send(p, ph)
-	d.wdQ.WakeAll()
+	// The chunk's bytes live only in the migration MR: it is the request's
+	// data and the parent's gather buffer at once, so a read's scatter
+	// copies the MR onto itself.
+	r := blockdev.NewRequest(d.env, write, devByte/blockdev.SectorSize, d.migMR.Buf[:n])
+	parent := &parentReq{req: r, remain: 1, buf: d.migMR.Buf[:n]}
+	ph := newPhys(parent, r, link, placement.Segment{Offset: areaOff, Length: n, DevByte: devByte}, p.Now())
+	ph.mig = true
+	ph.home.stageMig(d)
+	d.inflight.admit(ph)
 	return r.Wait(p)
 }
 

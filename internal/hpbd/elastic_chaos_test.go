@@ -17,7 +17,7 @@ func TestChaosCrashMidChunkCopy(t *testing.T) {
 	const blocks, blockBytes = 32, 64 * 1024 // fills the 2 MB device
 	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 50 // ~16 ms per planned move: the crash lands mid-copy
-	cb := newChaosBed(t, 2, area, ccfg, false, "")
+	cb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg, shared: true})
 
 	growing := sim.NewEvent(cb.env)
 	sc := DefaultServerConfig(8 << 20)
@@ -76,7 +76,7 @@ func TestChaosDrainDuringSenderrBurst(t *testing.T) {
 	const blocks, blockBytes = 32, 64 * 1024
 	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 25 // ~2.6 ms per 64 KB chunk: the drain spans the burst
-	cb := newChaosBed(t, 2, area, ccfg, false, "senderr@80500usx2=hpbd0")
+	cb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg, shared: true, faults: "senderr@80500usx2=hpbd0"})
 
 	cb.run(func(p *sim.Proc) {
 		if err := cb.writeBlocks(p, blocks, blockBytes, 3); err != nil {
@@ -127,7 +127,7 @@ func TestChaosDoubleMembershipChange(t *testing.T) {
 	const blocks, blockBytes = 16, 64 * 1024
 	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 200
-	cb := newChaosBed(t, 2, area, ccfg, false, "")
+	cb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg, shared: true})
 
 	addDone := [2]*sim.Event{sim.NewEvent(cb.env), sim.NewEvent(cb.env)}
 	for i := 0; i < 2; i++ {

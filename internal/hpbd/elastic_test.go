@@ -10,7 +10,7 @@ import (
 )
 
 // addServer spawns a server on the bed's fabric and live-attaches it.
-func (cb *chaosBed) addServer(t *testing.T, p *sim.Proc, name string, areaBytes int64) *Server {
+func (cb *testbed) addServer(t *testing.T, p *sim.Proc, name string, areaBytes int64) *Server {
 	t.Helper()
 	sc := DefaultServerConfig(areaBytes)
 	sc.Telemetry = cb.reg
@@ -33,7 +33,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 	const blocks, blockBytes = 32, 128 * 1024 // covers the 4 MB device exactly
 	ccfg := DefaultClientConfig()
 	ccfg.MigrationMBps = 400 // stretch the copy so the writer below overlaps it
-	cb := newChaosBed(t, 2, area, ccfg, false, "")
+	cb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg, shared: true})
 
 	done := sim.NewEvent(cb.env)
 	idle := sim.NewEvent(cb.env)
@@ -44,13 +44,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 		defer idle.Trigger()
 		for i := 0; i < 40; i++ {
 			seed := byte(100 + i)
-			w, err := cb.queue.Submit(true, 0, pattern(blockBytes, seed))
-			if err != nil {
-				t.Errorf("rewrite submit: %v", err)
-				return
-			}
-			cb.queue.Unplug()
-			if err := w.Wait(p); err != nil {
+			if err := cb.do(p, true, 0, pattern(blockBytes, seed)); err != nil {
 				t.Errorf("rewrite %d: %v", i, err)
 				return
 			}
@@ -88,9 +82,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 		// rewriter's last value.
 		for i := 1; i < blocks; i++ {
 			buf := make([]byte, blockBytes)
-			r, _ := cb.queue.Submit(false, int64(i)*blockBytes/blockdev.SectorSize, buf)
-			cb.queue.Unplug()
-			if err := r.Wait(p); err != nil {
+			if err := cb.do(p, false, int64(i)*blockBytes/blockdev.SectorSize, buf); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 			if !bytes.Equal(buf, pattern(blockBytes, 3+byte(i))) {
@@ -98,9 +90,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 			}
 		}
 		buf := make([]byte, blockBytes)
-		r, _ := cb.queue.Submit(false, 0, buf)
-		cb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := cb.do(p, false, 0, buf); err != nil {
 			t.Fatalf("read block 0: %v", err)
 		}
 		if !bytes.Equal(buf, pattern(blockBytes, lastSeed)) {
@@ -128,7 +118,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 func TestElasticDrainToDecommission(t *testing.T) {
 	const area = 1 << 20
 	const blocks, blockBytes = 16, 128 * 1024
-	cb := newChaosBed(t, 2, area, DefaultClientConfig(), false, "")
+	cb := newBed(t, bedOpts{servers: 2, area: area, shared: true})
 	cb.run(func(p *sim.Proc) {
 		if err := cb.writeBlocks(p, blocks, blockBytes, 5); err != nil {
 			t.Fatalf("write pass: %v", err)
@@ -171,7 +161,7 @@ func TestDeterministicReplayMigration(t *testing.T) {
 	runOnce := func() (string, string) {
 		ccfg := DefaultClientConfig()
 		ccfg.MigrationMBps = 800
-		cb := newChaosBed(t, 2, 1<<20, ccfg, false, "")
+		cb := newBed(t, bedOpts{servers: 2, client: ccfg, shared: true})
 		cb.run(func(p *sim.Proc) {
 			if err := cb.writeBlocks(p, 16, 64*1024, 3); err != nil {
 				t.Fatalf("writes: %v", err)
@@ -210,7 +200,7 @@ func TestDeterministicReplayMigration(t *testing.T) {
 func TestElasticGuards(t *testing.T) {
 	striped := DefaultClientConfig()
 	striped.StripeBytes = 64 * 1024
-	cb2 := newChaosBed(t, 2, 1<<20, striped, false, "")
+	cb2 := newBed(t, bedOpts{servers: 2, client: striped, shared: true})
 	cb2.run(func(p *sim.Proc) {
 		if err := cb2.writeBlocks(p, 16, 128*1024, 3); err != nil {
 			t.Fatal(err)
@@ -231,7 +221,7 @@ func TestElasticGuards(t *testing.T) {
 		cb2.verifyBlocks(t, p, 16, 128*1024, 3)
 	})
 
-	cb3 := newChaosBed(t, 2, 1<<20, DefaultClientConfig(), false, "")
+	cb3 := newBed(t, bedOpts{servers: 2, shared: true})
 	cb3.run(func(p *sim.Proc) {
 		if err := cb3.dev.DrainServer(p, "ghost"); err == nil ||
 			!strings.Contains(err.Error(), "unknown server") {

@@ -17,7 +17,7 @@ func TestFlightDumpOnMigrationAbort(t *testing.T) {
 	const blocks, blockBytes = 32, 64 * 1024
 	ccfg := recoveryConfig()
 	ccfg.MigrationMBps = 50 // ~16 ms per planned move: the crash lands mid-copy
-	cb := newChaosBed(t, 2, area, ccfg, false, "")
+	cb := newBed(t, bedOpts{servers: 2, area: area, client: ccfg, shared: true})
 	var dumped bytes.Buffer
 	cb.dev.Lifecycle().Flight().SetDumpWriter(&dumped)
 
@@ -55,7 +55,7 @@ func TestFlightDumpOnMigrationAbort(t *testing.T) {
 // recent request history in the log before recovery kicks in.
 func TestFlightDumpOnWatchdogCancel(t *testing.T) {
 	ccfg := recoveryConfig()
-	cb := newChaosBed(t, 1, 1<<20, ccfg, true, "hang@100us+20ms=mem0")
+	cb := newBed(t, bedOpts{client: ccfg, shared: true, fallback: true, faults: "hang@100us+20ms=mem0"})
 	var dumped bytes.Buffer
 	cb.dev.Lifecycle().Flight().SetDumpWriter(&dumped)
 	const blocks = 8

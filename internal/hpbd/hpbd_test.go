@@ -6,35 +6,97 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/disk"
+	"hpbd/internal/faultsim"
 	"hpbd/internal/ib"
 	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
+	"hpbd/internal/telemetry"
 )
 
-// testbed wires one client device to n servers, each exporting areaBytes.
+// testbed wires one client device to its servers behind a block queue.
 type testbed struct {
 	env     *sim.Env
 	fabric  *ib.Fabric
 	dev     *Device
 	servers []*Server
 	queue   *blockdev.Queue
+	reg     *telemetry.Registry // the device's registry (the node's when shared)
+	inj     *faultsim.Injector  // nil without a fault schedule
 }
 
-func newTestbed(t *testing.T, nServers int, areaBytes int64, ccfg ClientConfig) *testbed {
+// bedOpts says what a bed has beyond one default client on one default
+// 1 MB server; the zero value is that bed.
+type bedOpts struct {
+	servers  int
+	area     int64               // bytes exported per server
+	client   ClientConfig        // zero PoolBytes: DefaultClientConfig()
+	server   func(*ServerConfig) // adjusts every server's configuration
+	shared   bool                // fabric, client, servers and injector share one registry, as cluster.Build wires them
+	fallback bool                // the client gets a local-disk fallback the size of the device
+	faults   string              // faultsim schedule replayed against the bed
+}
+
+func newBed(t *testing.T, o bedOpts) *testbed {
 	t.Helper()
+	if o.servers == 0 {
+		o.servers = 1
+	}
+	if o.area == 0 {
+		o.area = 1 << 20
+	}
+	if o.client.PoolBytes == 0 {
+		o.client = DefaultClientConfig()
+	}
 	env := sim.NewEnv()
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	dev := NewDevice(f, "hpbd0", ccfg)
-	tb := &testbed{env: env, fabric: f, dev: dev}
-	for i := 0; i < nServers; i++ {
-		srv := NewServer(f, fmt.Sprintf("mem%d", i), DefaultServerConfig(areaBytes))
-		if err := dev.ConnectServer(srv, areaBytes); err != nil {
+	ibcfg := ib.DefaultConfig()
+	if o.shared {
+		o.client.Telemetry = telemetry.New(env)
+		ibcfg.Telemetry = o.client.Telemetry
+	}
+	f := ib.NewFabric(env, ibcfg)
+	if o.fallback {
+		o.client.Fallback = disk.New(env, "hda-fb", o.area*int64(o.servers), disk.DefaultParams())
+	}
+	dev := NewDevice(f, "hpbd0", o.client)
+	tb := &testbed{env: env, fabric: f, dev: dev, reg: dev.Telemetry()}
+	for i := 0; i < o.servers; i++ {
+		sc := DefaultServerConfig(o.area)
+		sc.Telemetry = o.client.Telemetry
+		if o.server != nil {
+			o.server(&sc)
+		}
+		srv := NewServer(f, fmt.Sprintf("mem%d", i), sc)
+		if err := dev.ConnectServer(srv, o.area); err != nil {
 			t.Fatalf("ConnectServer: %v", err)
 		}
 		tb.servers = append(tb.servers, srv)
 	}
 	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
+	if o.faults != "" {
+		sched, err := faultsim.ParseSpec(o.faults)
+		if err != nil {
+			t.Fatalf("ParseSpec: %v", err)
+		}
+		tb.inj = faultsim.New(env, *sched, tb.reg)
+		for _, s := range tb.servers {
+			tb.inj.AddServer(s)
+		}
+		tb.inj.AddClient(dev)
+		f.SetFaultHook(tb.inj)
+		tb.inj.Start()
+	}
 	return tb
+}
+
+// do submits one I/O through the block queue, unplugs it and waits.
+func (tb *testbed) do(p *sim.Proc, write bool, sector int64, data []byte) error {
+	io, err := tb.queue.Submit(write, sector, data)
+	if err != nil {
+		return err
+	}
+	tb.queue.Unplug()
+	return io.Wait(p)
 }
 
 func (tb *testbed) run(fn func(p *sim.Proc)) {
@@ -52,25 +114,15 @@ func pattern(n int, seed byte) []byte {
 }
 
 func TestWriteReadRoundTripSingleServer(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	want := pattern(128*1024, 3)
 	var got []byte
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, 0, append([]byte(nil), want...))
-		if err != nil {
-			t.Fatalf("Submit write: %v", err)
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, append([]byte(nil), want...)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		buf := make([]byte, len(want))
-		r, err := tb.queue.Submit(false, 0, buf)
-		if err != nil {
-			t.Fatalf("Submit read: %v", err)
-		}
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, 0, buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		got = buf
@@ -87,7 +139,7 @@ func TestWriteReadRoundTripSingleServer(t *testing.T) {
 func TestDataLandsOnCorrectServerBlockedLayout(t *testing.T) {
 	// Two servers, 1 MB each: sector addresses below 1 MB go to server 0,
 	// above to server 1 (blocked, non-striped).
-	tb := newTestbed(t, 2, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 2})
 	w0 := pattern(4096, 1)
 	w1 := pattern(4096, 2)
 	tb.run(func(p *sim.Proc) {
@@ -110,24 +162,17 @@ func TestDataLandsOnCorrectServerBlockedLayout(t *testing.T) {
 }
 
 func TestRequestSpanningServerBoundarySplits(t *testing.T) {
-	tb := newTestbed(t, 2, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 2})
 	// 64 KB write straddling the 1 MB boundary.
 	start := int64(1<<20-32*1024) / blockdev.SectorSize
 	want := pattern(64*1024, 9)
 	var got []byte
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, start, append([]byte(nil), want...))
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, start, append([]byte(nil), want...)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		buf := make([]byte, len(want))
-		r, _ := tb.queue.Submit(false, start, buf)
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, start, buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		got = buf
@@ -144,7 +189,7 @@ func TestRequestSpanningServerBoundarySplits(t *testing.T) {
 }
 
 func TestManyConcurrentRequests(t *testing.T) {
-	tb := newTestbed(t, 4, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 4})
 	const pagesz = 4096
 	const npages = 512 // 2 MB total across 4 servers
 	tb.run(func(p *sim.Proc) {
@@ -191,7 +236,7 @@ func TestManyConcurrentRequests(t *testing.T) {
 func TestFlowControlBoundsOutstanding(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.Credits = 2
-	tb := newTestbed(t, 1, 16<<20, ccfg)
+	tb := newBed(t, bedOpts{area: 16 << 20, client: ccfg})
 	tb.run(func(p *sim.Proc) {
 		var ios []*blockdev.IO
 		for i := 0; i < 64; i++ {
@@ -215,7 +260,7 @@ func TestFlowControlBoundsOutstanding(t *testing.T) {
 func TestPoolPressureBlocksAndRecovers(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.PoolBytes = 256 * 1024 // two 128K requests fill the pool
-	tb := newTestbed(t, 1, 8<<20, ccfg)
+	tb := newBed(t, bedOpts{area: 8 << 20, client: ccfg})
 	tb.run(func(p *sim.Proc) {
 		var ios []*blockdev.IO
 		for i := 0; i < 16; i++ {
@@ -243,7 +288,7 @@ func TestPoolPressureBlocksAndRecovers(t *testing.T) {
 }
 
 func TestOutOfRangeIO(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	tb.run(func(p *sim.Proc) {
 		if _, err := tb.queue.Submit(true, tb.dev.Sectors(), make([]byte, 4096)); err != blockdev.ErrOutOfRange {
 			t.Errorf("err = %v, want ErrOutOfRange", err)
@@ -252,13 +297,11 @@ func TestOutOfRangeIO(t *testing.T) {
 }
 
 func TestServerLossFailsDevice(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	var errs int
 	tb.run(func(p *sim.Proc) {
 		// Kill the server's QP mid-run, then issue I/O.
-		w, _ := tb.queue.Submit(true, 0, pattern(4096, 1))
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, pattern(4096, 1)); err != nil {
 			t.Fatalf("first write should succeed: %v", err)
 		}
 		for qp := range tb.servers[0].conns {
@@ -288,20 +331,16 @@ func TestServerLossFailsDevice(t *testing.T) {
 }
 
 func TestServerIdleSleepsAndWakes(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	tb.run(func(p *sim.Proc) {
-		w, _ := tb.queue.Submit(true, 0, pattern(4096, 1))
-		tb.queue.Unplug()
-		w.Wait(p)
+		tb.do(p, true, 0, pattern(4096, 1))
 		// Let the server idle well past its 200us spin window.
 		p.Sleep(5 * sim.Millisecond)
 		if tb.servers[0].Stats().IdleSleeps == 0 {
 			t.Error("server never yielded the CPU while idle")
 		}
 		// It must still serve requests after sleeping.
-		r, _ := tb.queue.Submit(false, 0, make([]byte, 4096))
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, 0, make([]byte, 4096)); err != nil {
 			t.Errorf("read after idle sleep: %v", err)
 		}
 	})
@@ -323,7 +362,7 @@ func TestServerAreaExhaustion(t *testing.T) {
 }
 
 func TestSixteenServers(t *testing.T) {
-	tb := newTestbed(t, 16, 256*1024, DefaultClientConfig())
+	tb := newBed(t, bedOpts{servers: 16, area: 256 * 1024})
 	tb.run(func(p *sim.Proc) {
 		// One page to each server's range.
 		var ios []*blockdev.IO
@@ -354,7 +393,7 @@ func TestSixteenServers(t *testing.T) {
 // finishes in far less than 4x one request's latency.
 func TestServerOverlapsRDMAAndCopy(t *testing.T) {
 	one := func(n int) sim.Duration {
-		tb := newTestbed(t, 1, 16<<20, DefaultClientConfig())
+		tb := newBed(t, bedOpts{area: 16 << 20})
 		var elapsed sim.Duration
 		tb.run(func(p *sim.Proc) {
 			t0 := p.Now()
@@ -385,14 +424,10 @@ func TestServerOverlapsRDMAAndCopy(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	tb.run(func(p *sim.Proc) {
-		w, _ := tb.queue.Submit(true, 0, pattern(8192, 1))
-		tb.queue.Unplug()
-		w.Wait(p)
-		r, _ := tb.queue.Submit(false, 0, make([]byte, 8192))
-		tb.queue.Unplug()
-		r.Wait(p)
+		tb.do(p, true, 0, pattern(8192, 1))
+		tb.do(p, false, 0, make([]byte, 8192))
 	})
 	d := tb.dev.Stats()
 	if d.BytesWritten != 8192 || d.BytesRead != 8192 {

@@ -5,37 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"hpbd/internal/blockdev"
-	"hpbd/internal/ib"
-	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 )
-
-// newSharedRegistryBed wires a single-server testbed whose client and
-// server share one telemetry registry, as cluster.Build does — the
-// configuration in which the server's timing stamps reach the client's
-// critical-path analyzer.
-func newSharedRegistryBed(t *testing.T, ccfg ClientConfig, mutate func(*ServerConfig)) (*testbed, *telemetry.Registry) {
-	t.Helper()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	sc := DefaultServerConfig(1 << 20)
-	sc.Telemetry = reg
-	if mutate != nil {
-		mutate(&sc)
-	}
-	srv := NewServer(f, "mem0", sc)
-	if err := dev.ConnectServer(srv, 1<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	tb := &testbed{env: env, fabric: f, dev: dev, servers: []*Server{srv}}
-	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	return tb, reg
-}
 
 // TestLifecycleExactPartition round-trips real requests and checks the
 // acceptance criterion directly: for every recorded request the eight
@@ -43,25 +15,13 @@ func newSharedRegistryBed(t *testing.T, ccfg ClientConfig, mutate func(*ServerCo
 // split (rdma vs. server-copy) is present because the stamp side channel
 // crossed the process boundary.
 func TestLifecycleExactPartition(t *testing.T) {
-	tb, _ := newSharedRegistryBed(t, DefaultClientConfig(), nil)
+	tb := newBed(t, bedOpts{shared: true})
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, 0, pattern(16*1024, 5))
-		if err != nil {
-			t.Errorf("Submit write: %v", err)
-			return
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, pattern(16*1024, 5)); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		buf := make([]byte, 16*1024)
-		r, err := tb.queue.Submit(false, 0, buf)
-		if err != nil {
-			t.Errorf("Submit read: %v", err)
-			return
-		}
-		tb.queue.Unplug()
-		if err := r.Wait(p); err != nil {
+		if err := tb.do(p, false, 0, buf); err != nil {
 			t.Errorf("read: %v", err)
 		}
 	})
@@ -109,9 +69,9 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.RequestTimeout = 200 * sim.Microsecond
 	ccfg.FlightDumpWriter = &dump
-	tb, _ := newSharedRegistryBed(t, ccfg, func(sc *ServerConfig) {
+	tb := newBed(t, bedOpts{client: ccfg, shared: true, server: func(sc *ServerConfig) {
 		sc.StoreOpOverhead = 10 * sim.Millisecond
-	})
+	}})
 	var waitErr error
 	tb.env.Go("test", func(p *sim.Proc) {
 		w, err := tb.queue.Submit(true, 0, pattern(4096, 1))
@@ -149,15 +109,9 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 func TestLifecycleDisabled(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.FlightRecEntries = -1
-	tb := newTestbed(t, 1, 1<<20, ccfg)
+	tb := newBed(t, bedOpts{client: ccfg})
 	tb.run(func(p *sim.Proc) {
-		w, err := tb.queue.Submit(true, 0, pattern(4096, 2))
-		if err != nil {
-			t.Errorf("Submit: %v", err)
-			return
-		}
-		tb.queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, pattern(4096, 2)); err != nil {
 			t.Errorf("write: %v", err)
 		}
 	})

@@ -5,46 +5,15 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/faultsim"
 	"hpbd/internal/ib"
-	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 )
 
-// mergeBed builds a client with WR merging armed over one server whose
-// staging buffer accommodates merged payloads, with the node registry
-// attached (the merge.* series live there) and an optional fault schedule.
-func newMergeBed(t *testing.T, ccfg ClientConfig, stagingBytes int, spec string) *chaosBed {
-	t.Helper()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	tb := &testbed{env: env, fabric: f, dev: dev}
-	sc := DefaultServerConfig(64 << 20)
-	sc.StagingBytes = stagingBytes
-	sc.Telemetry = reg
-	srv := NewServer(f, "mem0", sc)
-	if err := dev.ConnectServer(srv, 64<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	tb.servers = append(tb.servers, srv)
-	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	cb := &chaosBed{testbed: tb, reg: reg}
-	if spec != "" {
-		sched, err := faultsim.ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec: %v", err)
-		}
-		cb.inj = faultsim.New(env, *sched, reg)
-		cb.inj.AddServer(srv)
-		cb.inj.AddClient(dev)
-		f.SetFaultHook(cb.inj)
-		cb.inj.Start()
-	}
-	return cb
+// stagingBytes sizes every server's staging buffer to accommodate merged
+// payloads.
+func stagingBytes(n int) func(*ServerConfig) {
+	return func(sc *ServerConfig) { sc.StagingBytes = n }
 }
 
 // mergeConfig arms the merge window over a small credit pool: the tight
@@ -60,14 +29,14 @@ func mergeConfig() ClientConfig {
 
 // assertMergeClean checks the invariants every merged run must restore:
 // all credits back, nothing pending, no staging-pool leak.
-func assertMergeClean(t *testing.T, cb *chaosBed, credits int) {
+func assertMergeClean(t *testing.T, cb *testbed, credits int) {
 	t.Helper()
 	for i, link := range cb.dev.links {
 		if got := link.credits.Available(); got != credits {
 			t.Errorf("link %d credits = %d, want %d (carrier settled its credit wrong)", i, got, credits)
 		}
 	}
-	if n := len(cb.dev.pending); n != 0 {
+	if n := cb.dev.inflight.len(); n != 0 {
 		t.Errorf("%d requests still pending after quiesce", n)
 	}
 	if leak := cb.dev.Pool().InUse(); leak != 0 {
@@ -82,7 +51,7 @@ func assertMergeClean(t *testing.T, cb *chaosBed, credits int) {
 func TestMergedWriteReadRoundTrip(t *testing.T) {
 	const blocks = 16
 	const blockBytes = 128 * 1024 // block-layer max: the elevator cannot pre-merge these
-	cb := newMergeBed(t, mergeConfig(), 512*1024, "")
+	cb := newBed(t, bedOpts{area: 64 << 20, client: mergeConfig(), shared: true, server: stagingBytes(512 * 1024)})
 	secPerBlock := int64(blockBytes / blockdev.SectorSize)
 	got := make([][]byte, blocks)
 	cb.run(func(p *sim.Proc) {
@@ -154,7 +123,7 @@ func TestMergedSenderrSettlesEveryHandleOnce(t *testing.T) {
 	const blockBytes = 128 * 1024
 	ccfg := mergeConfig()
 	ccfg.MaxRetries = 2
-	cb := newMergeBed(t, ccfg, 512*1024, "senderr@300usx2=hpbd0")
+	cb := newBed(t, bedOpts{area: 64 << 20, client: ccfg, shared: true, server: stagingBytes(512 * 1024), faults: "senderr@300usx2=hpbd0"})
 	secPerBlock := int64(blockBytes / blockdev.SectorSize)
 	cb.run(func(p *sim.Proc) {
 		var ios []*blockdev.IO
@@ -217,7 +186,7 @@ func TestMRCacheEvictWhileIdle(t *testing.T) {
 	reg := telemetry.New(env)
 	f := ib.NewFabric(env, ib.DefaultConfig())
 	h := f.NewHCA("c")
-	c := newMRCache(h, 2, reg)
+	c := newMRCache(h, f.Config().Mem, ClientConfig{MRCacheEntries: 2}, reg)
 	gauge := reg.Gauge("hpbd.hybrid.mr_idle")
 	env.Go("cache", func(p *sim.Proc) {
 		// Three cold gets (nothing idle yet): all misses.
@@ -274,35 +243,20 @@ func TestMRCacheEvictWhileIdle(t *testing.T) {
 // odpinval fault through the injector forces a re-fault — with no effect
 // on data integrity.
 func TestClientODPFaultLifecycle(t *testing.T) {
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	ibcfg := ib.DefaultConfig()
-	ibcfg.Telemetry = reg // the odp.faults series lives on the fabric
-	f := ib.NewFabric(env, ibcfg)
 	ccfg := DefaultClientConfig()
 	ccfg.HybridDataPath = true
 	ccfg.ODP = true
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	srv := NewServer(f, "mem0", DefaultServerConfig(8<<20))
-	if err := dev.ConnectServer(srv, 8<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	queue := blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
+	tb := newBed(t, bedOpts{area: 8 << 20, client: ccfg, shared: true})
+	dev, srv := tb.dev, tb.servers[0]
 
-	const size = 128 * 1024 // 2 ODP windows in the cache's 128K buffer
-	faults := reg.Counter("odp.faults")
+	const size = 128 * 1024                // 2 ODP windows in the cache's 128K buffer
+	faults := tb.reg.Counter("odp.faults") // the series lives on the fabric
 	write := func(p *sim.Proc, seed byte) {
-		w, err := queue.Submit(true, 0, pattern(size, seed))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		queue.Unplug()
-		if err := w.Wait(p); err != nil {
+		if err := tb.do(p, true, 0, pattern(size, seed)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	env.Go("io", func(p *sim.Proc) {
+	tb.run(func(p *sim.Proc) {
 		write(p, 3)
 		if got := faults.Value(); got != 2 {
 			t.Errorf("cold 128K write faulted %d windows, want 2", got)
@@ -322,8 +276,6 @@ func TestClientODPFaultLifecycle(t *testing.T) {
 			t.Errorf("post-invalidate write faulted %d total windows, want 4", got)
 		}
 	})
-	env.Run()
-	env.Close()
 	if misses := dev.mrc.misses.Value(); misses != 1 {
 		t.Errorf("mr cache misses = %d, want 1 (ODP region must be reused)", misses)
 	}
@@ -337,7 +289,7 @@ func TestClientODPFaultLifecycle(t *testing.T) {
 // it is a harmless no-op that still counts as injected.
 func TestODPInvalScheduleAgainstDevice(t *testing.T) {
 	ccfg := mergeConfig()
-	cb := newMergeBed(t, ccfg, 512*1024, "odpinval@200us=hpbd0")
+	cb := newBed(t, bedOpts{area: 64 << 20, client: ccfg, shared: true, server: stagingBytes(512 * 1024), faults: "odpinval@200us=hpbd0"})
 	cb.run(func(p *sim.Proc) {
 		if err := cb.writeBlocks(p, 8, 128*1024, 9); err != nil {
 			t.Errorf("writes: %v", err)

@@ -64,10 +64,9 @@ type BufferPool struct {
 	// stay exported for compatibility; SetTelemetry mirrors them into the
 	// registry (pool.alloc.waits counter, pool.in_use gauge) alongside the
 	// blocked-time histogram.
-	AllocWaits  int64 // allocations that had to block
-	PeakInUse   int
-	inUse       int
-	allocsTotal int64
+	AllocWaits int64 // allocations that had to block
+	PeakInUse  int
+	inUse      int
 
 	// Telemetry handles (nil-safe: all no-ops until SetTelemetry).
 	waitCount *telemetry.Counter   // = AllocWaits, registry view
@@ -110,14 +109,8 @@ func (b *BufferPool) sample() {
 	b.largestG.Set(int64(b.LargestFree()))
 }
 
-// Size returns the pool capacity in bytes.
-func (b *BufferPool) Size() int { return b.size }
-
 // InUse returns currently allocated bytes.
 func (b *BufferPool) InUse() int { return b.inUse }
-
-// FreeBytes returns the total free bytes (possibly fragmented).
-func (b *BufferPool) FreeBytes() int { return b.size - b.inUse }
 
 // LargestFree returns the largest contiguous free block in O(1): the max
 // is maintained incrementally across alloc/free (rescanning the free list
@@ -184,7 +177,6 @@ func (b *BufferPool) TryAlloc(n int) (int, error) {
 			b.dropLargest(l)
 			b.allocs[off] = n
 			b.inUse += n
-			b.allocsTotal++
 			if b.inUse > b.PeakInUse {
 				b.PeakInUse = b.inUse
 			}

@@ -379,34 +379,34 @@ func (s *Server) repost(sl recvSlot) error {
 }
 
 // attach allocates an area of size bytes for a client and wires a QP; it
-// is called by the client's ConnectServer during device setup (standing in
-// for the paper's socket-based QP information exchange). tenantID names
-// the owner in the area ledger; under tenancy it must appear in the QoS
-// spec, and the connection's receive window is posted under that
-// tenant's credits (slots its share cannot cover are withheld until the
-// bank grants them).
-func (s *Server) attach(clientQP *ib.QP, size int64, tenantID string) (*ib.QP, int64, error) {
+// is called by the client's newLink (standing in for the paper's
+// socket-based QP information exchange). tenantID names the owner in the
+// area ledger; under tenancy it must appear in the QoS spec, and the
+// connection's receive window is posted under that tenant's credits (slots
+// its share cannot cover are withheld until the bank grants them).
+func (s *Server) attach(clientQP *ib.QP, size int64, tenantID string, reclaimKick func()) (*ib.QP, error) {
 	if s.crashed {
-		return nil, 0, fmt.Errorf("hpbd: server %s is down", s.name)
+		return nil, fmt.Errorf("hpbd: server %s is down", s.name)
 	}
 	if s.tn != nil && s.tn.spec.Find(tenantID) == nil {
-		return nil, 0, fmt.Errorf("hpbd: server %s has no tenant %q in its QoS spec", s.name, tenantID)
+		return nil, fmt.Errorf("hpbd: server %s has no tenant %q in its QoS spec", s.name, tenantID)
 	}
 	if size > s.ledger.Free() {
-		return nil, 0, fmt.Errorf("hpbd: server %s cannot export %d bytes (%d free)", s.name, size, s.FreeBytes())
+		return nil, fmt.Errorf("hpbd: server %s cannot export %d bytes (%d free)", s.name, size, s.FreeBytes())
 	}
 	off, err := s.ledger.Allocate(tenantID, size)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	qp := s.hca.CreateQP(s.dataCQ, s.reqCQ)
 	ib.Connect(clientQP, qp)
 	conn := &clientConn{
-		qp:       qp,
-		areaOff:  off,
-		areaSize: size,
-		recvMR:   s.hca.RegisterMRAtSetup(make([]byte, recvDepth*wire.RequestSize)),
-		tenantID: tenantID,
+		qp:          qp,
+		areaOff:     off,
+		areaSize:    size,
+		recvMR:      s.hca.RegisterMRAtSetup(make([]byte, recvDepth*wire.RequestSize)),
+		tenantID:    tenantID,
+		reclaimKick: reclaimKick,
 	}
 	s.conns[qp] = conn
 	// The paper path posts a new connection's window outright: StarveRecv
@@ -419,10 +419,10 @@ func (s *Server) attach(clientQP *ib.QP, size int64, tenantID string) (*ib.QP, i
 	}
 	for i := 0; i < recvDepth; i++ {
 		if err := post(recvSlot{conn: conn, slot: i}); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	return qp, conn.areaOff, nil
+	return qp, nil
 }
 
 // recvLoop is the daemon's main thread: it drains request completions,

@@ -576,14 +576,6 @@ func (s *Server) TenantQuota(qp *ib.QP) int64 {
 	return 0
 }
 
-// setReclaimKick registers the owning device's reclaim wakeup for a
-// connection (called from ConnectServer when the device has a reclaimer).
-func (s *Server) setReclaimKick(qp *ib.QP, kick func()) {
-	if conn := s.conns[qp]; conn != nil {
-		conn.reclaimKick = kick
-	}
-}
-
 // TenantStat is one tenant's server-side QoS snapshot (hpbdctl tenants).
 type TenantStat struct {
 	ID       string
@@ -666,7 +658,7 @@ func (d *Device) reclaimPass(p *sim.Proc) bool {
 	for _, link := range d.links {
 		// startByte < 0: an elastic directory-mapped link; reclaim only
 		// addresses the legacy blocked layout.
-		if link.down || link.removed || link.srvQP == nil || link.srv.Crashed() || link.startByte < 0 {
+		if link.down || link.srv.Crashed() || link.startByte < 0 {
 			continue
 		}
 		quota := link.srv.TenantQuota(link.srvQP)

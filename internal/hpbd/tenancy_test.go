@@ -204,7 +204,7 @@ func TestUnquotedTenantUnaffected(t *testing.T) {
 // of the golden artifacts is asserted by the experiments suite; this
 // guards the API surface).
 func TestTenancyOffIdentical(t *testing.T) {
-	tb := newTestbed(t, 1, 1<<20, DefaultClientConfig())
+	tb := newBed(t, bedOpts{})
 	if got := tb.servers[0].TenantStats(); got != nil {
 		t.Errorf("TenantStats without tenancy = %+v, want nil", got)
 	}

@@ -3,11 +3,13 @@ package lint
 // The handleonce analyzer: a request handle removed from an in-flight
 // tracking map must be settled on exactly one path — completed, requeued
 // or handed off — never dropped, never settled twice. This is the
-// invariant behind the client's pending map: every delete(d.pending, h)
-// is followed by exactly one of finishPhys / retryOrRoute /
-// routeDegraded / re-insertion under a fresh handle (the failover and
-// migration requeue discipline), and a path that forgets loses the
-// request while a path that settles twice completes it twice.
+// invariant behind a pending map: every delete(d.pending, h) is followed
+// by exactly one of completion / requeue / re-insertion under a fresh
+// handle (the failover and migration requeue discipline), and a path that
+// forgets loses the request while a path that settles twice completes it
+// twice. (The HPBD client's own table deletes only inside inflight.take,
+// which returns the request: ownership moves to the caller there and this
+// analyzer does not follow it; the client's tests do.)
 //
 // Tracked maps are discovered per package: any map identity (field or
 // local) with a pointer-to-named-struct element that sees BOTH an index

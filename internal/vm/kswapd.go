@@ -40,31 +40,23 @@ func (s *System) kswapd(p *sim.Proc) {
 		// application times to swap device latency).
 		for s.freePages < s.cfg.FreeLow && noProgress < 3 {
 			freed, writes := s.shrink(p, s.cfg.SwapClusterMax)
-			inflight := len(writes)
-			if inflight > 0 {
-				// 2.4 kswapd launders synchronously: it waits for its
-				// batch before scanning again, so background reclaim
-				// cannot outrun the swap device.
-				s.finalizeWrites(p, writes)
-				freed += inflight
-			}
-			switch {
-			case freed == 0 && inflight == 0:
-				// No progress possible right now (nothing on the lists,
-				// everything referenced, or swap full). Back off briefly,
-				// then park again; allocators re-wake us.
-				noProgress++
-				if noProgress >= 3 {
-					s.lastScanFutile = true
-				}
-				s.kswapdWake.WaitTimeout(p, 2*sim.Millisecond)
-			case freed == 0:
-				// Throttle: wait for some write-back to finish.
+			// 2.4 kswapd launders synchronously: it waits for its batch
+			// before scanning again, so background reclaim cannot outrun
+			// the swap device.
+			freed += s.finalizeWrites(p, writes)
+			if freed > 0 {
 				noProgress = 0
-				s.freeWait.WaitTimeout(p, 5*sim.Millisecond)
-			default:
-				noProgress = 0
+				continue
 			}
+			// No progress possible right now (nothing on the lists,
+			// everything referenced, swap full, or every write-back
+			// failed). Back off briefly, then park again; allocators
+			// re-wake us.
+			noProgress++
+			if noProgress >= 3 {
+				s.lastScanFutile = true
+			}
+			s.kswapdWake.WaitTimeout(p, 2*sim.Millisecond)
 		}
 	}
 }
@@ -99,11 +91,12 @@ type writeout struct {
 	start sim.Time // submission, for the swap-out latency histogram
 }
 
-// finalizeWrites waits for each write-back and finalizes its page. It runs
-// on kswapd's watcher for background reclaim, or synchronously on the
+// finalizeWrites waits for each write-back and finalizes its page, and
+// returns how many frames that freed: a failed write-back frees none. It
+// runs on kswapd's watcher for background reclaim, or synchronously on the
 // allocating process for direct reclaim (the Linux 2.4 balance_classzone
 // path that couples application progress to swap device latency).
-func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) {
+func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) (freed int) {
 	for _, w := range writes {
 		err := w.h.wait(p)
 		pg := w.pg
@@ -124,6 +117,7 @@ func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) {
 		} else {
 			pg.state = PageSwappedOut
 			s.releaseFrame()
+			freed++
 		}
 		ev := pg.ioDone
 		pg.ioDone = nil
@@ -131,6 +125,7 @@ func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) {
 			ev.Trigger()
 		}
 	}
+	return freed
 }
 
 // directReclaim is the synchronous reclaim an allocating process performs
@@ -138,11 +133,7 @@ func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) {
 func (s *System) directReclaim(p *sim.Proc) int {
 	s.stats.DirectReclaims++
 	freed, writes := s.shrink(p, s.cfg.SwapClusterMax)
-	if len(writes) > 0 {
-		s.finalizeWrites(p, writes)
-		freed += len(writes)
-	}
-	return freed
+	return freed + s.finalizeWrites(p, writes)
 }
 
 // shrink evicts up to batch pages from the inactive tail. It returns the

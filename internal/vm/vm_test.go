@@ -200,6 +200,38 @@ func TestOOMWhenSwapFull(t *testing.T) {
 	}
 }
 
+// TestFailedSwapDeviceEndsInOOM pins the reclaim accounting on a swap
+// device whose every write fails (a fail-stop HPBD client after a server
+// crash): a failed write-back frees no frame, so reclaim must count it as
+// no progress, the faulting process must get ErrOutOfMemory, and kswapd
+// must park instead of laundering the same pages for ever.
+func TestFailedSwapDeviceEndsInOOM(t *testing.T) {
+	const memPages = 64
+	r := newRig(memPages, 4096, 30*sim.Microsecond)
+	r.dev.fail = true
+	as := r.sys.NewAddressSpace("a", 4*memPages)
+	var sawErr error
+	r.env.Go("test", func(p *sim.Proc) {
+		for i := 0; i < 4*memPages && sawErr == nil; i++ {
+			sawErr = as.Touch(p, i, true)
+		}
+	})
+	r.env.RunUntil(sim.Time(60 * sim.Second))
+	idle := r.env.Idle()
+	r.env.Close()
+	if sawErr != ErrOutOfMemory {
+		t.Errorf("err = %v, want ErrOutOfMemory", sawErr)
+	}
+	if !idle {
+		t.Error("reclaim is still scheduling events 60 s in: kswapd is live-locked on the failed device")
+	}
+	// The OOM wait re-wakes kswapd 200 times and each wake launders at
+	// most three batches; anything near the live-lock's rate is far above.
+	if got, limit := r.sys.Stats().SwapOuts, uint64(700*memPages); uint64(got) > limit {
+		t.Errorf("SwapOuts = %d, want <= %d (resident pages laundered over and over)", got, limit)
+	}
+}
+
 func TestReleaseReturnsFramesAndSlots(t *testing.T) {
 	r := newRig(128, 4096, 0)
 	as := r.sys.NewAddressSpace("a", 256)

@@ -15,29 +15,19 @@ import (
 )
 
 func run(kind cluster.SwapKind, mem int64, bodies int) sim.Duration {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cluster.Config{
+	_, elapsed, err := cluster.Run(cluster.Config{
 		MemBytes:  mem,
 		Swap:      kind,
 		SwapBytes: 32 << 20,
 		Servers:   1,
+	}, func(node *cluster.Node) []cluster.Proc {
+		b := workload.NewBarnes(node.VM, "barnes", bodies, 2, rand.New(rand.NewSource(3)))
+		return []cluster.Proc{{Name: "barnes", Run: b.Run}}
 	})
 	if err != nil {
-		log.Fatalf("build node: %v", err)
+		log.Fatal(err)
 	}
-	b := workload.NewBarnes(node.VM, "barnes", bodies, 2, rand.New(rand.NewSource(3)))
-	var elapsed sim.Duration
-	env.Go("barnes", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		if err := b.Run(p); err != nil {
-			log.Fatalf("barnes: %v", err)
-		}
-		elapsed = p.Now().Sub(t0)
-	})
-	env.Run()
-	env.Close()
-	return elapsed
+	return elapsed[0]
 }
 
 func main() {

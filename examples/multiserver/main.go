@@ -20,104 +20,63 @@ import (
 
 const elems = 4 << 20 // 16 MB per instance
 
-func twoSorts(mem int64, servers int) [2]sim.Duration {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cluster.Config{
+// sorts runs n concurrent quick sorts of elems integers each on the node
+// cfg describes and returns the node and each sort's virtual time.
+func sorts(cfg cluster.Config, n, elems int, seed int64) (*cluster.Node, []sim.Duration) {
+	node, times, err := cluster.Run(cfg, func(node *cluster.Node) []cluster.Proc {
+		var procs []cluster.Proc
+		for k := 0; k < n; k++ {
+			q := workload.NewQuicksort(node.VM, fmt.Sprintf("qsort%d", k), elems,
+				rand.New(rand.NewSource(seed+int64(k))))
+			procs = append(procs, cluster.Proc{Name: fmt.Sprintf("inst%d", k), Run: q.Run})
+		}
+		return procs
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return node, times
+}
+
+func twoSorts(mem int64, servers int) []sim.Duration {
+	_, times := sorts(cluster.Config{
 		MemBytes:  mem,
 		Swap:      cluster.SwapHPBD,
 		SwapBytes: 64 << 20,
 		Servers:   servers,
-	})
-	if err != nil {
-		log.Fatalf("build node: %v", err)
-	}
-	var times [2]sim.Duration
-	for k := 0; k < 2; k++ {
-		k := k
-		q := workload.NewQuicksort(node.VM, fmt.Sprintf("qsort%d", k), elems,
-			rand.New(rand.NewSource(int64(k+1))))
-		env.Go(fmt.Sprintf("inst%d", k), func(p *sim.Proc) {
-			node.Ready.Wait(p)
-			t0 := p.Now()
-			if err := q.Run(p); err != nil {
-				log.Fatalf("qsort %d: %v", k, err)
-			}
-			times[k] = p.Now().Sub(t0)
-		})
-	}
-	env.Run()
-	env.Close()
+	}, 2, elems, 1)
 	return times
 }
 
-func oneSortServers(servers int) sim.Duration {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cluster.Config{
-		MemBytes:  16 << 20,
-		Swap:      cluster.SwapHPBD,
-		SwapBytes: 32 << 20,
-		Servers:   servers,
-	})
-	if err != nil {
-		log.Fatalf("build node: %v", err)
-	}
-	q := workload.NewQuicksort(node.VM, "qsort", 8<<20, rand.New(rand.NewSource(7)))
-	var elapsed sim.Duration
-	env.Go("qsort", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		if err := q.Run(p); err != nil {
-			log.Fatalf("qsort: %v", err)
-		}
-		elapsed = p.Now().Sub(t0)
-	})
-	env.Run()
-	env.Close()
-	return elapsed
+// oneSort sorts 32 MB on a 16 MB node whose 32 MB swap area is spread
+// over servers, playing the given membership schedule.
+func oneSort(servers int, ops []cluster.MemberOp) (*cluster.Node, sim.Duration) {
+	node, times := sorts(cluster.Config{
+		MemBytes:   16 << 20,
+		Swap:       cluster.SwapHPBD,
+		SwapBytes:  32 << 20,
+		Servers:    servers,
+		Membership: ops,
+	}, 1, 8<<20, 7)
+	return node, times[0]
 }
 
-// resizeFleet runs a sort on an elastic two-server node, grows the
-// fleet mid-run, then drains and removes a founding server once the
-// sort is done — the full resize lifecycle with swap traffic flowing.
+// resizeFleet runs a sort on an elastic two-server node, grows the fleet
+// mid-run, then drains and removes a founding server — the full resize
+// lifecycle with swap traffic flowing, written as a membership schedule.
 func resizeFleet() {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cluster.Config{
-		MemBytes:  16 << 20,
-		Swap:      cluster.SwapHPBD,
-		SwapBytes: 32 << 20,
-		Servers:   2,
-	})
-	if err != nil {
-		log.Fatalf("build node: %v", err)
-	}
-	q := workload.NewQuicksort(node.VM, "qsort", 8<<20, rand.New(rand.NewSource(7)))
-	env.Go("qsort", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		if err := q.Run(p); err != nil {
-			log.Fatalf("qsort: %v", err)
-		}
-		fmt.Printf("  sort finished in %v (fleet grew mid-run)\n", p.Now().Sub(t0))
-	})
-	env.Go("membership", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		p.Sleep(20 * sim.Millisecond) // let the sort start swapping
-		t0 := p.Now()
+	const start = 20 * sim.Millisecond // let the sort start swapping
+	node, elapsed := oneSort(2, []cluster.MemberOp{
 		// The newcomer is twice a founder's size: big enough that its
-		// leftover headroom can absorb a founder's ranges when we
-		// decommission mem0 below (founders boot fully allocated).
-		if _, err := node.GrowFleet(p, 32<<20); err != nil {
-			log.Fatalf("grow fleet: %v", err)
-		}
-		fmt.Printf("  grew to 3 servers, rebalanced in %v\n", p.Now().Sub(t0))
-		t0 = p.Now()
-		if err := node.Decommission(p, "mem0"); err != nil {
-			log.Fatalf("decommission mem0: %v", err)
-		}
-		fmt.Printf("  drained and removed mem0 in %v\n", p.Now().Sub(t0))
+		// leftover headroom can absorb a founder's ranges when mem0 is
+		// decommissioned (founders boot fully allocated).
+		{At: start, Kind: cluster.Grow, Area: 32 << 20},
+		{At: start, Kind: cluster.Decommission, Server: "mem0"},
 	})
-	env.Run()
-	env.Close()
+	grow, retire := node.Ops[0], node.Ops[1]
+	fmt.Printf("  grew to 3 servers, rebalanced in %v\n", grow.End.Sub(grow.Start))
+	fmt.Printf("  drained and removed mem0 in %v\n", retire.End.Sub(retire.Start))
+	fmt.Printf("  sort finished in %v (fleet grew mid-run)\n", elapsed)
 	fmt.Println("  final placement directory:")
 	node.HPBD.Directory().Dump(os.Stdout)
 }
@@ -130,7 +89,8 @@ func main() {
 	}
 	fmt.Println("\none sort (32 MB) with the swap area over N servers:")
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		fmt.Printf("  %2d servers: %v\n", n, oneSortServers(n))
+		_, t := oneSort(n, nil)
+		fmt.Printf("  %2d servers: %v\n", n, t)
 	}
 	fmt.Println("\nresizing the fleet under a running sort (2 -> 3 -> 2 servers):")
 	resizeFleet()

@@ -17,60 +17,36 @@ import (
 	"hpbd/internal/workload"
 )
 
-func run(kind cluster.SwapKind, reg func(*sim.Env) *telemetry.Registry) sim.Duration {
-	env := sim.NewEnv()
-	cfg := cluster.Config{
+func run(kind cluster.SwapKind, trace bool) (sim.Duration, *telemetry.Registry) {
+	node, elapsed, err := cluster.Run(cluster.Config{
 		MemBytes:  16 << 20, // 16 MB of local memory
 		Swap:      kind,
 		SwapBytes: 32 << 20, // 32 MB swap area
 		Servers:   1,
-	}
-	if reg != nil {
-		cfg.Telemetry = reg(env)
-	}
-	node, err := cluster.Build(env, cfg)
-	if err != nil {
-		log.Fatalf("build node: %v", err)
-	}
-	// testswap writes a 32 MB array sequentially: twice local memory, so
-	// half of it must stream out to the swap device.
-	ts := workload.NewTestswap(node.VM, 32<<20)
-	var elapsed sim.Duration
-	env.Go("testswap", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		if err := ts.Run(p); err != nil {
-			log.Fatalf("testswap: %v", err)
-		}
-		elapsed = p.Now().Sub(t0)
+		Trace:     trace,
+	}, func(node *cluster.Node) []cluster.Proc {
+		// testswap writes a 32 MB array sequentially: twice local memory,
+		// so half of it must stream out to the swap device.
+		return []cluster.Proc{{Name: "testswap", Run: workload.NewTestswap(node.VM, 32<<20).Run}}
 	})
-	env.Run()
-	env.Close()
-	return elapsed
+	if err != nil {
+		log.Fatal(err)
+	}
+	return elapsed[0], node.Tel
 }
 
 func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace of the HPBD run to this path")
 	flag.Parse()
 
-	var traced *telemetry.Registry
-	var mkReg func(*sim.Env) *telemetry.Registry
-	if *tracePath != "" {
-		mkReg = func(env *sim.Env) *telemetry.Registry {
-			traced = telemetry.New(env)
-			traced.EnableTracing()
-			return traced
-		}
-	}
-
 	fmt.Println("testswap: 32 MB sequential store, 16 MB local memory")
-	hpbd := run(cluster.SwapHPBD, mkReg)
-	disk := run(cluster.SwapDisk, nil)
+	hpbd, traced := run(cluster.SwapHPBD, *tracePath != "")
+	disk, _ := run(cluster.SwapDisk, false)
 	fmt.Printf("  swap to remote memory (HPBD/InfiniBand): %v\n", hpbd)
 	fmt.Printf("  swap to local disk:                      %v\n", disk)
 	fmt.Printf("  remote memory is %.1fx faster\n", float64(disk)/float64(hpbd))
 
-	if traced != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			log.Fatalf("trace: %v", err)

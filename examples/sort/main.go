@@ -17,32 +17,23 @@ import (
 const elems = 8 << 20 // 8 Mi int32 = 32 MB
 
 func run(kind cluster.SwapKind, mem int64) sim.Duration {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cluster.Config{
+	var q *workload.Quicksort
+	_, elapsed, err := cluster.Run(cluster.Config{
 		MemBytes:  mem,
 		Swap:      kind,
 		SwapBytes: 64 << 20,
 		Servers:   1,
+	}, func(node *cluster.Node) []cluster.Proc {
+		q = workload.NewQuicksort(node.VM, "qsort", elems, rand.New(rand.NewSource(42)))
+		return []cluster.Proc{{Name: "qsort", Run: q.Run}}
 	})
 	if err != nil {
-		log.Fatalf("build node: %v", err)
+		log.Fatal(err)
 	}
-	q := workload.NewQuicksort(node.VM, "qsort", elems, rand.New(rand.NewSource(42)))
-	var elapsed sim.Duration
-	env.Go("qsort", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		if err := q.Run(p); err != nil {
-			log.Fatalf("qsort: %v", err)
-		}
-		elapsed = p.Now().Sub(t0)
-	})
-	env.Run()
-	env.Close()
 	if !q.Sorted() {
 		log.Fatal("output not sorted!")
 	}
-	return elapsed
+	return elapsed[0]
 }
 
 func main() {

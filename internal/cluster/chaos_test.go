@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,60 +35,51 @@ func chaosPattern(n int, seed byte) []byte {
 // from the survivor — zero corruption, with the loss visible as degraded
 // writes on the mirror and a link failure on the dead replica.
 func TestMirroredCrashNoCorruption(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	reg := telemetry.New(env)
-	node, err := Build(env, Config{
+	const (
+		blocks     = 32
+		blockBytes = 4096
+	)
+	secPerBlock := int64(blockBytes / blockdev.SectorSize)
+	node, _, err := Run(Config{
 		MemBytes:  1 << 20,
 		Swap:      SwapHPBD,
 		SwapBytes: 4 << 20,
 		Servers:   1,
 		Mirror:    true,
 		Faults:    mustSpec(t, "crash@300us=mem0"),
-		Telemetry: reg,
+	}, func(node *Node) []Proc {
+		return []Proc{{Name: "chaos", Run: func(p *sim.Proc) error {
+			for i := 0; i < blocks; i++ {
+				w, err := node.Queue.Submit(true, int64(i)*secPerBlock, chaosPattern(blockBytes, byte(i)))
+				if err != nil {
+					return fmt.Errorf("submit write %d: %w", i, err)
+				}
+				node.Queue.Unplug()
+				if err := w.Wait(p); err != nil {
+					return fmt.Errorf("write %d: %w", i, err)
+				}
+				p.Sleep(20 * sim.Microsecond) // stretch the stream across the crash
+			}
+			for i := 0; i < blocks; i++ {
+				buf := make([]byte, blockBytes)
+				r, err := node.Queue.Submit(false, int64(i)*secPerBlock, buf)
+				if err != nil {
+					return fmt.Errorf("submit read %d: %w", i, err)
+				}
+				node.Queue.Unplug()
+				if err := r.Wait(p); err != nil {
+					return fmt.Errorf("read %d: %w", i, err)
+				}
+				if !bytes.Equal(buf, chaosPattern(blockBytes, byte(i))) {
+					t.Errorf("block %d corrupted after replica loss", i)
+				}
+			}
+			return nil
+		}}}
 	})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatal(err)
 	}
-	const (
-		blocks     = 32
-		blockBytes = 4096
-	)
-	secPerBlock := int64(blockBytes / blockdev.SectorSize)
-	env.Go("chaos", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		for i := 0; i < blocks; i++ {
-			w, err := node.Queue.Submit(true, int64(i)*secPerBlock, chaosPattern(blockBytes, byte(i)))
-			if err != nil {
-				t.Errorf("submit write %d: %v", i, err)
-				return
-			}
-			node.Queue.Unplug()
-			if err := w.Wait(p); err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
-			}
-			p.Sleep(20 * sim.Microsecond) // stretch the stream across the crash
-		}
-		for i := 0; i < blocks; i++ {
-			buf := make([]byte, blockBytes)
-			r, err := node.Queue.Submit(false, int64(i)*secPerBlock, buf)
-			if err != nil {
-				t.Errorf("submit read %d: %v", i, err)
-				return
-			}
-			node.Queue.Unplug()
-			if err := r.Wait(p); err != nil {
-				t.Errorf("read %d: %v", i, err)
-				return
-			}
-			if !bytes.Equal(buf, chaosPattern(blockBytes, byte(i))) {
-				t.Errorf("block %d corrupted after replica loss", i)
-			}
-		}
-	})
-	env.Run()
-
 	if got := node.Tel.Counter("faultsim.injected").Value(); got != 1 {
 		t.Errorf("faults injected = %d, want 1", got)
 	}
@@ -139,49 +131,34 @@ func assertNodeExactPartition(t *testing.T, node *Node) {
 // trace (fault injection and link failure instants) and in the lifecycle
 // records.
 func TestMirroredWorkloadSurvivesCrash(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	reg := telemetry.New(env)
-	reg.EnableTracing()
-	node, err := Build(env, Config{
+	const pages = 1024 // 4 MB through 2 MB of RAM: must swap
+	node, elapsed, err := Run(Config{
 		MemBytes:  2 << 20,
 		Swap:      SwapHPBD,
 		SwapBytes: 8 << 20,
 		Servers:   1, // per replica: mem0 backs hpbd0, mem1 backs hpbd1
 		Mirror:    true,
 		Faults:    mustSpec(t, "crash@3ms=mem0"),
-		Telemetry: reg,
+		Trace:     true,
+	}, func(node *Node) []Proc {
+		as := node.VM.NewAddressSpace("w", pages)
+		return []Proc{{Name: "w", Run: func(p *sim.Proc) error {
+			for i := 0; i < pages; i++ {
+				if err := as.Touch(p, i, true); err != nil {
+					return fmt.Errorf("Touch %d: %w", i, err)
+				}
+				p.Sleep(10 * sim.Microsecond)
+			}
+			// Second pass re-reads everything, forcing swap-ins that must
+			// now be served by the surviving replica.
+			return touchAll(p, as, pages, false)
+		}}}
 	})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatal(err)
 	}
-	const pages = 1024 // 4 MB through 2 MB of RAM: must swap
-	as := node.VM.NewAddressSpace("w", pages)
-	var elapsed sim.Duration
-	env.Go("w", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		for i := 0; i < pages; i++ {
-			if err := as.Touch(p, i, true); err != nil {
-				t.Errorf("Touch %d: %v", i, err)
-				return
-			}
-			p.Sleep(10 * sim.Microsecond)
-		}
-		// Second pass re-reads everything, forcing swap-ins that must
-		// now be served by the surviving replica.
-		for i := 0; i < pages; i++ {
-			if err := as.Touch(p, i, false); err != nil {
-				t.Errorf("re-Touch %d: %v", i, err)
-				return
-			}
-		}
-		elapsed = p.Now().Sub(t0)
-	})
-	env.Run()
-
-	if elapsed <= 3*sim.Millisecond {
-		t.Fatalf("workload finished in %v, before the 3ms crash — it never exercised recovery", elapsed)
+	if elapsed[0] <= 3*sim.Millisecond {
+		t.Fatalf("workload finished in %v, before the 3ms crash — it never exercised recovery", elapsed[0])
 	}
 	if got := node.Tel.Counter("faultsim.injected").Value(); got != 1 {
 		t.Errorf("faults injected = %d, want 1", got)
@@ -195,7 +172,7 @@ func TestMirroredWorkloadSurvivesCrash(t *testing.T) {
 	assertNodeExactPartition(t, node)
 
 	var buf bytes.Buffer
-	if err := reg.Tracer().WriteJSON(&buf); err != nil {
+	if err := node.Tel.Tracer().WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	tr := buf.String()

@@ -56,7 +56,9 @@ func (k SwapKind) String() string {
 
 // Config describes one node and its swap backing.
 type Config struct {
-	// MemBytes is local memory available to applications.
+	// MemBytes is local memory available to applications. Zero builds no
+	// VM: the node is its block devices behind their queues, driven
+	// directly (data-path rigs, per-tenant fleets). HPBD only.
 	MemBytes int64
 	// Swap selects the backing store kind.
 	Swap SwapKind
@@ -99,23 +101,41 @@ type Config struct {
 	// Registry.EnableTracing). Layer-specific overrides (Client.Telemetry,
 	// IB.Telemetry, ...) win over this when set.
 	Telemetry *telemetry.Registry
+	// Trace enables span tracing on the node registry before anything is
+	// built on it (components pick the tracer up at construction).
+	Trace bool
 	// Health, if non-nil, runs the fleet health engine over the node's
 	// registry: a sim-time sampler, SLO burn-rate tracking and anomaly
 	// rules (see internal/health). The zero Config selects the documented
 	// defaults. Nil (the default) runs no health code at all and keeps
 	// every output surface byte-identical.
 	Health *health.Config
-	// Tenancy, if non-nil, provisions every HPBD server with the
-	// multi-tenant QoS spec: per-tenant credit partitioning of the
-	// receive window, weighted fair scheduling of RDMA issue, and
-	// per-tenant memory quotas (see internal/tenant and hpbd/tenancy.go).
-	// The node's own device attaches as TenantID. Nil (the default) keeps
-	// every output surface byte-identical to a single-tenant node. HPBD
-	// only. Multi-device fleets are built with NewTenantFleet.
+	// Tenancy, if non-nil, provisions every HPBD server — founders and
+	// the ones GrowFleet spawns — with the multi-tenant QoS spec:
+	// per-tenant credit partitioning of the receive window, weighted fair
+	// scheduling of RDMA issue, and per-tenant memory quotas (see
+	// internal/tenant and hpbd/tenancy.go). Nil (the default) keeps every
+	// output surface byte-identical to a single-tenant node. HPBD only.
 	Tenancy *tenant.Spec
 	// TenantID is the identity the node's device presents when Tenancy is
-	// set (default: the spec's first tenant).
+	// set. Empty means the spec's first tenant on a node with a VM (which
+	// swaps through one device) and every tenant on a VM-less one: a
+	// per-tenant fleet, one device per tenant over one shared server set
+	// (Node.Tenants), each server's store holding one area per tenant and
+	// SwapBytes being the size of each tenant's device.
 	TenantID string
+	// Membership is the node's fleet-membership schedule: one process
+	// plays the ops in order once the node is ready and records each on
+	// Node.Ops (see MemberOp). HPBD only.
+	Membership []MemberOp
+}
+
+// diskParams is the disk model of the swap disk and the fallback disks.
+func (c Config) diskParams() disk.Params {
+	if c.Disk != nil {
+		return *c.Disk
+	}
+	return disk.DefaultParams()
 }
 
 // Node is an assembled machine.
@@ -137,20 +157,28 @@ type Node struct {
 	// queue runs over.
 	HPBD2  *hpbd.Device
 	Mirror *mirror.Device
+	// Tenants is the per-tenant fleet's client stacks, in spec order;
+	// such a node has no single swap queue, so Queue is nil.
+	Tenants []*TenantNode
 	// Faults is the fault injector when Config.Faults was given.
 	Faults *faultsim.Injector
 	// Health is the fleet health monitor when Config.Health was given.
 	Health *health.Monitor
+	// Ops records every membership op played so far, in completion order.
+	Ops []OpRecord
 
 	// Ready triggers when the swap device is attached (the NBD dial
 	// happens in simulated time); workloads should wait on it.
-	Ready *sim.Event
+	Ready   *sim.Event
+	readyAt sim.Time
+	played  bool // Config.Membership has been played to its end (or its first failure)
 
-	// Membership-controller state (HPBD nodes; see membership.go).
+	// Fleet state behind spawn and the membership ops (see fleet.go).
 	fabric   *ib.Fabric
+	sets     [][]*hpbd.Device // devices by the server set they share
 	scfg     func(storeBytes int64) hpbd.ServerConfig
+	tenancy  *tenant.Spec
 	srvBatch int // doorbell batch inherited by spawned servers (0: default)
-	nextSrv  int // next memN server name
 }
 
 // Build assembles a node on env.
@@ -158,20 +186,19 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 1
 	}
-	if (cfg.Mirror || cfg.Faults != nil || cfg.FallbackDisk) && cfg.Swap != SwapHPBD {
-		return nil, fmt.Errorf("cluster: Mirror/Faults/FallbackDisk require SwapHPBD, got %s", cfg.Swap)
+	hpbdOnly := cfg.Mirror || cfg.Faults != nil || cfg.FallbackDisk || cfg.Tenancy != nil ||
+		len(cfg.Membership) > 0 || cfg.MemBytes == 0
+	if hpbdOnly && cfg.Swap != SwapHPBD {
+		return nil, fmt.Errorf("cluster: Mirror, Faults, FallbackDisk, Tenancy, Membership and VM-less nodes require SwapHPBD, got %s", cfg.Swap)
 	}
 	if cfg.Tenancy != nil {
-		if cfg.Swap != SwapHPBD {
-			return nil, fmt.Errorf("cluster: Tenancy requires SwapHPBD, got %s", cfg.Swap)
-		}
 		if err := cfg.Tenancy.Validate(); err != nil {
 			return nil, err
 		}
-		if cfg.TenantID == "" {
+		if cfg.TenantID == "" && cfg.MemBytes > 0 {
 			cfg.TenantID = cfg.Tenancy.Tenants[0].ID
 		}
-		if cfg.Tenancy.Find(cfg.TenantID) == nil {
+		if cfg.TenantID != "" && cfg.Tenancy.Find(cfg.TenantID) == nil {
 			return nil, fmt.Errorf("cluster: TenantID %q not in the QoS spec", cfg.TenantID)
 		}
 	}
@@ -179,148 +206,35 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 	if tel == nil {
 		tel = telemetry.New(env)
 	}
-	vmcfg := vm.DefaultConfig(cfg.MemBytes)
-	if cfg.VMConfig != nil {
-		cfg.VMConfig(&vmcfg)
+	if cfg.Trace {
+		tel.EnableTracing()
 	}
-	if vmcfg.Telemetry == nil {
-		vmcfg.Telemetry = tel
+	n := &Node{Env: env, Swap: cfg.Swap, Tel: tel, Ready: sim.NewEvent(env)}
+	host := netmodel.DefaultHost()
+	if cfg.MemBytes > 0 {
+		vmcfg := vm.DefaultConfig(cfg.MemBytes)
+		if cfg.VMConfig != nil {
+			cfg.VMConfig(&vmcfg)
+		}
+		if vmcfg.Telemetry == nil {
+			vmcfg.Telemetry = tel
+		}
+		n.VM = vm.NewSystem(env, vmcfg)
+		host = vmcfg.Host
 	}
-	n := &Node{
-		Env:   env,
-		VM:    vm.NewSystem(env, vmcfg),
-		Swap:  cfg.Swap,
-		Tel:   tel,
-		Ready: sim.NewEvent(env),
-	}
-	host := vmcfg.Host
 
 	switch cfg.Swap {
 	case SwapNone:
-		n.Ready.Trigger()
+		n.finish(cfg)
 
 	case SwapDisk:
-		params := disk.DefaultParams()
-		if cfg.Disk != nil {
-			params = *cfg.Disk
-		}
-		n.Disk = disk.New(env, "hda-swap", cfg.SwapBytes, params)
+		n.Disk = disk.New(env, "hda-swap", cfg.SwapBytes, cfg.diskParams())
 		n.Queue = blockdev.NewQueue(env, host, n.Disk)
 		n.finish(cfg)
 
 	case SwapHPBD:
-		ibcfg := ib.DefaultConfig()
-		if cfg.IB != nil {
-			ibcfg = *cfg.IB
-		}
-		if ibcfg.Telemetry == nil {
-			ibcfg.Telemetry = tel
-		}
-		fabric := ib.NewFabric(env, ibcfg)
-		ccfg := hpbd.DefaultClientConfig()
-		if cfg.Client != nil {
-			ccfg = *cfg.Client
-		}
-		if ccfg.Telemetry == nil {
-			ccfg.Telemetry = tel
-		}
-		// Fault-aware configurations get request recovery by default
-		// unless the caller pinned an explicit client config. The
-		// watchdog timeout matters after a crash: requests already
-		// delivered to the dead server hold credits and would stall the
-		// sender forever without cancel-and-retry.
-		if cfg.Client == nil && (cfg.Mirror || cfg.Faults != nil) {
-			ccfg.MaxRetries = 2
-			ccfg.RequestTimeout = 5 * sim.Millisecond
-		}
-		if cfg.Tenancy != nil {
-			ccfg.Tenant = cfg.TenantID
-			// Credit partitioning surfaces as RNR/quota pushback; the
-			// retry path must be armed for the device to ride it out.
-			if ccfg.MaxRetries == 0 {
-				ccfg.MaxRetries = 8
-			}
-		}
-		area := cfg.SwapBytes / int64(cfg.Servers)
-		area -= area % blockdev.SectorSize
-		if area <= 0 {
-			return nil, fmt.Errorf("cluster: swap area %d too small for %d servers", cfg.SwapBytes, cfg.Servers)
-		}
-		scfg := hpbd.DefaultServerConfig
-		if cfg.ServerCfg != nil {
-			scfg = cfg.ServerCfg
-		}
-		sides := 1
-		if cfg.Mirror {
-			sides = 2
-		}
-		// Server names continue across sides (mem0..memS-1 on the
-		// primary, memS.. on the secondary) so the single-device layout
-		// and its telemetry are byte-identical to earlier revisions.
-		var devs []*hpbd.Device
-		serverIdx := 0
-		for side := 0; side < sides; side++ {
-			sideCfg := ccfg
-			if cfg.FallbackDisk {
-				params := disk.DefaultParams()
-				if cfg.Disk != nil {
-					params = *cfg.Disk
-				}
-				sideCfg.Fallback = disk.New(env, fmt.Sprintf("hda-fb%d", side), area*int64(cfg.Servers), params)
-			}
-			dev := hpbd.NewDevice(fabric, fmt.Sprintf("hpbd%d", side), sideCfg)
-			for i := 0; i < cfg.Servers; i++ {
-				sc := scfg(area)
-				if sc.Telemetry == nil {
-					sc.Telemetry = tel
-				}
-				if cfg.Tenancy != nil && sc.Tenancy == nil {
-					sc.Tenancy = cfg.Tenancy
-				}
-				// A doorbell-batching client implies batching servers unless an
-				// explicit server config already decided.
-				if cfg.ServerCfg == nil && ccfg.DoorbellBatch > 1 {
-					sc.DoorbellBatch = ccfg.DoorbellBatch
-				}
-				srv := hpbd.NewServer(fabric, fmt.Sprintf("mem%d", serverIdx), sc)
-				serverIdx++
-				if err := dev.ConnectServer(srv, area); err != nil {
-					return nil, err
-				}
-				n.HPBDServers = append(n.HPBDServers, srv)
-			}
-			devs = append(devs, dev)
-		}
-		if cfg.Faults != nil {
-			inj := faultsim.New(env, *cfg.Faults, tel)
-			for _, s := range n.HPBDServers {
-				inj.AddServer(s)
-			}
-			for _, d := range devs {
-				inj.AddClient(d)
-			}
-			fabric.SetFaultHook(inj)
-			inj.Start()
-			n.Faults = inj
-		}
-		n.fabric = fabric
-		n.scfg = scfg
-		if cfg.ServerCfg == nil && ccfg.DoorbellBatch > 1 {
-			n.srvBatch = ccfg.DoorbellBatch
-		}
-		n.nextSrv = serverIdx
-		n.HPBD = devs[0]
-		if cfg.Mirror {
-			n.HPBD2 = devs[1]
-			md, err := mirror.New(env, "md0", devs[0], devs[1])
-			if err != nil {
-				return nil, err
-			}
-			md.SetTelemetry(tel)
-			n.Mirror = md
-			n.Queue = blockdev.NewQueue(env, host, md)
-		} else {
-			n.Queue = blockdev.NewQueue(env, host, devs[0])
+		if err := n.buildFleet(cfg, host); err != nil {
+			return nil, err
 		}
 		n.finish(cfg)
 
@@ -355,20 +269,33 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// finish registers the swap queue with the VM and signals readiness.
+// finish registers the swap queue with the VM, starts the membership
+// schedule and signals readiness.
 func (n *Node) finish(cfg Config) {
-	n.Queue.SetTelemetry(n.Tel)
-	if cfg.LogRequests {
-		n.Queue.EnableLog()
+	if n.Queue != nil {
+		n.Queue.SetTelemetry(n.Tel)
+		if cfg.LogRequests {
+			n.Queue.EnableLog()
+		}
+		if cfg.Elevator {
+			n.Queue.EnableElevator()
+		}
+		if cfg.Health != nil {
+			n.Health = health.NewMonitor(n.Env, n.Tel, *cfg.Health)
+			n.Queue.SetActivityHook(n.Health.Kick)
+			n.Health.Start()
+		}
+		if n.VM != nil {
+			n.VM.AddSwap(n.Queue, 0)
+		}
 	}
-	if cfg.Elevator {
-		n.Queue.EnableElevator()
+	n.played = len(cfg.Membership) == 0
+	if !n.played {
+		n.Env.Go("membership", func(p *sim.Proc) {
+			_ = n.Play(p, cfg.Membership) // a failed op is on n.Ops
+			n.played = true
+		})
 	}
-	if cfg.Health != nil {
-		n.Health = health.NewMonitor(n.Env, n.Tel, *cfg.Health)
-		n.Queue.SetActivityHook(n.Health.Kick)
-		n.Health.Start()
-	}
-	n.VM.AddSwap(n.Queue, 0)
+	n.readyAt = n.Env.Now()
 	n.Ready.Trigger()
 }

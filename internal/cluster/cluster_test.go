@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"hpbd/internal/hpbd"
 	"hpbd/internal/sim"
 	"hpbd/internal/vm"
 )
@@ -11,28 +14,81 @@ import (
 // elapsed virtual time.
 func fill(t *testing.T, cfg Config, pages int) sim.Duration {
 	t.Helper()
-	env := sim.NewEnv()
-	node, err := Build(env, cfg)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	as := node.VM.NewAddressSpace("w", pages)
-	var elapsed sim.Duration
-	env.Go("w", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		for i := 0; i < pages; i++ {
-			if err := as.Touch(p, i, true); err != nil {
-				t.Errorf("Touch: %v", err)
-				return
+	_, elapsed, err := Run(cfg, func(node *Node) []Proc {
+		as := node.VM.NewAddressSpace("w", pages)
+		return []Proc{{Name: "w", Run: func(p *sim.Proc) error {
+			for i := 0; i < pages; i++ {
+				if err := as.Touch(p, i, true); err != nil {
+					return err
+				}
+				p.Sleep(10 * sim.Microsecond)
 			}
-			p.Sleep(10 * sim.Microsecond)
-		}
-		elapsed = p.Now().Sub(t0)
+			return nil
+		}}}
 	})
-	env.Run()
-	env.Close()
-	return elapsed
+	if err != nil {
+		t.Fatal(err)
+	}
+	return elapsed[0]
+}
+
+// TestRunReportsWhatStoppedIt covers Run's three failure reports: a
+// process that is still parked when the event queue drains is named, not
+// returned as an elapsed time of zero; a process's own error comes back
+// under its name; and a membership op that fails is reported even though
+// every process returned.
+func TestRunReportsWhatStoppedIt(t *testing.T) {
+	cfg := Config{MemBytes: 1 << 20, Swap: SwapHPBD, SwapBytes: 4 << 20}
+	procs := func(fn func(p *sim.Proc, n *Node) error) func(*Node) []Proc {
+		return func(n *Node) []Proc {
+			return []Proc{
+				{Name: "fine", Run: func(*sim.Proc) error { return nil }},
+				{Name: "other", Run: func(p *sim.Proc) error { return fn(p, n) }},
+			}
+		}
+	}
+	_, _, err := Run(cfg, procs(func(p *sim.Proc, n *Node) error {
+		sim.NewEvent(n.Env).Wait(p) // nobody triggers it
+		return nil
+	}))
+	if err == nil || !strings.Contains(err.Error(), "other had not returned") {
+		t.Errorf("parked process: err = %v, want it named", err)
+	}
+	_, _, err = Run(cfg, procs(func(*sim.Proc, *Node) error { return vm.ErrOutOfMemory }))
+	if !errors.Is(err, vm.ErrOutOfMemory) || !strings.HasPrefix(err.Error(), "other: ") {
+		t.Errorf("failing process: err = %v, want other: %v", err, vm.ErrOutOfMemory)
+	}
+	cfg.Membership = []MemberOp{{Kind: Drain, Server: "mem9"}}
+	node, _, err := Run(cfg, procs(func(*sim.Proc, *Node) error { return nil }))
+	if err == nil || len(node.Ops) != 1 || node.Ops[0].Err == nil {
+		t.Errorf("failing membership op: err = %v, ops = %+v", err, node.Ops)
+	}
+}
+
+// TestFailStopClientEndsInOOM is the paper's fail-stop client (no
+// recovery) losing a server under swap pressure: every later write-back
+// fails, so the run must end with the workload out of memory — before the
+// vm reclaim fix kswapd laundered the same pages for ever and Run never
+// returned.
+func TestFailStopClientEndsInOOM(t *testing.T) {
+	client := hpbd.DefaultClientConfig()
+	const pages = 4096 // 16 MB over 8 MB of RAM: swapping starts after the crash
+	node, _, err := Run(Config{
+		MemBytes: 8 << 20, Swap: SwapHPBD, SwapBytes: 16 << 20, Servers: 2,
+		Faults: mustSpec(t, "crash@2ms=mem0"), Client: &client,
+	}, func(node *Node) []Proc {
+		as := node.VM.NewAddressSpace("w", pages)
+		return []Proc{{Name: "w", Run: func(p *sim.Proc) error { return touchAll(p, as, pages, true) }}}
+	})
+	if !errors.Is(err, vm.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want %v", err, vm.ErrOutOfMemory)
+	}
+	if !node.HPBD.Failed() {
+		t.Error("the fail-stop device survived its server's crash")
+	}
+	if got, limit := node.VM.Stats().SwapOuts, 700*node.VM.Config().PhysPages; int(got) > limit {
+		t.Errorf("SwapOuts = %d, want <= %d", got, limit)
+	}
 }
 
 func TestBuildEveryKind(t *testing.T) {

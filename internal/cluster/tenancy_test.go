@@ -43,17 +43,18 @@ func submitWait(p *sim.Proc, env *sim.Env, n *TenantNode, write bool, off int64,
 // neighbor's bytes.
 func TestTenantFleetDataIsolation(t *testing.T) {
 	env := sim.NewEnv()
-	fleet, err := NewTenantFleet(env, TenantFleetConfig{
-		Spec:         tenantSpec(t, "pool=32,a:w1,b:w2,c:w4"),
-		Servers:      2,
-		SwapBytesPer: 2 << 20,
+	fleet, err := Build(env, Config{
+		Swap:      SwapHPBD,
+		Tenancy:   tenantSpec(t, "pool=32,a:w1,b:w2,c:w4"),
+		Servers:   2,
+		SwapBytes: 2 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const chunk = 64 << 10
 	got := make(map[string][]byte)
-	for i, n := range fleet.Nodes {
+	for i, n := range fleet.Tenants {
 		n := n
 		seed := byte(i + 1)
 		env.Go("tenant-"+n.ID, func(p *sim.Proc) {
@@ -75,7 +76,7 @@ func TestTenantFleetDataIsolation(t *testing.T) {
 	}
 	env.Run()
 	env.Close()
-	for i, n := range fleet.Nodes {
+	for i, n := range fleet.Tenants {
 		want := tenantPattern(chunk, byte(i+1))
 		if !bytes.Equal(got[n.ID], want) {
 			t.Errorf("tenant %s read back foreign or corrupt bytes", n.ID)
@@ -90,11 +91,12 @@ func TestTenantFleetDataIsolation(t *testing.T) {
 func replayTenancy(t *testing.T, seed int64) string {
 	t.Helper()
 	env := sim.NewEnv()
-	fleet, err := NewTenantFleet(env, TenantFleetConfig{
-		Spec:         tenantSpec(t, "pool=32,a:w1:r4,b:w2:r4,c:w4:r4"),
+	fleet, err := Build(env, Config{
+		Swap:         SwapHPBD,
+		Tenancy:      tenantSpec(t, "pool=32,a:w1:r4,b:w2:r4,c:w4:r4"),
 		Servers:      2,
-		SwapBytesPer: 2 << 20,
-		Fallback:     true,
+		SwapBytes:    2 << 20,
+		FallbackDisk: true,
 		Faults: &faultsim.Schedule{Faults: []faultsim.Fault{
 			{At: 500 * sim.Microsecond, Kind: faultsim.KindCrash, Target: "mem0"},
 		}},
@@ -105,7 +107,7 @@ func replayTenancy(t *testing.T, seed int64) string {
 	var b strings.Builder
 	const page = 4096
 	const pages = 96
-	for i, n := range fleet.Nodes {
+	for i, n := range fleet.Tenants {
 		i, n := i, n
 		env.Go("load-"+n.ID, func(p *sim.Proc) {
 			// An LCG keyed by tenant and seed drives sizes and offsets
@@ -141,7 +143,7 @@ func replayTenancy(t *testing.T, seed int64) string {
 	}
 	env.Run()
 	env.Close()
-	for _, srv := range fleet.Servers {
+	for _, srv := range fleet.HPBDServers {
 		if err := srv.TenancyCheck(); err != nil {
 			t.Errorf("%s conservation after crash replay: %v", srv.Name(), err)
 		}
@@ -152,7 +154,7 @@ func replayTenancy(t *testing.T, seed int64) string {
 		}
 	}
 	b.WriteString(fleet.Tel.Summary())
-	for _, n := range fleet.Nodes {
+	for _, n := range fleet.Tenants {
 		b.WriteString(n.Tel.Summary())
 	}
 	return b.String()
@@ -182,15 +184,16 @@ func TestDeterministicReplayTenancy(t *testing.T) {
 // creditbalance analyzer enforces statically.
 func TestTenancyCreditConservation(t *testing.T) {
 	env := sim.NewEnv()
-	fleet, err := NewTenantFleet(env, TenantFleetConfig{
-		Spec:         tenantSpec(t, "pool=16,a:w1:r2,b:w4:r2,c:w2"),
-		Servers:      2,
-		SwapBytesPer: 2 << 20,
+	fleet, err := Build(env, Config{
+		Swap:      SwapHPBD,
+		Tenancy:   tenantSpec(t, "pool=16,a:w1:r2,b:w4:r2,c:w2"),
+		Servers:   2,
+		SwapBytes: 2 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range fleet.Nodes {
+	for _, n := range fleet.Tenants {
 		n := n
 		for w := 0; w < 4; w++ {
 			w := w
@@ -208,7 +211,7 @@ func TestTenancyCreditConservation(t *testing.T) {
 	}
 	env.Run()
 	env.Close()
-	for _, srv := range fleet.Servers {
+	for _, srv := range fleet.HPBDServers {
 		if err := srv.TenancyCheck(); err != nil {
 			t.Errorf("%s: %v", srv.Name(), err)
 		}

@@ -4,51 +4,29 @@ import (
 	"fmt"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/cluster"
 	"hpbd/internal/hpbd"
 	"hpbd/internal/ib"
-	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 )
 
-// datapathRig drives an HPBD device directly through the block queue
-// (no VM on top), which is what the data-path ablations need: the copy vs
-// register decision and the doorbell cost live entirely below the VM.
-type datapathRig struct {
-	env     *sim.Env
-	dev     *hpbd.Device
-	servers []*hpbd.Server
-	queue   *blockdev.Queue
-}
-
-func newDatapathRig(ibcfg ib.Config, ccfg hpbd.ClientConfig, scfg func(int64) hpbd.ServerConfig, servers int, areaBytes int64) (*datapathRig, error) {
-	env := sim.NewEnv()
-	f := ib.NewFabric(env, ibcfg)
-	dev := hpbd.NewDevice(f, "hpbd0", ccfg)
-	r := &datapathRig{env: env, dev: dev}
-	for i := 0; i < servers; i++ {
-		srv := hpbd.NewServer(f, fmt.Sprintf("mem%d", i), scfg(areaBytes))
-		if err := dev.ConnectServer(srv, areaBytes); err != nil {
-			return nil, err
-		}
-		r.servers = append(r.servers, srv)
+// runDatapath drives an HPBD device directly through the block queue of
+// a VM-less node, which is what the data-path ablations need: the copy vs
+// register decision and the doorbell cost live entirely below the VM. fn
+// is the rig's only workload process; its virtual time is returned.
+func runDatapath(ibcfg ib.Config, ccfg hpbd.ClientConfig, scfg func(int64) hpbd.ServerConfig, areaBytes int64,
+	fn func(p *sim.Proc, rig *cluster.Node) error) (sim.Duration, *cluster.Node, error) {
+	cfg := cluster.Config{
+		Swap: cluster.SwapHPBD, SwapBytes: areaBytes, Servers: 1,
+		IB: &ibcfg, Client: &ccfg, ServerCfg: scfg,
 	}
-	r.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	return r, nil
-}
-
-// run executes fn as the rig's only workload process and returns the
-// virtual time it took.
-func (r *datapathRig) run(fn func(p *sim.Proc) error) (sim.Duration, error) {
-	var elapsed sim.Duration
-	var err error
-	r.env.Go("workload", func(p *sim.Proc) {
-		t0 := p.Now()
-		err = fn(p)
-		elapsed = p.Now().Sub(t0)
+	rig, elapsed, err := cluster.Run(cfg, func(rig *cluster.Node) []cluster.Proc {
+		return []cluster.Proc{{Name: "workload", Run: func(p *sim.Proc) error { return fn(p, rig) }}}
 	})
-	r.env.Run()
-	r.env.Close()
-	return elapsed, err
+	if err != nil {
+		return 0, rig, err
+	}
+	return elapsed[0], rig, nil
 }
 
 // AblationHybrid compares the paper's copy-into-pool data path against the
@@ -72,27 +50,23 @@ func AblationHybrid(c Config) (*Result, error) {
 		for _, size := range []int{4 << 10, 32 << 10, 64 << 10, 128 << 10} {
 			ccfg := hpbd.DefaultClientConfig()
 			ccfg.HybridDataPath = mode.hybrid
-			rig, err := newDatapathRig(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 1, 8<<20)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", res.ID, mode.label, err)
-			}
 			data := make([]byte, size)
-			elapsed, err := rig.run(func(p *sim.Proc) error {
+			elapsed, rig, err := runDatapath(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 8<<20, func(p *sim.Proc, rig *cluster.Node) error {
 				for i := 0; i < reps; i++ {
 					off := int64(i*size) / blockdev.SectorSize
-					w, serr := rig.queue.Submit(true, off, data)
+					w, serr := rig.Queue.Submit(true, off, data)
 					if serr != nil {
 						return serr
 					}
-					rig.queue.Unplug()
+					rig.Queue.Unplug()
 					if werr := w.Wait(p); werr != nil {
 						return werr
 					}
-					rd, serr := rig.queue.Submit(false, off, data)
+					rd, serr := rig.Queue.Submit(false, off, data)
 					if serr != nil {
 						return serr
 					}
-					rig.queue.Unplug()
+					rig.Queue.Unplug()
 					if rerr := rd.Wait(p); rerr != nil {
 						return rerr
 					}
@@ -102,7 +76,7 @@ func AblationHybrid(c Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%d: %w", res.ID, mode.label, size, err)
 			}
-			st := rig.dev.Stats()
+			st := rig.HPBD.Stats()
 			row := Row{
 				Label: fmt.Sprintf("%s/%dK", mode.label, size/1024),
 				Value: elapsed.Micros() / (2 * reps),
@@ -143,25 +117,21 @@ func AblationDoorbell(c Config) (*Result, error) {
 			sc.DoorbellBatch = batch
 			return sc
 		}
-		rig, err := newDatapathRig(ibcfg, ccfg, scfg, 1, 8<<20)
-		if err != nil {
-			return nil, fmt.Errorf("%s/batch-%d: %w", res.ID, batch, err)
-		}
 		data := make([]byte, size)
 		// Stride double the request size so the block queue cannot merge
 		// neighbors back into 128K requests: the burst must reach the
 		// driver as `writes` individual small requests.
 		stride := int64(2*size) / blockdev.SectorSize
-		elapsed, err := rig.run(func(p *sim.Proc) error {
+		elapsed, rig, err := runDatapath(ibcfg, ccfg, scfg, 8<<20, func(p *sim.Proc, rig *cluster.Node) error {
 			ios := make([]*blockdev.IO, 0, writes)
 			for i := 0; i < writes; i++ {
-				w, serr := rig.queue.Submit(true, int64(i)*stride, data)
+				w, serr := rig.Queue.Submit(true, int64(i)*stride, data)
 				if serr != nil {
 					return serr
 				}
 				ios = append(ios, w)
 			}
-			rig.queue.Unplug()
+			rig.Queue.Unplug()
 			for _, w := range ios {
 				if werr := w.Wait(p); werr != nil {
 					return werr
@@ -172,9 +142,9 @@ func AblationDoorbell(c Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/batch-%d: %w", res.ID, batch, err)
 		}
-		st := rig.dev.Stats()
+		st := rig.HPBD.Stats()
 		doorbells := st.Doorbells
-		for _, srv := range rig.servers {
+		for _, srv := range rig.HPBDServers {
 			doorbells += srv.Stats().Doorbells
 		}
 		overhead := sim.Duration(doorbells) * ibcfg.PerDoorbell

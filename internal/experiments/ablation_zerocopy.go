@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/cluster"
 	"hpbd/internal/hpbd"
 	"hpbd/internal/ib"
 	"hpbd/internal/sim"
@@ -115,20 +116,16 @@ func AblationMerge(c Config) (*Result, error) {
 		ccfg := hpbd.DefaultClientConfig()
 		ccfg.Credits = 2 // tight window: the backlog is what builds runs
 		ccfg.MergeWindow = mode.window
-		rig, err := newDatapathRig(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 1, 64<<20)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", res.ID, mode.label, err)
-		}
 		data := make([]byte, size)
-		elapsed, err := rig.run(func(p *sim.Proc) error {
+		elapsed, rig, err := runDatapath(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 64<<20, func(p *sim.Proc, rig *cluster.Node) error {
 			ios := make([]*blockdev.IO, 0, writes)
 			for i := 0; i < writes; i++ {
-				w, serr := rig.queue.Submit(true, int64(i*size)/blockdev.SectorSize, data)
+				w, serr := rig.Queue.Submit(true, int64(i*size)/blockdev.SectorSize, data)
 				if serr != nil {
 					return serr
 				}
 				ios = append(ios, w)
-				rig.queue.Unplug()
+				rig.Queue.Unplug()
 				p.Sleep(pace)
 			}
 			for _, w := range ios {
@@ -144,7 +141,7 @@ func AblationMerge(c Config) (*Result, error) {
 		res.Rows = append(res.Rows, Row{
 			Label: mode.label,
 			Value: elapsed.Micros() / writes,
-			Stat:  fmt.Sprintf("wire ops %d", rig.servers[0].Stats().Writes),
+			Stat:  fmt.Sprintf("wire ops %d", rig.HPBDServers[0].Stats().Writes),
 		})
 	}
 	return res, nil
@@ -176,18 +173,14 @@ func AblationCrossover(c Config) (*Result, error) {
 		ccfg.HybridDataPath = true
 		ccfg.AdaptiveCrossover = mode.adaptive
 		ccfg.CrossoverWindow = 8
-		rig, err := newDatapathRig(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 1, 64<<20)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", res.ID, mode.label, err)
-		}
-		elapsed, err := rig.run(func(p *sim.Proc) error {
+		elapsed, rig, err := runDatapath(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 64<<20, func(p *sim.Proc, rig *cluster.Node) error {
 			small := make([]byte, 4096)
 			for i := 0; i < smalls; i++ {
-				w, serr := rig.queue.Submit(true, int64(i*64), small)
+				w, serr := rig.Queue.Submit(true, int64(i*64), small)
 				if serr != nil {
 					return serr
 				}
-				rig.queue.Unplug()
+				rig.Queue.Unplug()
 				if werr := w.Wait(p); werr != nil {
 					return werr
 				}
@@ -195,11 +188,11 @@ func AblationCrossover(c Config) (*Result, error) {
 			data := make([]byte, size)
 			off := int64(8<<20) / blockdev.SectorSize
 			for i := 0; i < larges; i++ {
-				w, serr := rig.queue.Submit(true, off, data)
+				w, serr := rig.Queue.Submit(true, off, data)
 				if serr != nil {
 					return serr
 				}
-				rig.queue.Unplug()
+				rig.Queue.Unplug()
 				if werr := w.Wait(p); werr != nil {
 					return werr
 				}
@@ -212,8 +205,8 @@ func AblationCrossover(c Config) (*Result, error) {
 		res.Rows = append(res.Rows, Row{
 			Label: mode.label,
 			Value: elapsed.Micros() / (smalls + larges),
-			Stat: fmt.Sprintf("large %d thr %d", rig.dev.Stats().HybridLarge,
-				rig.dev.HybridThreshold()),
+			Stat: fmt.Sprintf("large %d thr %d", rig.HPBD.Stats().HybridLarge,
+				rig.HPBD.HybridThreshold()),
 		})
 	}
 	return res, nil

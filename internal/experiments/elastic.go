@@ -39,7 +39,7 @@ func SweepElastic(c Config) (*Result, error) {
 
 	// Static baseline: same node shape, no membership changes, so the
 	// two runs differ only by the grows.
-	staticRun, node, err := measureElastic(base, data, 0, 0, nil, nil)
+	staticRun, node, err := measure(base, c.Seed, testswapWorkload(data))
 	if err != nil {
 		return nil, fmt.Errorf("%s/static: %w", res.ID, err)
 	}
@@ -50,13 +50,18 @@ func SweepElastic(c Config) (*Result, error) {
 		SLO: node.Health.SLOSummary(),
 	})
 
-	growAt1 := staticRun / 4
-	growAt2 := staticRun / 2
-	var rebal1, rebal2 sim.Duration
-	elapsed, node, err := measureElastic(base, data, growAt1, growAt2, &rebal1, &rebal2)
+	area := base.SwapBytes / int64(base.Servers)
+	grown := base
+	grown.Membership = []cluster.MemberOp{
+		{At: staticRun / 4, Kind: cluster.Grow, N: 2, Area: area},
+		{At: staticRun / 2, Kind: cluster.Grow, N: 4, Area: area},
+	}
+	elapsed, node, err := measure(grown, c.Seed, testswapWorkload(data))
 	if err != nil {
 		return nil, fmt.Errorf("%s/grow: %w", res.ID, err)
 	}
+	rebal1 := node.Ops[0].End.Sub(node.Ops[0].Start)
+	rebal2 := node.Ops[1].End.Sub(node.Ops[1].Start)
 	p50, p99 = swapLatency(node)
 	tel := node.Tel
 	res.Rows = append(res.Rows,
@@ -83,9 +88,7 @@ func SweepElastic(c Config) (*Result, error) {
 // hpbdctl's placement subcommand. The same flags always produce the
 // same bytes.
 func PlacementDump(c Config, servers int) (string, error) {
-	if servers <= 0 {
-		servers = 2
-	}
+	servers = orDefault(servers, 2)
 	s := c.scale()
 	cfg := cluster.Config{
 		MemBytes:  paperMem / s,
@@ -93,27 +96,19 @@ func PlacementDump(c Config, servers int) (string, error) {
 		SwapBytes: paperSwap / s,
 		Servers:   servers,
 	}
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cfg)
+	data := int64(paperData) / (s * 4) // a short stream: the dump is the point
+	grow := []cluster.MemberOp{{Kind: cluster.Grow, Area: cfg.SwapBytes / int64(servers)}}
+	node, _, err := cluster.Run(cfg, func(n *cluster.Node) []cluster.Proc {
+		w := workload.NewTestswap(n.VM, data)
+		return []cluster.Proc{{Name: "workload", Run: func(p *sim.Proc) error {
+			if err := w.Run(p); err != nil {
+				return err
+			}
+			return n.Play(p, grow)
+		}}}
+	})
 	if err != nil {
 		return "", err
-	}
-	data := int64(paperData) / (s * 4) // a short stream: the dump is the point
-	w := workload.NewTestswap(node.VM, data)
-	var runErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		if runErr = w.Run(p); runErr != nil {
-			return
-		}
-		if _, runErr = node.GrowFleet(p, cfg.SwapBytes/int64(servers)); runErr != nil {
-			return
-		}
-	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return "", runErr
 	}
 	dir := node.HPBD.Directory()
 	if dir == nil {
@@ -127,65 +122,4 @@ func PlacementDump(c Config, servers int) (string, error) {
 		node.Tel.Counter("migration.cutovers").Value(),
 		node.Tel.Counter("migration.requeued").Value())
 	return b.String(), nil
-}
-
-// measureElastic runs testswap on an elastic node, optionally growing
-// the fleet 2->4 at growAt1 and 4->8 at growAt2 (virtual time since the
-// node became ready; 0 disables). The rebalance wave durations are
-// written through rebal1/rebal2 when non-nil.
-func measureElastic(ccfg cluster.Config, data int64, growAt1, growAt2 sim.Duration, rebal1, rebal2 *sim.Duration) (sim.Duration, *cluster.Node, error) {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, ccfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	area := ccfg.SwapBytes / int64(ccfg.Servers)
-	w := workload.NewTestswap(node.VM, data)
-	var elapsed sim.Duration
-	var runErr, growErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		runErr = w.Run(p)
-		elapsed = p.Now().Sub(t0)
-	})
-	if growAt1 > 0 {
-		env.Go("membership", func(p *sim.Proc) {
-			node.Ready.Wait(p)
-			t0 := p.Now()
-			p.Sleep(growAt1)
-			w1 := p.Now()
-			for i := 0; i < 2; i++ {
-				if _, err := node.GrowFleet(p, area); err != nil {
-					growErr = fmt.Errorf("grow 2->4: %w", err)
-					return
-				}
-			}
-			if rebal1 != nil {
-				*rebal1 = p.Now().Sub(w1)
-			}
-			if wait := growAt2 - p.Now().Sub(t0); wait > 0 {
-				p.Sleep(wait)
-			}
-			w2 := p.Now()
-			for i := 0; i < 4; i++ {
-				if _, err := node.GrowFleet(p, area); err != nil {
-					growErr = fmt.Errorf("grow 4->8: %w", err)
-					return
-				}
-			}
-			if rebal2 != nil {
-				*rebal2 = p.Now().Sub(w2)
-			}
-		})
-	}
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return 0, node, fmt.Errorf("workload: %w", runErr)
-	}
-	if growErr != nil {
-		return 0, node, growErr
-	}
-	return elapsed, node, nil
 }

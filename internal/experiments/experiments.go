@@ -68,6 +68,14 @@ func (c Config) scale() int64 {
 	return int64(c.Scale)
 }
 
+// orDefault is n, or def when n is not positive.
+func orDefault(n, def int) int {
+	if n <= 0 {
+		return def
+	}
+	return n
+}
+
 // runnable is a workload with a Run method.
 type runnable interface {
 	Run(p *sim.Proc) error
@@ -76,26 +84,13 @@ type runnable interface {
 // measure builds a node, constructs the workload, and returns the virtual
 // time the workload took (after the node became ready).
 func measure(ccfg cluster.Config, seed int64, mk func(*vm.System, *rand.Rand) runnable) (sim.Duration, *cluster.Node, error) {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, ccfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	w := mk(node.VM, rand.New(rand.NewSource(seed)))
-	var elapsed sim.Duration
-	var runErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		t0 := p.Now()
-		runErr = w.Run(p)
-		elapsed = p.Now().Sub(t0)
+	node, elapsed, err := cluster.Run(ccfg, func(n *cluster.Node) []cluster.Proc {
+		return []cluster.Proc{{Name: "workload", Run: mk(n.VM, rand.New(rand.NewSource(seed))).Run}}
 	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return 0, node, fmt.Errorf("workload: %w", runErr)
+	if err != nil {
+		return 0, node, err
 	}
-	return elapsed, node, nil
+	return elapsed[0], node, nil
 }
 
 // swapLatency extracts the node's per-page swap latency quantiles (ms)

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hpbd/internal/cluster"
 	"hpbd/internal/faultsim"
 	"hpbd/internal/health"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
-	"hpbd/internal/vm"
-	"hpbd/internal/workload"
 )
 
 // TraceRunFaults executes testswap over a mirrored HPBD node (servers
@@ -20,43 +17,12 @@ import (
 // lifecycle — plus the recovery counters. Spec syntax is
 // faultsim.ParseSpec's, e.g. "crash@8ms=mem0,delay@2ms+4ms~200us=mem1".
 func TraceRunFaults(c Config, servers int, spec string) (*telemetry.Registry, error) {
-	if servers <= 0 {
-		servers = 1
-	}
 	sched, err := faultsim.ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	s := c.scale()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	reg.EnableTracing()
-	cfg := cluster.Config{
-		MemBytes:  paperMem / s,
-		Swap:      cluster.SwapHPBD,
-		SwapBytes: paperSwap / s,
-		Servers:   servers,
-		Mirror:    true,
-		Faults:    sched,
-		Telemetry: reg,
-	}
-	node, err := cluster.Build(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	data := int64(paperData) / s
-	w := workload.NewTestswap(node.VM, data)
-	var runErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		runErr = w.Run(p)
-	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return reg, fmt.Errorf("faulted workload: %w", runErr)
-	}
-	return reg, nil
+	cfg := cluster.Config{Servers: orDefault(servers, 1), Mirror: true, Faults: sched}
+	return traceMeasure(c, cfg, testswapWorkload(int64(paperData)/c.scale()))
 }
 
 // recoveryStat summarizes a node's recovery activity for a result row.
@@ -89,9 +55,7 @@ func SweepDegraded(c Config) (*Result, error) {
 			"(Network RamDisk) — this measures what the failover costs",
 	}
 	data := int64(paperData) / s
-	mkWorkload := func(sys *vm.System, _ *rand.Rand) runnable {
-		return workload.NewTestswap(sys, data)
-	}
+	mkWorkload := testswapWorkload(data)
 	// The health engine rides along (it only reads the registry, so the
 	// measured times do not move) and its SLO-compliance summary becomes
 	// an extra column: degraded modes should show the latency objective

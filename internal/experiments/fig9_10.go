@@ -14,32 +14,19 @@ import (
 // paper's dual-processor contention scenario) and returns each instance's
 // execution time plus the node for stats inspection.
 func measureTwoOn(ccfg cluster.Config, seed int64, elems int) ([2]sim.Duration, *cluster.Node, error) {
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, ccfg)
-	if err != nil {
+	node, elapsed, err := cluster.Run(ccfg, func(n *cluster.Node) []cluster.Proc {
+		var procs []cluster.Proc
+		for k := 0; k < 2; k++ {
+			q := workload.NewQuicksort(n.VM, fmt.Sprintf("qsort%d", k), elems,
+				rand.New(rand.NewSource(seed+int64(k))))
+			procs = append(procs, cluster.Proc{Name: fmt.Sprintf("inst%d", k), Run: q.Run})
+		}
+		return procs
+	})
+	if node == nil {
 		return [2]sim.Duration{}, nil, err
 	}
-	var times [2]sim.Duration
-	var errs [2]error
-	for k := 0; k < 2; k++ {
-		k := k
-		q := workload.NewQuicksort(node.VM, fmt.Sprintf("qsort%d", k), elems,
-			rand.New(rand.NewSource(seed+int64(k))))
-		env.Go(fmt.Sprintf("inst%d", k), func(p *sim.Proc) {
-			node.Ready.Wait(p)
-			t0 := p.Now()
-			errs[k] = q.Run(p)
-			times[k] = p.Now().Sub(t0)
-		})
-	}
-	env.Run()
-	env.Close()
-	for k := 0; k < 2; k++ {
-		if errs[k] != nil {
-			return times, node, fmt.Errorf("instance %d: %w", k, errs[k])
-		}
-	}
-	return times, node, nil
+	return [2]sim.Duration{elapsed[0], elapsed[1]}, node, err
 }
 
 // Fig9 reproduces the two-concurrent-quick-sorts experiment: execution

@@ -42,31 +42,11 @@ func HealthRun(c Config, servers int, spec string, hcfg health.Config) (*cluster
 		}
 		cfg.Mirror = true
 		cfg.Faults = sched
-		if cfg.Servers <= 0 {
-			cfg.Servers = 2
-		}
+		cfg.Servers = orDefault(servers, 2)
 	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 4
-	}
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	data := int64(paperData) / s
-	w := workload.NewTestswap(node.VM, data)
-	var runErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		runErr = w.Run(p)
-	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return node, fmt.Errorf("health workload: %w", runErr)
-	}
-	return node, nil
+	cfg.Servers = orDefault(cfg.Servers, 4)
+	_, node, err := measure(cfg, c.Seed, testswapWorkload(int64(paperData)/s))
+	return node, err
 }
 
 // HealthTopRun executes testswap over an elastic node that grows 2 -> 4
@@ -74,9 +54,7 @@ func HealthRun(c Config, servers int, spec string, hcfg health.Config) (*cluster
 // returns the node. Its TopTable shows the load moving between placement
 // epochs — the "hpbdctl top" scenario.
 func HealthTopRun(c Config, servers int, hcfg health.Config) (*cluster.Node, error) {
-	if servers <= 0 {
-		servers = 2
-	}
+	servers = orDefault(servers, 2)
 	s := c.scale()
 	cfg := cluster.Config{
 		MemBytes:  paperMem / s,
@@ -85,38 +63,11 @@ func HealthTopRun(c Config, servers int, hcfg health.Config) (*cluster.Node, err
 		Servers:   servers,
 		Health:    &hcfg,
 	}
-	env := sim.NewEnv()
-	node, err := cluster.Build(env, cfg)
-	if err != nil {
-		return nil, err
+	cfg.Membership = []cluster.MemberOp{
+		{At: 2 * sim.Millisecond, Kind: cluster.Grow, N: servers, Area: cfg.SwapBytes / int64(servers)},
 	}
-	area := cfg.SwapBytes / int64(servers)
-	data := int64(paperData) / s
-	w := workload.NewTestswap(node.VM, data)
-	var runErr, growErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		runErr = w.Run(p)
-	})
-	env.Go("membership", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		p.Sleep(2 * sim.Millisecond)
-		for i := 0; i < servers; i++ {
-			if _, err := node.GrowFleet(p, area); err != nil {
-				growErr = fmt.Errorf("grow: %w", err)
-				return
-			}
-		}
-	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return node, fmt.Errorf("top workload: %w", runErr)
-	}
-	if growErr != nil {
-		return node, growErr
-	}
-	return node, nil
+	_, node, err := measure(cfg, c.Seed, testswapWorkload(int64(paperData)/s))
+	return node, err
 }
 
 // AblationHealth measures what the health engine costs the workload it

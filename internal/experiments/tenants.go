@@ -7,6 +7,7 @@ import (
 
 	"hpbd/internal/blockdev"
 	"hpbd/internal/cluster"
+	"hpbd/internal/hpbd"
 	"hpbd/internal/sim"
 	"hpbd/internal/tenant"
 )
@@ -56,6 +57,20 @@ func tenantStorm(env *sim.Env, node *cluster.TenantNode, depth int, stop *bool) 
 	}
 }
 
+// tenantFleet describes the per-tenant fleet both tenant runners use: one
+// shared server, a 4 MB device per tenant of spec, WFQ or the strict-FIFO
+// control scheduler.
+func tenantFleet(spec *tenant.Spec, fifo, fallback bool) cluster.Config {
+	return cluster.Config{
+		Swap: cluster.SwapHPBD, Tenancy: spec, Servers: 1, SwapBytes: 4 << 20, FallbackDisk: fallback,
+		ServerCfg: func(storeBytes int64) hpbd.ServerConfig {
+			sc := hpbd.DefaultServerConfig(storeBytes)
+			sc.TenantFIFO = fifo
+			return sc
+		},
+	}
+}
+
 // RunTenantIsolation runs one arm of the noisy-neighbor scenario on a
 // single shared server and returns the victim's sorted read latencies.
 // Everything is deterministic: same parameters, same latencies.
@@ -73,51 +88,43 @@ func RunTenantIsolation(pr IsolationParams) ([]sim.Duration, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := sim.NewEnv()
-	fleet, err := cluster.NewTenantFleet(env, cluster.TenantFleetConfig{
-		Spec:         spec,
-		Servers:      1,
-		SwapBytesPer: 4 << 20,
-		FIFO:         pr.FIFO,
+	const page = 4096
+	const region = 64 // victim pages pre-written, then probed
+	lats := make([]sim.Duration, 0, pr.Probes)
+	_, _, err = cluster.Run(tenantFleet(spec, pr.FIFO, false), func(fleet *cluster.Node) []cluster.Proc {
+		env, victim, noisy := fleet.Env, fleet.Tenant("b"), fleet.Tenant("a")
+		stop := false
+		return []cluster.Proc{{Name: "victim", Run: func(p *sim.Proc) error {
+			defer func() { stop = true }()
+			buf := make([]byte, page)
+			for i := 0; i < region; i++ {
+				r := blockdev.NewRequest(env, true, int64(i)*page/blockdev.SectorSize, buf)
+				victim.Dev.Submit(p, r)
+				if r.Wait(p) != nil {
+					return nil // reported as missing probes below
+				}
+			}
+			if !pr.Solo {
+				tenantStorm(env, noisy, pr.StormDepth, &stop)
+				// Let the storm reach its steady backlog before probing.
+				p.Sleep(2 * sim.Millisecond)
+			}
+			for i := 0; i < pr.Probes; i++ {
+				pg := int64(i*7) % region
+				t0 := p.Now()
+				r := blockdev.NewRequest(env, false, pg*page/blockdev.SectorSize, buf)
+				victim.Dev.Submit(p, r)
+				if r.Wait(p) != nil {
+					break
+				}
+				lats = append(lats, p.Now().Sub(t0))
+			}
+			return nil
+		}}}
 	})
 	if err != nil {
 		return nil, err
 	}
-	victim := fleet.Node("b")
-	noisy := fleet.Node("a")
-	const page = 4096
-	const region = 64 // victim pages pre-written, then probed
-	lats := make([]sim.Duration, 0, pr.Probes)
-	stop := false
-	env.Go("victim", func(p *sim.Proc) {
-		buf := make([]byte, page)
-		for i := 0; i < region; i++ {
-			r := blockdev.NewRequest(env, true, int64(i)*page/blockdev.SectorSize, buf)
-			victim.Dev.Submit(p, r)
-			if r.Wait(p) != nil {
-				stop = true
-				return
-			}
-		}
-		if !pr.Solo {
-			tenantStorm(env, noisy, pr.StormDepth, &stop)
-			// Let the storm reach its steady backlog before probing.
-			p.Sleep(2 * sim.Millisecond)
-		}
-		for i := 0; i < pr.Probes; i++ {
-			pg := int64(i*7) % region
-			t0 := p.Now()
-			r := blockdev.NewRequest(env, false, pg*page/blockdev.SectorSize, buf)
-			victim.Dev.Submit(p, r)
-			if r.Wait(p) != nil {
-				break
-			}
-			lats = append(lats, p.Now().Sub(t0))
-		}
-		stop = true
-	})
-	env.Run()
-	env.Close()
 	if len(lats) < pr.Probes {
 		return nil, fmt.Errorf("victim completed %d/%d probes", len(lats), pr.Probes)
 	}
@@ -198,68 +205,63 @@ func TenantsReport(specStr string, fifo bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	env := sim.NewEnv()
-	fleet, err := cluster.NewTenantFleet(env, cluster.TenantFleetConfig{
-		Spec:         spec,
-		Servers:      1,
-		SwapBytesPer: 4 << 20,
-		FIFO:         fifo,
-		Fallback:     true,
-	})
-	if err != nil {
-		return "", err
-	}
+	var b strings.Builder
 	// Every tenant runs the same storm shape; QoS — not arrival order —
 	// decides who gets served. The snapshot lands mid-storm so held
 	// credits and backlogs are visible, then the storms are released.
-	stop := false
-	for _, n := range fleet.Nodes {
-		tenantStorm(env, n, 16, &stop)
-	}
-	var b strings.Builder
-	env.Go("report", func(p *sim.Proc) {
-		p.Sleep(20 * sim.Millisecond)
-		srv := fleet.Servers[0]
-		stats := srv.TenantStats()
-		var totalBytes int64
-		totalWeight := 0
-		for _, st := range stats {
-			totalBytes += st.SchedBytes
-			totalWeight += st.Weight
+	_, _, err = cluster.Run(tenantFleet(spec, fifo, true), func(fleet *cluster.Node) []cluster.Proc {
+		stop := false
+		for _, n := range fleet.Tenants {
+			tenantStorm(fleet.Env, n, 16, &stop)
 		}
-		fmt.Fprintf(&b, "tenants on %s (pool=%d, sched=%s, t=%v):\n",
-			srv.Name(), spec.Pool, map[bool]string{true: "fifo", false: "wfq"}[fifo], p.Now())
-		fmt.Fprintf(&b, "%-10s %6s %4s %8s %5s %7s %5s %12s %8s %10s %10s %6s %7s\n",
-			"TENANT", "WEIGHT", "RES", "QUOTA", "HELD", "BORROW", "WAIT",
-			"SCHEDP99US", "REQS", "BYTES", "RESIDENT", "EVICT", "QRETRY")
-		var alerts []string
-		for _, st := range stats {
-			fmt.Fprintf(&b, "%-10s %6d %4d %8d %5d %7d %5d %12.0f %8d %10d %10d %6d %7d\n",
-				st.ID, st.Weight, st.Reserved, st.Quota, st.Held, st.Borrowed, st.Waiting,
-				st.SchedP99.Micros(), st.SchedReqs, st.SchedBytes, st.Resident,
-				st.Evictions, st.QuotaRetries)
-			if totalBytes == 0 || totalWeight == 0 {
-				continue
-			}
-			byteShare := float64(st.SchedBytes) / float64(totalBytes)
-			weightShare := float64(st.Weight) / float64(totalWeight)
-			if (st.Queued > 0 || st.Waiting > 0) && byteShare < starvationShare*weightShare {
-				alerts = append(alerts, fmt.Sprintf(
-					"starvation alert: tenant %s issued %.1f%% of bytes against a %.1f%% weight share",
-					st.ID, byteShare*100, weightShare*100))
-			}
-		}
-		for _, a := range alerts {
-			fmt.Fprintf(&b, "%s\n", a)
-		}
-		if err := srv.TenancyCheck(); err != nil {
-			fmt.Fprintf(&b, "credit conservation VIOLATED: %v\n", err)
-		} else {
-			fmt.Fprintf(&b, "credit conservation: ok\n")
-		}
-		stop = true
+		return []cluster.Proc{{Name: "report", Run: func(p *sim.Proc) error {
+			tenantsTable(&b, p, fleet.HPBDServers[0], spec, fifo)
+			stop = true
+			return nil
+		}}}
 	})
-	env.Run()
-	env.Close()
-	return b.String(), nil
+	return b.String(), err
+}
+
+// tenantsTable sleeps into the storm and renders srv's per-tenant QoS
+// table, starvation alerts and conservation check into b.
+func tenantsTable(b *strings.Builder, p *sim.Proc, srv *hpbd.Server, spec *tenant.Spec, fifo bool) {
+	p.Sleep(20 * sim.Millisecond)
+	stats := srv.TenantStats()
+	var totalBytes int64
+	totalWeight := 0
+	for _, st := range stats {
+		totalBytes += st.SchedBytes
+		totalWeight += st.Weight
+	}
+	fmt.Fprintf(b, "tenants on %s (pool=%d, sched=%s, t=%v):\n",
+		srv.Name(), spec.Pool, map[bool]string{true: "fifo", false: "wfq"}[fifo], p.Now())
+	fmt.Fprintf(b, "%-10s %6s %4s %8s %5s %7s %5s %12s %8s %10s %10s %6s %7s\n",
+		"TENANT", "WEIGHT", "RES", "QUOTA", "HELD", "BORROW", "WAIT",
+		"SCHEDP99US", "REQS", "BYTES", "RESIDENT", "EVICT", "QRETRY")
+	var alerts []string
+	for _, st := range stats {
+		fmt.Fprintf(b, "%-10s %6d %4d %8d %5d %7d %5d %12.0f %8d %10d %10d %6d %7d\n",
+			st.ID, st.Weight, st.Reserved, st.Quota, st.Held, st.Borrowed, st.Waiting,
+			st.SchedP99.Micros(), st.SchedReqs, st.SchedBytes, st.Resident,
+			st.Evictions, st.QuotaRetries)
+		if totalBytes == 0 || totalWeight == 0 {
+			continue
+		}
+		byteShare := float64(st.SchedBytes) / float64(totalBytes)
+		weightShare := float64(st.Weight) / float64(totalWeight)
+		if (st.Queued > 0 || st.Waiting > 0) && byteShare < starvationShare*weightShare {
+			alerts = append(alerts, fmt.Sprintf(
+				"starvation alert: tenant %s issued %.1f%% of bytes against a %.1f%% weight share",
+				st.ID, byteShare*100, weightShare*100))
+		}
+	}
+	for _, a := range alerts {
+		fmt.Fprintf(b, "%s\n", a)
+	}
+	if err := srv.TenancyCheck(); err != nil {
+		fmt.Fprintf(b, "credit conservation VIOLATED: %v\n", err)
+	} else {
+		fmt.Fprintf(b, "credit conservation: ok\n")
+	}
 }

@@ -1,50 +1,25 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"hpbd/internal/cluster"
-	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 	"hpbd/internal/vm"
 	"hpbd/internal/workload"
 )
 
-// traceMeasure is measure with event tracing enabled: it builds a
-// multi-server HPBD node around a tracing registry, runs the workload,
-// and returns the registry for trace/metrics export.
-func traceMeasure(c Config, servers int, mk func(*vm.System, *rand.Rand) runnable) (*telemetry.Registry, error) {
-	if servers <= 0 {
-		servers = 4
-	}
+// traceMeasure is measure with event tracing enabled: it runs the
+// workload on cfg completed to the paper's HPBD node with a tracing
+// registry, and returns the registry for trace/metrics export.
+func traceMeasure(c Config, cfg cluster.Config, mk func(*vm.System, *rand.Rand) runnable) (*telemetry.Registry, error) {
 	s := c.scale()
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	reg.EnableTracing()
-	cfg := cluster.Config{
-		MemBytes:  paperMem / s,
-		Swap:      cluster.SwapHPBD,
-		SwapBytes: paperSwap / s,
-		Servers:   servers,
-		Telemetry: reg,
-	}
-	node, err := cluster.Build(env, cfg)
-	if err != nil {
+	cfg.MemBytes, cfg.Swap, cfg.SwapBytes, cfg.Trace = paperMem/s, cluster.SwapHPBD, paperSwap/s, true
+	_, node, err := measure(cfg, c.Seed, mk)
+	if node == nil {
 		return nil, err
 	}
-	w := mk(node.VM, rand.New(rand.NewSource(c.Seed)))
-	var runErr error
-	env.Go("workload", func(p *sim.Proc) {
-		node.Ready.Wait(p)
-		runErr = w.Run(p)
-	})
-	env.Run()
-	env.Close()
-	if runErr != nil {
-		return reg, fmt.Errorf("traced workload: %w", runErr)
-	}
-	return reg, nil
+	return node.Tel, err
 }
 
 // TraceRun executes the stock testswap workload over a multi-server HPBD
@@ -55,9 +30,7 @@ func traceMeasure(c Config, servers int, mk func(*vm.System, *rand.Rand) runnabl
 func TraceRun(c Config, servers int) (*telemetry.Registry, error) {
 	s := c.scale()
 	data := int64(paperData) / s
-	return traceMeasure(c, servers, func(sys *vm.System, _ *rand.Rand) runnable {
-		return workload.NewTestswap(sys, data)
-	})
+	return traceMeasure(c, cluster.Config{Servers: orDefault(servers, 4)}, testswapWorkload(data))
 }
 
 // TraceRunQuicksort is TraceRun with the quick-sort workload, whose
@@ -66,7 +39,7 @@ func TraceRun(c Config, servers int) (*telemetry.Registry, error) {
 func TraceRunQuicksort(c Config, servers int) (*telemetry.Registry, error) {
 	s := c.scale()
 	elems := int(int64(paperQsortInt) / s)
-	return traceMeasure(c, servers, func(sys *vm.System, rnd *rand.Rand) runnable {
+	return traceMeasure(c, cluster.Config{Servers: orDefault(servers, 4)}, func(sys *vm.System, rnd *rand.Rand) runnable {
 		return workload.NewQuicksort(sys, "qsort", elems, rnd)
 	})
 }

@@ -357,8 +357,8 @@ func TestRecvWindowConserved(t *testing.T) {
 				var srv *Server
 				var devs []*Device
 				if tenancy {
-					tb := newTenantBed(t, "pool=4,a:w1,b:w1", 1<<20, false)
-					env, srv, devs = tb.env, tb.srv, []*Device{tb.devs["a"], tb.devs["b"]}
+					tb := newBed(t, bedOpts{tenancy: "pool=4,a:w1,b:w1"})
+					env, srv, devs = tb.env, tb.servers[0], []*Device{tb.devs["a"], tb.devs["b"]}
 				} else {
 					cb := newBed(t, bedOpts{shared: true})
 					env, srv, devs = cb.env, cb.servers[0], []*Device{cb.dev}

@@ -12,13 +12,16 @@ import (
 	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
+	"hpbd/internal/tenant"
 )
 
-// testbed wires one client device to its servers behind a block queue.
+// testbed wires one client device (one per tenant under a tenancy spec)
+// to its servers behind a block queue.
 type testbed struct {
 	env     *sim.Env
 	fabric  *ib.Fabric
-	dev     *Device
+	dev     *Device            // the only device, or the first tenant's
+	devs    map[string]*Device // by tenant id ("" without tenancy)
 	servers []*Server
 	queue   *blockdev.Queue
 	reg     *telemetry.Registry // the device's registry (the node's when shared)
@@ -35,6 +38,10 @@ type bedOpts struct {
 	shared   bool                // fabric, client, servers and injector share one registry, as cluster.Build wires them
 	fallback bool                // the client gets a local-disk fallback the size of the device
 	faults   string              // faultsim schedule replayed against the bed
+	// tenancy is a QoS spec every server enforces; each of its tenants
+	// gets a device over all the servers, with the pushback retry budget
+	// and its own fallback disk so quota reclaim has a demotion target.
+	tenancy string
 }
 
 func newBed(t *testing.T, o bedOpts) *testbed {
@@ -55,23 +62,47 @@ func newBed(t *testing.T, o bedOpts) *testbed {
 		ibcfg.Telemetry = o.client.Telemetry
 	}
 	f := ib.NewFabric(env, ibcfg)
-	if o.fallback {
-		o.client.Fallback = disk.New(env, "hda-fb", o.area*int64(o.servers), disk.DefaultParams())
+	var spec *tenant.Spec
+	ids := []string{""}
+	if o.tenancy != "" {
+		var err error
+		if spec, err = tenant.ParseSpec(o.tenancy); err != nil {
+			t.Fatal(err)
+		}
+		ids, o.fallback = nil, true
+		for _, tn := range spec.Tenants {
+			ids = append(ids, tn.ID)
+		}
 	}
-	dev := NewDevice(f, "hpbd0", o.client)
-	tb := &testbed{env: env, fabric: f, dev: dev, reg: dev.Telemetry()}
+	tb := &testbed{env: env, fabric: f, devs: make(map[string]*Device)}
 	for i := 0; i < o.servers; i++ {
-		sc := DefaultServerConfig(o.area)
+		sc := DefaultServerConfig(o.area * int64(len(ids)))
 		sc.Telemetry = o.client.Telemetry
+		sc.Tenancy = spec
 		if o.server != nil {
 			o.server(&sc)
 		}
-		srv := NewServer(f, fmt.Sprintf("mem%d", i), sc)
-		if err := dev.ConnectServer(srv, o.area); err != nil {
-			t.Fatalf("ConnectServer: %v", err)
-		}
-		tb.servers = append(tb.servers, srv)
+		tb.servers = append(tb.servers, NewServer(f, fmt.Sprintf("mem%d", i), sc))
 	}
+	for _, id := range ids {
+		cc, name, fb := o.client, "hpbd0", "hda-fb"
+		if id != "" {
+			cc.Tenant, cc.MaxRetries = id, 8
+			name, fb = "hpbd-"+id, "fb-"+id
+		}
+		if o.fallback {
+			cc.Fallback = disk.New(env, fb, o.area*int64(o.servers), disk.DefaultParams())
+		}
+		dev := NewDevice(f, name, cc)
+		for _, srv := range tb.servers {
+			if err := dev.ConnectServer(srv, o.area); err != nil {
+				t.Fatalf("ConnectServer(%s): %v", name, err)
+			}
+		}
+		tb.devs[id] = dev
+	}
+	dev := tb.devs[ids[0]]
+	tb.dev, tb.reg = dev, dev.Telemetry()
 	tb.queue = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
 	if o.faults != "" {
 		sched, err := faultsim.ParseSpec(o.faults)
@@ -82,7 +113,9 @@ func newBed(t *testing.T, o bedOpts) *testbed {
 		for _, s := range tb.servers {
 			tb.inj.AddServer(s)
 		}
-		tb.inj.AddClient(dev)
+		for _, id := range ids {
+			tb.inj.AddClient(tb.devs[id])
+		}
 		f.SetFaultHook(tb.inj)
 		tb.inj.Start()
 	}

@@ -6,61 +6,13 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
-	"hpbd/internal/disk"
-	"hpbd/internal/ib"
-	"hpbd/internal/netmodel"
 	"hpbd/internal/sim"
-	"hpbd/internal/tenant"
 )
 
-// tenantBed wires one server with a tenancy spec to one device per
-// tenant, each with its own fallback disk so quota reclaim has a
-// demotion target.
-type tenantBed struct {
-	env    *sim.Env
-	srv    *Server
-	devs   map[string]*Device
-	queues map[string]*blockdev.Queue
-	area   int64
-}
-
-func newTenantBed(t *testing.T, specStr string, areaBytes int64, fifo bool) *tenantBed {
+// stat returns tenant id's QoS snapshot on the bed's first server.
+func (tb *testbed) stat(t *testing.T, id string) TenantStat {
 	t.Helper()
-	spec, err := tenant.ParseSpec(specStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sim.NewEnv()
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	scfg := DefaultServerConfig(areaBytes * int64(len(spec.Tenants)))
-	scfg.Tenancy = spec
-	scfg.TenantFIFO = fifo
-	tb := &tenantBed{
-		env:    env,
-		srv:    NewServer(f, "mem0", scfg),
-		devs:   make(map[string]*Device),
-		queues: make(map[string]*blockdev.Queue),
-		area:   areaBytes,
-	}
-	for i := range spec.Tenants {
-		id := spec.Tenants[i].ID
-		ccfg := DefaultClientConfig()
-		ccfg.Tenant = id
-		ccfg.MaxRetries = 8
-		ccfg.Fallback = disk.New(env, "fb-"+id, areaBytes, disk.DefaultParams())
-		dev := NewDevice(f, "hpbd-"+id, ccfg)
-		if err := dev.ConnectServer(tb.srv, areaBytes); err != nil {
-			t.Fatalf("ConnectServer(%s): %v", id, err)
-		}
-		tb.devs[id] = dev
-		tb.queues[id] = blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	}
-	return tb
-}
-
-func (tb *tenantBed) stat(t *testing.T, id string) TenantStat {
-	t.Helper()
-	for _, st := range tb.srv.TenantStats() {
+	for _, st := range tb.servers[0].TenantStats() {
 		if st.ID == id {
 			return st
 		}
@@ -76,7 +28,7 @@ func (tb *tenantBed) stat(t *testing.T, id string) TenantStat {
 // toward the quota rather than growing unbounded.
 func TestQuotaPushbackAndReclaim(t *testing.T) {
 	const quota = 512 << 10
-	tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, false)
+	tb := newBed(t, bedOpts{tenancy: fmt.Sprintf("pool=16,a:w1:q%d", quota), area: 4 << 20})
 	const total = 2 * quota
 	const chunk = 64 << 10
 	tb.env.Go("writer", func(p *sim.Proc) {
@@ -106,7 +58,7 @@ func TestQuotaPushbackAndReclaim(t *testing.T) {
 		t.Errorf("resident %d exceeds quota %d by more than the admission window %d",
 			st.Resident, quota, slack)
 	}
-	if err := tb.srv.TenancyCheck(); err != nil {
+	if err := tb.servers[0].TenancyCheck(); err != nil {
 		t.Error(err)
 	}
 }
@@ -116,7 +68,7 @@ func TestQuotaPushbackAndReclaim(t *testing.T) {
 // as pages still resident on the server.
 func TestQuotaEvictionPreservesData(t *testing.T) {
 	const quota = 256 << 10
-	tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, false)
+	tb := newBed(t, bedOpts{tenancy: fmt.Sprintf("pool=16,a:w1:q%d", quota), area: 4 << 20})
 	const total = 4 * quota
 	const chunk = 32 << 10
 	ok := false
@@ -154,7 +106,7 @@ func TestQuotaEvictionPreservesData(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("4x-quota working set produced no evictions: the read-back never touched the fallback path")
 	}
-	if err := tb.srv.TenancyCheck(); err != nil {
+	if err := tb.servers[0].TenancyCheck(); err != nil {
 		t.Error(err)
 	}
 }
@@ -162,7 +114,7 @@ func TestQuotaEvictionPreservesData(t *testing.T) {
 // TestUnquotedTenantUnaffected runs a quota'd tenant to exhaustion next
 // to an unlimited one: the neighbor's writes must see no pushback.
 func TestUnquotedTenantUnaffected(t *testing.T) {
-	tb := newTenantBed(t, "pool=16,a:w1:q256K,b:w1", 4<<20, false)
+	tb := newBed(t, bedOpts{tenancy: "pool=16,a:w1:q256K,b:w1", area: 4 << 20})
 	const chunk = 64 << 10
 	write := func(p *sim.Proc, id string, off int64) error {
 		r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, pattern(chunk, 1))
@@ -193,7 +145,7 @@ func TestUnquotedTenantUnaffected(t *testing.T) {
 	if st := tb.stat(t, "a"); st.QuotaRetries == 0 {
 		t.Error("quota'd tenant saw no pushback at 4x its quota")
 	}
-	if err := tb.srv.TenancyCheck(); err != nil {
+	if err := tb.servers[0].TenancyCheck(); err != nil {
 		t.Error(err)
 	}
 }

@@ -28,6 +28,14 @@ const MaxRequestBytes = 128 * 1024
 var ErrOutOfRange = errors.New("blockdev: I/O beyond end of device")
 
 // IO is one submitted unit (a buffer head): page-sized in the swap path.
+//
+// Data belongs to the driver from Submit until Complete: the submitter
+// must neither read nor write it in between, and the driver must not
+// touch it after it has called Complete. A driver moves bytes straight
+// between Data and its own store (Request.Gather, Request.ScatterAt), so
+// after a read that completed with an error Data is undefined — a request
+// served in several pieces may have landed some of them before another
+// failed.
 type IO struct {
 	Write  bool
 	Sector int64
@@ -85,22 +93,51 @@ func (r *Request) End() int64 { return r.Sector + int64(r.nbytes/SectorSize) }
 // NumIOs returns how many buffer heads were merged into this request.
 func (r *Request) NumIOs() int { return len(r.ios) }
 
-// Data gathers the request payload (for writes) into one contiguous buffer.
-func (r *Request) Data() []byte {
-	buf := make([]byte, 0, r.nbytes)
+// Gather copies the len(dst) payload bytes starting at byte off of the
+// request out of the constituent I/O buffers into dst.
+//
+//hpbd:hotpath
+func (r *Request) Gather(dst []byte, off int) { r.move(dst, off, false) }
+
+// ScatterAt copies src into the constituent I/O buffers, starting at byte
+// off of the request.
+//
+//hpbd:hotpath
+func (r *Request) ScatterAt(off int, src []byte) { r.move(src, off, true) }
+
+// move is the one walk of the I/O list: it copies between b and request
+// bytes [off, off+len(b)), into the I/O buffers when toIO is set.
+//
+//hpbd:hotpath
+func (r *Request) move(b []byte, off int, toIO bool) {
 	for _, io := range r.ios {
-		buf = append(buf, io.Data...)
+		if len(b) == 0 {
+			return
+		}
+		if off >= len(io.Data) {
+			off -= len(io.Data)
+			continue
+		}
+		var n int
+		if toIO {
+			n = copy(io.Data[off:], b)
+		} else {
+			n = copy(b, io.Data[off:])
+		}
+		b, off = b[n:], 0
 	}
+}
+
+// Data gathers the request payload (for writes) into one fresh contiguous
+// buffer. Drivers on the request path use Gather instead.
+func (r *Request) Data() []byte {
+	buf := make([]byte, r.nbytes)
+	r.Gather(buf, 0)
 	return buf
 }
 
 // Scatter distributes read data back to the constituent I/O buffers.
-func (r *Request) Scatter(data []byte) {
-	off := 0
-	for _, io := range r.ios {
-		off += copy(io.Data, data[off:])
-	}
-}
+func (r *Request) Scatter(data []byte) { r.ScatterAt(0, data) }
 
 // Complete finishes the request, propagating err to every merged I/O.
 func (r *Request) Complete(err error) {
@@ -136,7 +173,8 @@ type Driver interface {
 	Sectors() int64
 	// Submit hands the driver one request. It runs on the queue's
 	// dispatch process and may block for admission control; completion is
-	// signalled via r.Complete, possibly later.
+	// signalled via r.Complete, possibly later. The request's I/O buffers
+	// are the driver's until then and not a moment longer (see IO).
 	Submit(p *sim.Proc, r *Request)
 }
 

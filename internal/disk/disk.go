@@ -109,10 +109,11 @@ func (d *Disk) Submit(p *sim.Proc, r *blockdev.Request) {
 	d.BusyTime += t
 	d.Requests++
 	off := r.Sector * blockdev.SectorSize
+	store := d.store[off : off+int64(r.Bytes())]
 	if r.Write {
-		copy(d.store[off:], r.Data())
+		r.Gather(store, 0)
 	} else {
-		r.Scatter(d.store[off : off+int64(r.Bytes())])
+		r.ScatterAt(0, store)
 	}
 	d.headPos = r.End()
 	r.Complete(nil)

@@ -2,6 +2,7 @@ package hpbd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -305,6 +306,59 @@ func TestWedgedServerNoFallback(t *testing.T) {
 		t.Error("a wedged server must not kill the device")
 	}
 	assertExactPartition(t, cb.dev)
+}
+
+// TestStripedReadWithOneLinkDown holds the one behaviour direct scatter
+// changes: a read that spans two servers, one of them lost and no
+// fallback to absorb its piece, completes exactly once with ErrServerLost.
+// The surviving piece may already have landed in the I/O buffer — on an
+// error its contents are undefined (blockdev.IO), so nothing is asserted
+// about them — but the device stays up, nothing stays in flight or in the
+// pool, and the live stripe still reads back.
+func TestStripedReadWithOneLinkDown(t *testing.T) {
+	const stripe = 64 << 10
+	ccfg := recoveryConfig()
+	ccfg.StripeBytes = stripe
+	tb := newBed(t, bedOpts{servers: 2, client: ccfg})
+	want := pattern(2*stripe, 3)
+	var io *blockdev.IO
+	tb.run(func(p *sim.Proc) {
+		if err := tb.do(p, true, 0, append([]byte(nil), want...)); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		tb.servers[1].Crash()
+		var err error
+		if io, err = tb.queue.Submit(false, 0, make([]byte, 2*stripe)); err != nil {
+			t.Errorf("submit: %v", err)
+			return
+		}
+		tb.queue.Unplug()
+		if err := io.Wait(p); !errors.Is(err, ErrServerLost) {
+			t.Errorf("striped read over a dead server = %v, want ErrServerLost", err)
+		}
+		if tb.dev.Stats().Splits == 0 {
+			t.Error("the read did not split across the two servers")
+		}
+		live := make([]byte, stripe)
+		if err := tb.do(p, false, 0, live); err != nil || !bytes.Equal(live, want[:stripe]) {
+			t.Errorf("live stripe after the loss: err=%v, intact=%v", err, bytes.Equal(live, want[:stripe]))
+		}
+	})
+	// The queue has drained: a second completion (the live piece finishing
+	// after the lost one settled the parent) would have replaced the error.
+	if io == nil {
+		return
+	}
+	if err := io.Err(); !errors.Is(err, ErrServerLost) {
+		t.Errorf("after the drain the read's error is %v, want ErrServerLost", err)
+	}
+	if tb.dev.Failed() || tb.dev.DownLinks() != 1 {
+		t.Errorf("failed=%v downLinks=%d, want a live device with one link down", tb.dev.Failed(), tb.dev.DownLinks())
+	}
+	if n, used := tb.dev.inflight.len(), tb.dev.Pool().InUse(); n != 0 || used != 0 {
+		t.Errorf("%d requests in flight, %d pool bytes held after the drain", n, used)
+	}
 }
 
 // TestDefaultConfigStillFailStop pins the compatibility contract: with

@@ -276,7 +276,6 @@ type serverLink struct {
 // parentReq tracks one block-layer request across its physical requests.
 type parentReq struct {
 	req    *blockdev.Request
-	buf    []byte // a write's payload, held until staging copies it out; a read's gather buffer
 	remain int
 	err    error
 }
@@ -617,11 +616,6 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 		d.met.splits.Inc()
 	}
 	parent := &parentReq{req: r, remain: len(segs)}
-	if r.Write {
-		parent.buf = r.Data()
-	} else {
-		parent.buf = make([]byte, n)
-	}
 	for _, sg := range segs {
 		link := d.links[sg.Server]
 		ph := newPhys(parent, r, link, sg, p.Now())
@@ -645,7 +639,7 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 		}
 		// Merging defers staging to the sender: only there is it known
 		// whether this request rides its own WR or a merged carrier's MR.
-		// The parent holds the write payload until then.
+		// A write's payload stays in the I/O buffers until then.
 		if d.mergeWin <= 1 {
 			if err := d.stage(p, ph); err != nil {
 				d.finishPhys(ph, err)
@@ -790,11 +784,11 @@ func (d *Device) mergeRun(batch []*phys, i int) int {
 // or with the merge window armed the sender, for every request that rides
 // its own WR. On an error the caller settles the request.
 func (d *Device) stage(p *sim.Proc, ph *phys) error {
-	var wdata []byte
+	var w *blockdev.Request
 	if ph.write {
-		wdata = ph.parent.buf[ph.off : ph.off+ph.length]
+		w = ph.parent.req
 	}
-	return ph.home.stage(d, p, ph.length, wdata)
+	return ph.home.stage(d, p, ph.length, w, ph.off)
 }
 
 // buildCarrier folds a mergeable run into one carrier WR: one credit,
@@ -817,7 +811,8 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	if c.write {
 		buf := c.home.bytes(d)
 		for _, s := range subs {
-			buf = buf[copy(buf, s.parent.buf[s.off:s.off+s.length]):]
+			s.parent.req.Gather(buf[:s.length], s.off)
+			buf = buf[s.length:]
 		}
 	}
 	for _, s := range subs {
@@ -1073,17 +1068,19 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	d.finishPhys(ph, ferr)
 }
 
-// scatter copies a completed read's payload, laid out contiguously from
-// src[0], into the gather buffer of every request the WR carried: a
-// carrier's constituents in device order, or ph itself — a plain request
-// is its own only constituent.
+// scatter lands a completed read's payload, laid out contiguously from
+// src[0], in the block layer's I/O buffers of every request the WR
+// carried: a carrier's constituents in device order, or ph itself — a
+// plain request is its own only constituent.
+//
+//hpbd:hotpath
 func (ph *phys) scatter(src []byte) {
 	if ph.subs == nil {
-		copy(ph.parent.buf[ph.off:ph.off+ph.length], src)
+		ph.parent.req.ScatterAt(ph.off, src[:ph.length])
 		return
 	}
 	for _, s := range ph.subs {
-		copy(s.parent.buf[s.off:s.off+s.length], src)
+		s.parent.req.ScatterAt(s.off, src[:s.length])
 		src = src[s.length:]
 	}
 }
@@ -1209,9 +1206,6 @@ func (d *Device) finishPhys(ph *phys, err error) {
 	if parent.remain > 0 {
 		return
 	}
-	if parent.err == nil && !parent.req.Write {
-		parent.req.Scatter(parent.buf)
-	}
 	parent.req.Complete(parent.err)
 }
 
@@ -1330,8 +1324,8 @@ func (d *Device) retryOrRoute(ph *phys) {
 // it holds — otherwise with ErrServerLost (the authoritative copy died
 // with the server; this is a single-copy device, and mirrored cluster
 // configurations mask the loss at the RAID layer). A write's bytes are
-// taken from wherever they live — copied out of the home, which is then
-// released, or still the parent's buffer when staging never happened.
+// copied from wherever they live — the home, which is then released, or
+// still the block layer's I/O buffers when staging never happened.
 // Runs from proc or callback context; fallback I/O happens in a spawned
 // process so no caller ever blocks on the fallback device.
 func (d *Device) routeDegraded(ph *phys) {
@@ -1342,21 +1336,24 @@ func (d *Device) routeDegraded(ph *phys) {
 		d.finishPhys(ph, ErrServerLost)
 		return
 	}
-	var data []byte
-	if ph.write && ph.home.staged() {
-		data = append(data, ph.home.bytes(d)[:ph.length]...)
-	} else if ph.write {
-		data = ph.parent.buf[ph.off : ph.off+ph.length]
-	}
-	ph.home.release(d, nil)
 	fb := d.cfg.Fallback
 	if fb == nil || !ph.write && !d.fallbackCovers(ph.devByte, ph.length) {
+		ph.home.release(d, nil)
 		d.finishDegraded(ph, ErrServerLost, ph.link.srv.Name())
 		return
 	}
+	// The fallback request needs its payload in one piece that outlives
+	// the home: the one contiguous copy left, and only on this fault path.
+	data := make([]byte, ph.length)
+	if ph.write && ph.home.staged() {
+		copy(data, ph.home.bytes(d))
+	} else if ph.write {
+		ph.parent.req.Gather(data, ph.off)
+	}
+	ph.home.release(d, nil)
 	op := "fallback-write"
 	if !ph.write {
-		op, data = "fallback-read", make([]byte, ph.length)
+		op = "fallback-read"
 	}
 	d.rmet.fallbacks.Inc()
 	d.tracer.InstantArgs(d.name, op, map[string]any{"bytes": ph.length})

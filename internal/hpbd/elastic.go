@@ -463,10 +463,10 @@ func (d *Device) migXfer(p *sim.Proc, link *serverLink, write bool, areaOff, dev
 		return ErrServerLost
 	}
 	// The chunk's bytes live only in the migration MR: it is the request's
-	// data and the parent's gather buffer at once, so a read's scatter
-	// copies the MR onto itself.
+	// I/O buffer and its home at once, so a read's scatter copies the MR
+	// onto itself.
 	r := blockdev.NewRequest(d.env, write, devByte/blockdev.SectorSize, d.migMR.Buf[:n])
-	parent := &parentReq{req: r, remain: 1, buf: d.migMR.Buf[:n]}
+	parent := &parentReq{req: r, remain: 1}
 	ph := newPhys(parent, r, link, placement.Segment{Offset: areaOff, Length: n, DevByte: devByte}, p.Now())
 	ph.mig = true
 	ph.home.stageMig(d)

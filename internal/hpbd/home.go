@@ -1,6 +1,7 @@
 package hpbd
 
 import (
+	"hpbd/internal/blockdev"
 	"hpbd/internal/ib"
 	"hpbd/internal/sim"
 )
@@ -9,7 +10,7 @@ import (
 type homeKind uint8
 
 const (
-	homeNone homeKind = iota // not staged yet: a write's bytes are still the parent's
+	homeNone homeKind = iota // not staged yet: a write's bytes are still in the I/O buffers
 	homePool                 // an extent of the pre-registered pool (§4.2.2)
 	homeMR                   // a reuse-cached MR: hybrid request or merge carrier
 	homeMig                  // the device-owned, long-lived migration staging MR
@@ -31,34 +32,40 @@ func (h *home) staged() bool { return h.kind != homeNone }
 
 // stage picks the home of an n-byte payload — a cached MR at or above the
 // MR cache's threshold, otherwise a pool extent, blocking on the pool's
-// allocation wait queue under pressure — moves wdata (nil for a read) in
-// and charges p what that costs. It fails only when the pool cannot
-// satisfy the allocation.
-func (h *home) stage(d *Device, p *sim.Proc, n int, wdata []byte) error {
+// allocation wait queue under pressure — gathers a write's bytes, the n
+// at byte off of w (nil for a read), straight from the block layer's I/O
+// buffers into it and charges p what that costs. It fails only when the
+// pool cannot satisfy the allocation.
+//
+//hpbd:hotpath
+func (h *home) stage(d *Device, p *sim.Proc, n int, w *blockdev.Request, off int) error {
 	if d.mrc.takes(n) {
 		// A cache miss charges the registration; a hit charges nothing —
 		// the payload pages are (in the modeled driver) registered in
 		// place, so no copy is charged either.
+		//hpbd:allow hotalloc -- an MR-cache miss registers a fresh buffer; a hit allocates nothing
 		h.stageMR(d, p, n)
-		copy(h.mr.Buf, wdata)
 		d.met.hybridLarge.Inc()
-		return nil
+	} else {
+		//hpbd:allow hotalloc -- the pool allocates only to format an error; its free list is spliced in place
+		ext, err := d.pool.Alloc(p, n)
+		if err != nil {
+			return err
+		}
+		*h = home{kind: homePool, off: ext}
+		if d.cfg.RegisterOnTheFly {
+			// Ablation: pay the registration cost the pool design avoids (the
+			// data still flows through pool space so the RDMA path is
+			// unchanged; only the cost model differs).
+			p.Sleep(d.mem.Register(n))
+		} else if w != nil {
+			// The copy that replaces on-the-fly registration (§4.2.2).
+			p.Sleep(d.mem.Memcpy(n))
+		}
 	}
-	off, err := d.pool.Alloc(p, n)
-	if err != nil {
-		return err
+	if w != nil {
+		w.Gather(h.bytes(d)[:n], off)
 	}
-	*h = home{kind: homePool, off: off}
-	if d.cfg.RegisterOnTheFly {
-		// Ablation: pay the registration cost the pool design avoids (the
-		// data still flows through pool space so the RDMA path is
-		// unchanged; only the cost model differs).
-		p.Sleep(d.mem.Register(n))
-	} else if wdata != nil {
-		// The copy that replaces on-the-fly registration (§4.2.2).
-		p.Sleep(d.mem.Memcpy(n))
-	}
-	copy(h.bytes(d), wdata)
 	return nil
 }
 

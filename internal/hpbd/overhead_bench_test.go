@@ -7,33 +7,60 @@ import (
 	"hpbd/internal/sim"
 )
 
-// TestRequestPathAllocBudget pins the allocation cost of one sequential 4K
-// write round trip through blockdev.Queue, telemetry attached and tracer
-// off. The budget is the simulator kernel's doing (value event heap, ring
-// queues, by-value events, no span arguments without a tracer); a change
-// that re-introduces a per-event or per-wait allocation fails here.
-func TestRequestPathAllocBudget(t *testing.T) {
-	const warmup, measured, budget = 500, 2000, 28
+// heapPerRound runs round warmup+measured times on a one-server bed and
+// returns the allocations and allocated bytes of one measured round.
+func heapPerRound(t *testing.T, warmup, measured int, round func(tb *testbed, p *sim.Proc) error) (allocs, bytes float64) {
+	t.Helper()
 	tb := newBed(t, bedOpts{shared: true})
-	data := make([]byte, 4096)
-	var mallocs uint64
 	tb.run(func(p *sim.Proc) {
 		var before, after runtime.MemStats
 		for i := 0; i < warmup+measured; i++ {
 			if i == warmup {
 				runtime.ReadMemStats(&before)
 			}
-			if err := tb.do(p, true, 0, data); err != nil {
-				t.Errorf("write: %v", err)
+			if err := round(tb, p); err != nil {
+				t.Errorf("round %d: %v", i, err)
 				return
 			}
 		}
 		runtime.ReadMemStats(&after)
-		mallocs = after.Mallocs - before.Mallocs
+		allocs = float64(after.Mallocs-before.Mallocs) / float64(measured)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(measured)
 	})
-	if perOp := float64(mallocs) / measured; perOp > budget {
-		t.Errorf("4K write round trip: %.2f allocs/op, budget %d", perOp, budget)
+	return allocs, bytes
+}
+
+// TestRequestPathAllocBudget pins the host cost of a round trip through
+// blockdev.Queue, telemetry attached and tracer off. Allocations: one
+// sequential 4K write — what is left is the block layer's and the
+// driver's per-request records and the one-shot events' wait rings; a
+// change that re-introduces a per-event, per-wait or per-WR allocation
+// fails here. Bytes: a 128K write and a 128K read back allocate no
+// payload-sized buffer anywhere between the I/O buffers and the server's
+// store — the pool, the fabric's wire buffers and the server's staging
+// are all set up once.
+func TestRequestPathAllocBudget(t *testing.T) {
+	const allocBudget, byteBudget = 12, 4 << 10
+	small := make([]byte, 4<<10)
+	allocs, _ := heapPerRound(t, 500, 2000, func(tb *testbed, p *sim.Proc) error {
+		return tb.do(p, true, 0, small)
+	})
+	if allocs > allocBudget {
+		t.Errorf("4K write round trip: %.2f allocs/op, budget %d", allocs, allocBudget)
 	} else {
-		t.Logf("4K write round trip: %.2f allocs/op (budget %d)", perOp, budget)
+		t.Logf("4K write round trip: %.2f allocs/op (budget %d)", allocs, allocBudget)
+	}
+
+	large := make([]byte, 128<<10)
+	_, bytes := heapPerRound(t, 100, 400, func(tb *testbed, p *sim.Proc) error {
+		if err := tb.do(p, true, 0, large); err != nil {
+			return err
+		}
+		return tb.do(p, false, 0, large)
+	})
+	if bytes > byteBudget {
+		t.Errorf("128K write + read round trip: %.0f B/op, budget %d", bytes, byteBudget)
+	} else {
+		t.Logf("128K write + read round trip: %.0f B/op (budget %d)", bytes, byteBudget)
 	}
 }

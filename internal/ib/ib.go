@@ -139,6 +139,8 @@ type Fabric struct {
 	hcas  []*HCA
 	fault FaultHook
 
+	freeWRs *wrRec // recycled work-request records (see wrRec)
+
 	// odpFaults counts first-touch page faults on ODP regions. Created
 	// lazily on the first fault so fabrics that never register an ODP MR
 	// expose an unchanged metric set.

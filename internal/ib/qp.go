@@ -1,6 +1,10 @@
 package ib
 
-import "hpbd/internal/sim"
+import (
+	"math/bits"
+
+	"hpbd/internal/sim"
+)
 
 // Segment addresses a contiguous byte range within a registered region.
 type Segment struct {
@@ -112,14 +116,6 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	return nil
 }
 
-// clone captures the bytes of a segment at post time (the model's stand-in
-// for DMA gather).
-func clone(b []byte) []byte {
-	c := make([]byte, len(b))
-	copy(c, b)
-	return c
-}
-
 // PostSend posts a send-side work request, charging the calling process the
 // per-WQE host cost. Completion is reported asynchronously on the send CQ.
 func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
@@ -185,38 +181,88 @@ func (q *QP) PostSendAsync(wr SendWR) error {
 	return nil
 }
 
+// wrRec is one send-side work request in flight: what the fabric must
+// remember between the post and the WR's last event. The gather segment
+// is captured at post time (the model's stand-in for DMA gather: callers
+// reuse their staging slots the moment PostSend returns) into payload,
+// which the record keeps across uses; an RDMA READ captures the remote
+// bytes there when the request reaches the responder. The four callbacks
+// are bound once, when the record is created, so scheduling an event
+// allocates nothing. A record returns to its fabric's free list when its
+// last event has fired — the ack for SEND / RDMA WRITE (and for a WR the
+// fault hook aborted), the landing or the error CQE for RDMA READ — and
+// the list needs no lock: simulated code runs one goroutine at a time.
+// Records are never shrunk or dropped, so an idle fabric holds at most
+// its peak number of WRs in flight times the largest payload (rounded up
+// to a power of two).
+type wrRec struct {
+	next    *wrRec // free-list link
+	q, peer *QP    // the posting QP and its peer at post time
+	wr      SendWR
+	postAt  sim.Time
+	payload []byte // payload[:wr.Local.Len] is the captured data; capacity is kept
+	st      Status // what the ack reports: a NAK from deliver, or the fault hook's abort
+
+	deliver, ack, readReq, readDone func()
+}
+
+// takeWR returns a record for wr posted on q now, with room for the
+// payload. A free-list miss, or a payload larger than the record has
+// carried before, allocates.
+func (f *Fabric) takeWR(q *QP, wr SendWR, now sim.Time) *wrRec {
+	r := f.freeWRs
+	if r == nil {
+		r = &wrRec{}
+		r.deliver, r.ack, r.readReq, r.readDone = r.onDeliver, r.onAck, r.onReadReq, r.onReadDone
+	} else {
+		f.freeWRs, r.next = r.next, nil
+	}
+	r.q, r.peer, r.wr, r.postAt, r.st = q, q.peer, wr, now, StatusSuccess
+	if n := wr.Local.Len; cap(r.payload) < n {
+		r.payload = make([]byte, 1<<bits.Len(uint(n-1)))
+	}
+	return r
+}
+
+// putWR recycles r after its last event, dropping what it pins.
+//
+//hpbd:hotpath
+func (f *Fabric) putWR(r *wrRec) {
+	r.q, r.peer, r.wr = nil, nil, SendWR{}
+	r.next, f.freeWRs = f.freeWRs, r
+}
+
 // issue runs the fabric timing model for wr and schedules its effects.
+//
+//hpbd:hotpath
 func (q *QP) issue(wr SendWR) {
-	env := q.hca.fabric.env
-	cfg := q.hca.fabric.cfg
+	f := q.hca.fabric
+	env, cfg := f.env, &f.cfg
 	src, dst := q.hca, q.peer.hca
 	now := env.Now()
+	//hpbd:allow hotalloc -- free-list miss: allocates until the list has grown to the peak WRs in flight
+	r := f.takeWR(q, wr, now)
+	n := wr.Local.Len
 
 	// Fault injection point: every send-side WR passes through the hook
 	// before any timing state mutates, so an aborted WR leaves the
 	// egress/ingress serialization clocks untouched.
 	var extra sim.Duration
-	if h := q.hca.fabric.fault; h != nil {
-		var st Status
-		extra, st = h.SendFault(src.name, wr.Op)
-		if st != StatusSuccess {
-			n := wr.Local.Len
-			env.After(cfg.EventDelay+extra, func() {
-				q.sendCQ.push(CQE{WRID: wr.ID, Op: wr.Op, Status: st, QP: q, ByteLen: n})
-				q.traceComplete(wr.Op, now, n, wr.Flow)
-			})
+	if h := f.fault; h != nil {
+		extra, r.st = h.SendFault(src.name, wr.Op)
+		if r.st != StatusSuccess {
+			env.After(cfg.EventDelay+extra, r.ack)
 			return
 		}
 	}
 
 	switch wr.Op {
 	case OpSend, OpRDMAWrite:
-		payload := clone(wr.Local.bytes())
-		n := len(payload)
+		copy(r.payload[:n], wr.Local.bytes())
 		// QP context fetch penalties on both adapters, plus first-touch
 		// fault service when the local gather buffer is an ODP region.
 		start := now.Add(src.qpPenalty(q)).Add(extra).
-			Add(q.hca.fabric.odpDelay(wr.Local.MR, wr.Local.Off, n))
+			Add(f.odpDelay(wr.Local.MR, wr.Local.Off, n))
 		egStart := maxTime(start, src.egressFree)
 		egDone := egStart.Add(cfg.Link.BW.Over(n))
 		src.egressFree = egDone
@@ -226,39 +272,70 @@ func (q *QP) issue(wr SendWR) {
 		if wr.Op == OpRDMAWrite {
 			// A cold remote ODP window stalls the responder's RDMA engine
 			// while its fault resolves before the write can land.
-			inDone = inDone.Add(q.hca.fabric.odpDelay(dst.lookupMR(wr.RemoteKey), wr.RemoteOff, n))
+			inDone = inDone.Add(f.odpDelay(dst.lookupMR(wr.RemoteKey), wr.RemoteOff, n))
 			dst.ingressFree = inDone
 		}
-
-		peer := q.peer
-		var failed Status // set by deliver on a NAK-worthy outcome
-		env.After(inDone.Sub(now), func() {
-			failed = q.deliver(wr, payload, peer)
-		})
+		env.After(inDone.Sub(now), r.deliver)
 		// Sender completion when the RC ack returns.
-		ackAt := inDone.Add(cfg.Link.Prop)
-		env.After(ackAt.Sub(now), func() {
-			st := failed
-			if st == StatusSuccess && peer.closed {
-				st = StatusFlushErr
-			}
-			q.sendCQ.push(CQE{WRID: wr.ID, Op: wr.Op, Status: st, QP: q, ByteLen: n})
-			q.traceComplete(wr.Op, now, n, wr.Flow)
-		})
+		env.After(inDone.Add(cfg.Link.Prop).Sub(now), r.ack)
 
 	case OpRDMARead:
 		// Request travels to the responder, then data streams back. The
 		// local destination faults in before the request leaves (the HCA
 		// needs the sink resident to scatter the response).
-		n := wr.Local.Len
 		start := now.Add(src.qpPenalty(q)).Add(extra).
-			Add(q.hca.fabric.odpDelay(wr.Local.MR, wr.Local.Off, n))
+			Add(f.odpDelay(wr.Local.MR, wr.Local.Off, n))
 		reqArrive := maxTime(start, src.egressFree).Add(cfg.Link.BW.Over(32)).Add(cfg.Link.Prop)
-		peer := q.peer
-		env.After(reqArrive.Sub(now), func() {
-			q.completeRDMARead(wr, peer, n, now)
-		})
+		env.After(reqArrive.Sub(now), r.readReq)
 	}
+}
+
+// onDeliver lands a SEND / RDMA WRITE at the peer; the outcome rides the
+// record to the ack.
+//
+//hpbd:hotpath
+func (r *wrRec) onDeliver() { r.st = r.q.deliver(&r.wr, r.payload[:r.wr.Local.Len], r.peer) }
+
+// onAck completes a SEND / RDMA WRITE at the sender when the RC ack
+// returns, or reports a WR the fault hook aborted.
+//
+//hpbd:hotpath
+func (r *wrRec) onAck() {
+	st := r.st
+	if st == StatusSuccess && r.peer.closed {
+		st = StatusFlushErr
+	}
+	r.complete(st)
+}
+
+// onReadReq runs when an RDMA READ request reaches the responder.
+//
+//hpbd:hotpath
+func (r *wrRec) onReadReq() { r.q.completeRDMARead(r) }
+
+// onReadDone lands an RDMA READ's data at the requester.
+//
+//hpbd:hotpath
+func (r *wrRec) onReadDone() {
+	st := StatusSuccess
+	if r.q.closed {
+		st = StatusFlushErr
+	} else {
+		copy(r.wr.Local.bytes(), r.payload)
+	}
+	r.complete(st)
+}
+
+// complete reports the WR's one CQE on the send CQ with its completion
+// span, and recycles the record.
+//
+//hpbd:hotpath
+func (r *wrRec) complete(st Status) {
+	q, n := r.q, r.wr.Local.Len
+	q.sendCQ.push(CQE{WRID: r.wr.ID, Op: r.wr.Op, Status: st, QP: q, ByteLen: n})
+	//hpbd:allow hotalloc -- the span's argument map is built only with a tracer attached
+	q.traceComplete(r.wr.Op, r.postAt, n, r.wr.Flow)
+	q.hca.fabric.putWR(r)
 }
 
 // traceComplete records one post-to-completion span on the posting HCA's
@@ -277,46 +354,44 @@ func (q *QP) traceComplete(op Opcode, postAt sim.Time, n int, flow uint64) {
 	tr.Complete(q.hca.name, op.String(), postAt, q.hca.fabric.env.Now(), args)
 }
 
-// completeRDMARead runs at the responder when the read request arrives;
-// postAt is when the requester posted the WR (for the completion span).
-func (q *QP) completeRDMARead(wr SendWR, peer *QP, n int, postAt sim.Time) {
-	env := q.hca.fabric.env
-	cfg := q.hca.fabric.cfg
+// completeRDMARead runs at the responder when r's read request arrives:
+// it captures the remote bytes and streams them back.
+//
+//hpbd:hotpath
+func (q *QP) completeRDMARead(r *wrRec) {
+	f := q.hca.fabric
+	env, cfg := f.env, &f.cfg
 	now := env.Now()
+	wr, peer, n := &r.wr, r.peer, r.wr.Local.Len
 	if peer.closed || q.closed {
 		q.sendCQ.push(CQE{WRID: wr.ID, Op: wr.Op, Status: StatusFlushErr, QP: q})
+		f.putWR(r)
 		return
 	}
 	rmr := peer.hca.lookupMR(wr.RemoteKey)
 	if rmr == nil || wr.RemoteOff < 0 || wr.RemoteOff+n > len(rmr.Buf) {
 		q.sendCQ.push(CQE{WRID: wr.ID, Op: wr.Op, Status: StatusRemoteAccessErr, QP: q})
+		f.putWR(r)
 		return
 	}
-	payload := clone(rmr.Buf[wr.RemoteOff : wr.RemoteOff+n])
+	copy(r.payload[:n], rmr.Buf[wr.RemoteOff:wr.RemoteOff+n])
 	// Data path: responder egress -> requester ingress. A cold remote ODP
 	// range must fault in before the responder can stream it out.
 	egStart := maxTime(now.Add(peer.hca.qpPenalty(peer)).
-		Add(q.hca.fabric.odpDelay(rmr, wr.RemoteOff, n)), peer.hca.egressFree)
+		Add(f.odpDelay(rmr, wr.RemoteOff, n)), peer.hca.egressFree)
 	egDone := egStart.Add(cfg.Link.BW.Over(n))
 	peer.hca.egressFree = egDone
 	inStart := maxTime(egStart.Add(cfg.Link.Prop), q.hca.ingressFree)
 	inDone := inStart.Add(cfg.Link.BW.Over(n)).Add(q.hca.qpPenalty(q))
 	q.hca.ingressFree = inDone
-	env.After(inDone.Sub(now), func() {
-		st := StatusSuccess
-		if q.closed {
-			st = StatusFlushErr
-		} else {
-			copy(wr.Local.bytes(), payload)
-		}
-		q.sendCQ.push(CQE{WRID: wr.ID, Op: wr.Op, Status: st, QP: q, ByteLen: n})
-		q.traceComplete(wr.Op, postAt, n, wr.Flow)
-	})
+	env.After(inDone.Sub(now), r.readDone)
 }
 
 // deliver applies an arriving SEND/RDMA WRITE at the destination and
 // returns the status the sender's ack will carry.
-func (q *QP) deliver(wr SendWR, payload []byte, peer *QP) Status {
+//
+//hpbd:hotpath
+func (q *QP) deliver(wr *SendWR, payload []byte, peer *QP) Status {
 	if peer.closed {
 		return StatusFlushErr
 	}

@@ -100,7 +100,6 @@ func (m *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 func (m *Device) submitWrite(p *sim.Proc, r *blockdev.Request) {
 	m.stats.Writes++
 	m.mWrites.Inc()
-	data := r.Data()
 	var reqs [2]*blockdev.Request
 	var down [2]*bool
 	children := [2]blockdev.Driver{m.primary, m.secondary}
@@ -111,7 +110,8 @@ func (m *Device) submitWrite(p *sim.Proc, r *blockdev.Request) {
 		if *down[i] {
 			continue
 		}
-		req := blockdev.NewRequest(m.env, true, r.Sector, append([]byte(nil), data...))
+		// Each replica owns a fresh copy until its child completes it.
+		req := blockdev.NewRequest(m.env, true, r.Sector, r.Data())
 		reqs[i] = req
 		issued++
 		if i == 0 {

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"hpbd/internal/blockdev"
 	"hpbd/internal/sim"
 )
 
@@ -170,13 +171,13 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 	// Submit the reads and let a watcher finalize each page as its I/O
 	// completes.
 	submitAt := s.env.Now()
-	ios := make([]*ioHandle, 0, len(batch))
+	ios := make([]*blockdev.IO, 0, len(batch))
 	flowsBegun := map[uint64]bool{} // membership only, never iterated
 	for _, bp := range batch {
-		h, err := submitPageIO(dev, false, bp.slot)
+		io, err := dev.submitPageIO(false, bp.slot)
 		if err == nil && s.tracer != nil {
 			// One flow per merged block request, beginning at the vm layer.
-			if id := h.io.RequestID(); id != 0 && !flowsBegun[id] {
+			if id := io.RequestID(); id != 0 && !flowsBegun[id] {
 				flowsBegun[id] = true
 				s.tracer.FlowBegin("vm", "req", id)
 			}
@@ -189,15 +190,15 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 			s.releaseFrame()
 			return err
 		}
-		ios = append(ios, h)
+		ios = append(ios, io)
 	}
 	dev.Queue.Unplug()
 
 	myDone := pg.ioDone
 	s.env.Go("swapin-watch", func(wp *sim.Proc) {
-		for i, h := range ios {
+		for i, io := range ios {
 			bp := batch[i]
-			err := h.wait(wp)
+			err := dev.waitPageIO(wp, io)
 			if err != nil {
 				bp.state = PageSwappedOut
 				s.releaseFrame()
@@ -208,7 +209,7 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 				s.hSwapIn.Observe(wp.Now().Sub(submitAt))
 				if s.tracer != nil {
 					s.tracer.Complete("vm", "swap-in", submitAt, wp.Now(),
-						map[string]any{"slot": bp.slot, "readahead": bp.readahead, "req": h.io.RequestID()})
+						map[string]any{"slot": bp.slot, "readahead": bp.readahead, "req": io.RequestID()})
 				}
 				bp.state = PageResident
 				bp.dirty = false

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime"
 	"testing"
 
 	"hpbd/internal/sim"
@@ -120,4 +121,44 @@ func TestSlotClusteringSequential(t *testing.T) {
 		t.Errorf("longest consecutive slot run = %d, want >= 16 (clustered allocation)", maxRun)
 	}
 	_ = runs
+}
+
+// A warmed fault/evict loop takes its page buffers from the swap device's
+// free list: what it still allocates per page I/O (the I/O and request
+// records, events, LRU elements) is far below one PageSize buffer.
+func TestPageIOBuffersAreRecycled(t *testing.T) {
+	r := newRig(128, 4096, 0)
+	as := r.sys.NewAddressSpace("a", 512) // 4x memory: every touch below faults
+	sweep := func(p *sim.Proc) {
+		for i := 0; i < 512; i++ {
+			if err := as.Touch(p, i, true); err != nil {
+				t.Errorf("Touch(%d): %v", i, err)
+			}
+		}
+	}
+	var bytesPerIO float64
+	r.run(func(p *sim.Proc) {
+		sweep(p)
+		sweep(p)
+		var before, after runtime.MemStats
+		st0 := r.sys.Stats()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 4; i++ {
+			sweep(p)
+		}
+		runtime.ReadMemStats(&after)
+		st := r.sys.Stats()
+		ios := (st.SwapIns - st0.SwapIns) + (st.ReadAheadPages - st0.ReadAheadPages) + (st.SwapOuts - st0.SwapOuts)
+		if ios < 2000 {
+			t.Errorf("only %d page I/Os in the measured sweeps", ios)
+		}
+		bytesPerIO = float64(after.TotalAlloc-before.TotalAlloc) / float64(ios)
+	})
+	t.Logf("%.0f B/page I/O, %d idle buffers", bytesPerIO, len(r.swap.pageBufs))
+	if bytesPerIO >= PageSize/4 {
+		t.Errorf("%.0f B allocated per page I/O: page buffers are not being recycled", bytesPerIO)
+	}
+	if idle := len(r.swap.pageBufs); idle == 0 || idle > 128 {
+		t.Errorf("%d idle page buffers after the run, want the few the loop had in flight", idle)
+	}
 }

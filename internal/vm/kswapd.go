@@ -5,20 +5,35 @@ import (
 	"hpbd/internal/sim"
 )
 
-// ioHandle wraps a submitted page I/O.
-type ioHandle struct{ io *blockdev.IO }
-
 // submitPageIO queues one page-sized I/O at the device offset for slot.
-func submitPageIO(dev *SwapDevice, write bool, slot int) (*ioHandle, error) {
-	buf := make([]byte, PageSize)
-	io, err := dev.Queue.Submit(write, dev.slotSector(slot), buf)
-	if err != nil {
-		return nil, err
+// The page buffer comes off the device's free list and waitPageIO puts it
+// back: the simulated VM carries no page contents, so a page-out writes a
+// zero page and a page-in's bytes are dropped.
+func (d *SwapDevice) submitPageIO(write bool, slot int) (*blockdev.IO, error) {
+	var buf []byte
+	if n := len(d.pageBufs); n > 0 {
+		buf, d.pageBufs = d.pageBufs[n-1], d.pageBufs[:n-1]
+		if write {
+			clear(buf) // it last carried whatever a page-in read
+		}
+	} else {
+		buf = make([]byte, PageSize)
 	}
-	return &ioHandle{io: io}, nil
+	io, err := d.Queue.Submit(write, d.slotSector(slot), buf)
+	if err != nil {
+		d.pageBufs = append(d.pageBufs, buf)
+	}
+	return io, err
 }
 
-func (h *ioHandle) wait(p *sim.Proc) error { return h.io.Wait(p) }
+// waitPageIO blocks until io completes, recycles its page buffer — the
+// driver is done with it, and every submitted I/O is waited exactly once —
+// and returns the I/O's error.
+func (d *SwapDevice) waitPageIO(p *sim.Proc, io *blockdev.IO) error {
+	err := io.Wait(p)
+	d.pageBufs = append(d.pageBufs, io.Data)
+	return err
+}
 
 // kswapd is the background reclaimer: woken when free pages fall below
 // FreeLow, it ages the LRU and evicts from the inactive tail until free
@@ -86,7 +101,7 @@ func (s *System) refillInactive(p *sim.Proc, want int) {
 // writeout is one in-flight page write-back produced by shrink.
 type writeout struct {
 	pg    *Page
-	h     *ioHandle
+	io    *blockdev.IO
 	dev   *SwapDevice
 	start sim.Time // submission, for the swap-out latency histogram
 }
@@ -98,13 +113,13 @@ type writeout struct {
 // path that couples application progress to swap device latency).
 func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) (freed int) {
 	for _, w := range writes {
-		err := w.h.wait(p)
+		err := w.dev.waitPageIO(p, w.io)
 		pg := w.pg
 		if err == nil {
 			s.hSwapOut.Observe(p.Now().Sub(w.start))
 			if s.tracer != nil {
 				s.tracer.Complete("vm", "swap-out", w.start, p.Now(),
-					map[string]any{"slot": pg.slot, "req": w.h.io.RequestID()})
+					map[string]any{"slot": pg.slot, "req": w.io.RequestID()})
 			}
 		}
 		if err != nil {
@@ -190,7 +205,7 @@ func (s *System) shrink(p *sim.Proc, batch int) (freed int, writes []writeout) {
 		pg.state = PageWriting
 		pg.dirty = false
 		pg.ioDone = sim.NewEvent(s.env)
-		h, serr := submitPageIO(dev, true, slot)
+		io, serr := dev.submitPageIO(true, slot)
 		if serr != nil {
 			// Device refused (should not happen): undo.
 			dev.freeSlot(slot)
@@ -206,12 +221,12 @@ func (s *System) shrink(p *sim.Proc, batch int) (freed int, writes []writeout) {
 		s.stats.SwapOuts++
 		if s.tracer != nil {
 			// One flow per merged block request, beginning at the vm layer.
-			if id := h.io.RequestID(); id != 0 && !flowsBegun[id] {
+			if id := io.RequestID(); id != 0 && !flowsBegun[id] {
 				flowsBegun[id] = true
 				s.tracer.FlowBegin("vm", "req", id)
 			}
 		}
-		writes = append(writes, writeout{pg: pg, h: h, dev: dev, start: p.Now()})
+		writes = append(writes, writeout{pg: pg, io: io, dev: dev, start: p.Now()})
 		if !seen[dev] {
 			seen[dev] = true
 			devsTouched = append(devsTouched, dev)

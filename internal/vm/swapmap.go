@@ -24,6 +24,8 @@ type SwapDevice struct {
 	next      int
 	remaining int
 	cluster   int
+
+	pageBufs [][]byte // idle page I/O buffers (see submitPageIO)
 }
 
 func newSwapDevice(q *blockdev.Queue, prio, slotCluster int) *SwapDevice {

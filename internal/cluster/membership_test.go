@@ -145,9 +145,10 @@ func TestMembershipScheduleKeepsVirtualTime(t *testing.T) {
 // TestGrowKeepsTenancy pins the one server constructor: on a tenancy node
 // a server spawned by a grow enforces the founders' QoS spec and reports
 // into the node's registry, through a drain of a founder onto it. The
-// quota is sized to admit the migration: a move that would put more than
-// a tenant's quota on one server aborts (reclaim skips directory-mapped
-// links), which is quota × migration, not this constructor.
+// quota is sized to admit the migration: a single move larger than the
+// destination's quota headroom still aborts with ErrMigration (its pages
+// are reserved, not committed, so reclaim has nothing of it to demote) —
+// that is quota × migration, ROADMAP item 3, not this constructor.
 func TestGrowKeepsTenancy(t *testing.T) {
 	spec := tenantSpec(t, "pool=16,a:w1:q3M,b:w2")
 	const chunk, total = 64 << 10, 3 << 20

@@ -110,12 +110,8 @@ func PlacementDump(c Config, servers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	dir := node.HPBD.Directory()
-	if dir == nil {
-		return "", fmt.Errorf("elastic node has no placement directory")
-	}
 	var b strings.Builder
-	dir.Dump(&b)
+	node.HPBD.Directory().Dump(&b)
 	fmt.Fprintf(&b, "migration: %d KB moved in %d moves, %d cutovers, %d requests requeued\n",
 		node.Tel.Counter("migration.bytes").Value()/1024,
 		node.Tel.Counter("migration.moves").Value(),

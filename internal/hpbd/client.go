@@ -3,7 +3,6 @@ package hpbd
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"hpbd/internal/blockdev"
 	"hpbd/internal/ib"
@@ -87,25 +86,16 @@ type ClientConfig struct {
 	// re-derives the copy/register crossover from the observed MR-cache
 	// reuse rate and nudges the threshold toward it, stepping further
 	// down when pool-wait time dominates the per-stage breakdown.
-	// Requires HybridDataPath and the request-lifecycle analyzer
-	// (FlightRecEntries >= 0). Off by default.
+	// Requires HybridDataPath. Off by default.
 	AdaptiveCrossover bool
 	// CrossoverWindow is the controller's observation window in completed
 	// requests (zero: 64).
 	CrossoverWindow int
 
-	// FlightRecEntries sizes the always-on flight recorder ring of recent
-	// request records (zero-alloc in steady state). 0 selects the default
-	// (telemetry.DefaultFlightRecEntries); negative disables the
-	// request-lifecycle analyzer entirely.
-	FlightRecEntries int
-	// FlightDumpWriter, if non-nil, arms automatic flight-recorder dumps:
-	// a dump is written here when the device fails or a request exceeds
-	// RequestTimeout.
-	FlightDumpWriter io.Writer
 	// RequestTimeout, when > 0, arms a watchdog process that flags
 	// requests outstanding longer than this, counts them in
-	// hpbd.timeouts, and dumps the flight recorder; with recovery enabled
+	// hpbd.timeouts, and dumps the flight recorder (to the writer armed
+	// through Lifecycle().Flight().SetDumpWriter); with recovery enabled
 	// (MaxRetries/Fallback) it also cancels each overdue request and
 	// re-routes it (retry or fallback), so a wedged server cannot wedge
 	// the device forever. Zero (the default) spawns no watchdog.
@@ -149,7 +139,8 @@ type ClientConfig struct {
 	PollingReceiver bool
 	// StripeBytes, if non-zero, stripes the device across servers in
 	// round-robin chunks instead of the paper's blocked distribution
-	// (§4.2.5 argues striping does not pay at a 128 KB request bound).
+	// (§4.2.5 argues striping does not pay at a 128 KB request bound). It
+	// must be a multiple of the sector size.
 	StripeBytes int64
 }
 
@@ -261,16 +252,15 @@ func newDeviceMetrics(reg *telemetry.Registry) deviceMetrics {
 
 // serverLink is the client-side state for one memory server connection.
 type serverLink struct {
-	srv       *Server
-	qp        *ib.QP
-	srvQP     *ib.QP // server-side QP (keys the server's per-conn tenancy state)
-	credits   *sim.Semaphore
-	startByte int64
-	reqMR     *ib.MR // Credits control-message staging slots
-	recvMR    *ib.MR // Credits reply buffers
-	slot      int    // next reqMR slot (round-robin)
-	down      bool   // the recovery path declared this server dead
-	removed   bool   // decommissioned by RemoveServer (drained, QP closed)
+	srv     *Server
+	qp      *ib.QP
+	srvQP   *ib.QP // server-side QP (keys the server's per-conn tenancy state)
+	credits *sim.Semaphore
+	reqMR   *ib.MR // Credits control-message staging slots
+	recvMR  *ib.MR // Credits reply buffers
+	slot    int    // next reqMR slot (round-robin)
+	down    bool   // the recovery path declared this server dead
+	removed bool   // decommissioned by RemoveServer (drained, QP closed)
 }
 
 // parentReq tracks one block-layer request across its physical requests.
@@ -332,10 +322,11 @@ type Device struct {
 	wrs   []ib.SendWR
 	items []*phys
 
-	links    []*serverLink
-	byQP     map[*ib.QP]*serverLink
-	areas    []placement.Area // legacy-layout view of the links
-	total    int64
+	links []*serverLink
+	byQP  map[*ib.QP]*serverLink
+	// dir is the device's one address map: links[i] is directory server i,
+	// and every sector→server decision goes through it.
+	dir      *placement.Directory
 	inflight inflight // every request owed a completion, and the sender's queue
 	sleepQ   *sim.WaitQueue
 	// reclaimQ parks the tenancy reclaimer until a quota refusal kicks it
@@ -359,7 +350,6 @@ type Device struct {
 
 	// Elastic membership state (see elastic.go): apart from the mutex, all
 	// nil until the first membership operation.
-	dir      *placement.Directory
 	memberMu *sim.Mutex // serializes membership operations
 	mig      *migState  // the in-progress move, nil when idle
 	migMR    *ib.MR     // long-lived migration staging MR
@@ -387,6 +377,7 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		cq:       hca.CreateCQ(name + "-cq"),
 		pool:     NewBufferPool(env, cfg.PoolBytes),
 		byQP:     make(map[*ib.QP]*serverLink),
+		dir:      placement.NewDirectory(),
 		inflight: newInflight(env),
 		sleepQ:   sim.NewWaitQueue(env),
 	}
@@ -411,14 +402,8 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		d.mmet = newMergeMetrics(tel)
 	}
 	// The request-lifecycle analyzer and its flight recorder are always on
-	// (cheap: timestamp reads and a ring copy per request, never a sleep)
-	// unless explicitly disabled.
-	if cfg.FlightRecEntries >= 0 {
-		d.lc = tel.EnableLifecycle(cfg.FlightRecEntries)
-		if cfg.FlightDumpWriter != nil {
-			d.lc.Flight().SetDumpWriter(cfg.FlightDumpWriter)
-		}
-	}
+	// (cheap: timestamp reads and a ring copy per request, never a sleep).
+	d.lc = tel.EnableLifecycle(telemetry.DefaultFlightRecEntries)
 	// The pool is registered once at device load time — the design point
 	// the paper's Figure 3 motivates.
 	d.pool.SetTelemetry(tel)
@@ -440,8 +425,8 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 func (d *Device) Name() string { return d.name }
 
 // Sectors implements blockdev.Driver: the device size is the sum of the
-// areas exported by the connected servers.
-func (d *Device) Sectors() int64 { return d.total / blockdev.SectorSize }
+// areas the founding servers exported at ConnectServer.
+func (d *Device) Sectors() int64 { return d.dir.TotalSectors() }
 
 // Stats returns a snapshot of the driver statistics, read back from the
 // telemetry registry.
@@ -474,8 +459,7 @@ func (d *Device) recovery() bool {
 // has declared dead.
 func (d *Device) DownLinks() int { return d.downLinks }
 
-// Lifecycle returns the device's request-lifecycle analyzer (nil when
-// disabled via FlightRecEntries < 0).
+// Lifecycle returns the device's request-lifecycle analyzer.
 func (d *Device) Lifecycle() *telemetry.Lifecycle { return d.lc }
 
 // Telemetry returns the registry the device reports into.
@@ -504,16 +488,17 @@ func (d *Device) InvalidateODP() int { return d.hca.InvalidateODP() }
 func (d *Device) Failed() bool { return d.failed }
 
 // ConnectServer attaches areaBytes of srv's memory as the next contiguous
-// range of this device (the paper's blocked, non-striped distribution).
+// range of this device (the paper's blocked, non-striped distribution):
+// a link plus a founding entry in the placement directory. Under the
+// StripeBytes ablation the founding table is then re-laid round-robin.
 func (d *Device) ConnectServer(srv *Server, areaBytes int64) error {
-	if areaBytes <= 0 || areaBytes%blockdev.SectorSize != 0 {
-		return fmt.Errorf("hpbd: invalid area size %d", areaBytes)
-	}
-	if err := d.newLink(srv, areaBytes, d.total); err != nil {
+	if err := d.newLink(srv, areaBytes); err != nil {
 		return err
 	}
-	d.areas = append(d.areas, placement.Area{Start: d.total, Size: areaBytes})
-	d.total += areaBytes
+	d.dir.Bootstrap(srv.Name(), areaBytes)
+	if d.cfg.StripeBytes > 0 {
+		return d.dir.Stripe(d.cfg.StripeBytes)
+	}
 	return nil
 }
 
@@ -521,9 +506,12 @@ func (d *Device) ConnectServer(srv *Server, areaBytes int64) error {
 // and for a live add: a QP attached to areaBytes of the server's memory,
 // Credits control-message slots and Credits pre-posted reply buffers (the
 // water-mark, §4.2.4), and the reclaim kick when the device runs a
-// reclaimer. startByte places the area in the legacy blocked address
-// space; -1 marks a link only the placement directory maps sectors onto.
-func (d *Device) newLink(srv *Server, areaBytes, startByte int64) error {
+// reclaimer. The caller enters the link in the placement directory, which
+// alone decides what sectors it serves.
+func (d *Device) newLink(srv *Server, areaBytes int64) error {
+	if areaBytes <= 0 || areaBytes%blockdev.SectorSize != 0 {
+		return fmt.Errorf("hpbd: invalid area size %d", areaBytes)
+	}
 	var kick func() // a quota refusal on this link wakes the reclaimer
 	if d.reclaimQ != nil {
 		kick = d.reclaimQ.WakeAll
@@ -534,13 +522,12 @@ func (d *Device) newLink(srv *Server, areaBytes, startByte int64) error {
 		return err
 	}
 	link := &serverLink{
-		srv:       srv,
-		qp:        qp,
-		srvQP:     srvQP,
-		credits:   sim.NewSemaphore(d.env, d.cfg.Credits),
-		startByte: startByte,
-		reqMR:     d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
-		recvMR:    d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
+		srv:     srv,
+		qp:      qp,
+		srvQP:   srvQP,
+		credits: sim.NewSemaphore(d.env, d.cfg.Credits),
+		reqMR:   d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
+		recvMR:  d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
 	}
 	for slot := 0; slot < d.cfg.Credits; slot++ {
 		if err := link.postReplyBuf(slot); err != nil {
@@ -578,20 +565,6 @@ func newPhys(parent *parentReq, r *blockdev.Request, link *serverLink, sg placem
 	}
 }
 
-// split maps a contiguous byte range of the device onto server areas:
-// through the placement directory once the device has gone elastic,
-// otherwise via the legacy blocked policy (or striped under ablation).
-// The range math itself lives in internal/placement.
-func (d *Device) split(start int64, n int) []placement.Segment {
-	if d.dir != nil {
-		return d.dir.Split(start, n)
-	}
-	if d.cfg.StripeBytes > 0 {
-		return placement.Striped(d.areas, d.cfg.StripeBytes, start, n)
-	}
-	return placement.Blocked(d.areas, start, n)
-}
-
 // Submit implements blockdev.Driver: it splits the request across servers,
 // copies write data into the registration pool (blocking on the pool's
 // allocation wait queue under pressure), and hands the physical requests
@@ -607,7 +580,7 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 	}
 	start := r.Sector * blockdev.SectorSize
 	n := r.Bytes()
-	segs := d.split(start, n)
+	segs := d.dir.Split(start, n)
 	if segs == nil {
 		r.Complete(blockdev.ErrOutOfRange)
 		return
@@ -1120,9 +1093,6 @@ func (d *Device) traceDone(p *sim.Proc, ph *phys) {
 //
 //hpbd:hotpath
 func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
-	if d.lc == nil {
-		return
-	}
 	now := p.Now()
 	st, stOK := d.lc.TakeServerStamp(ph.handle)
 	stOK = stOK && st.Start >= ph.creditAt && st.Reply >= st.Start && replyAt >= st.Reply
@@ -1417,9 +1387,6 @@ func (d *Device) finishDegraded(ph *phys, err error, server string) {
 	}
 	now := d.env.Now()
 	for _, s := range reqs {
-		if d.lc == nil {
-			break
-		}
 		rec := telemetry.ReqRecord{
 			ID:      s.handle,
 			Flow:    s.flowID,

@@ -5,9 +5,9 @@ package hpbd
 // A Device on the blocked layout (StripeBytes 0) can change its server
 // fleet at runtime: AddServerLive attaches a new server and rebalances
 // onto it, DrainServer empties a server, RemoveServer retires a drained
-// one. The sector→server map lives in a placement.Directory; the first
-// membership operation creates it, and until then the device splits
-// requests through the legacy static layout.
+// one. The sector→server map is the device's placement.Directory from the
+// first ConnectServer on — a static fleet is that directory at epoch 0 —
+// so a membership operation edits the map every request already reads.
 //
 // Moves are executed by a live migration engine that copies a sector
 // range from its source server to reserved space on the destination in
@@ -35,8 +35,8 @@ import (
 // ErrMigration wraps a transfer failure that aborted a move.
 var ErrMigration = errors.New("hpbd: migration aborted")
 
-// elasticMetrics are registered lazily on the first membership operation
-// so a static topology's telemetry summary is unchanged.
+// elasticMetrics are registered lazily on the first membership operation:
+// registry names show in Summary(), and a static topology's must not grow.
 type elasticMetrics struct {
 	epoch       *telemetry.Gauge
 	migBytes    *telemetry.Counter
@@ -124,27 +124,20 @@ func (d *Device) migGate(p *sim.Proc, r *blockdev.Request) {
 	}
 }
 
-// Directory returns the placement directory, or nil while the device
-// still runs its static legacy layout (no membership operation yet).
+// Directory returns the placement directory, the device's address map.
 func (d *Device) Directory() *placement.Directory { return d.dir }
 
 // HasServer reports whether a server of that name is connected.
-func (d *Device) HasServer(name string) bool {
-	for _, l := range d.links {
-		if l.srv.Name() == name {
-			return true
-		}
-	}
-	return false
-}
+func (d *Device) HasServer(name string) bool { return d.dir.FindServer(name) >= 0 }
 
 // beginMembership opens a membership operation: it takes the membership
-// lock (the caller unlocks) and, on the first one, makes the device
-// elastic — the placement directory bootstrapped from the legacy layout
-// (until then d.dir is nil and split walks the static areas) and the
-// long-lived migration staging MR, a one-time registration charge.
+// lock (the caller unlocks) and, on the first one, sets up what a static
+// fleet must not pay for — the elastic metric names and the long-lived
+// migration staging MR, a one-time registration charge in virtual time.
 func (d *Device) beginMembership(p *sim.Proc) error {
 	if d.cfg.StripeBytes > 0 {
+		// Policy, not mechanism: rebalancing thousands of stripe ranges is
+		// a capability nobody asked for.
 		return fmt.Errorf("hpbd: elastic membership requires the blocked layout")
 	}
 	d.memberMu.Lock(p)
@@ -152,16 +145,21 @@ func (d *Device) beginMembership(p *sim.Proc) error {
 		d.memberMu.Unlock()
 		return ErrDeviceFailed
 	}
-	if d.dir == nil {
+	if d.migMR == nil {
 		d.emet = newElasticMetrics(d.tel)
-		d.dir = placement.NewDirectory()
-		for i, l := range d.links {
-			d.dir.Bootstrap(l.srv.Name(), d.areas[i].Size)
-		}
 		d.emet.epoch.Set(int64(d.dir.Epoch()))
 		d.migMR = d.hca.RegisterMR(p, make([]byte, migrationChunkBytes))
 	}
 	return nil
+}
+
+// findServer resolves a fleet member by name for a membership operation.
+func (d *Device) findServer(name string) (int, error) {
+	id := d.dir.FindServer(name)
+	if id < 0 {
+		return 0, fmt.Errorf("hpbd: unknown server %q", name)
+	}
+	return id, nil
 }
 
 // migrationChunkBytes is the live-migration copy granularity: half the
@@ -176,16 +174,11 @@ const (
 // device does not grow (swap capacity is fixed at connect time); the new
 // server absorbs load and makes draining others possible.
 func (d *Device) AddServerLive(p *sim.Proc, srv *Server, areaBytes int64) error {
-	if areaBytes <= 0 || areaBytes%blockdev.SectorSize != 0 {
-		return fmt.Errorf("hpbd: invalid area size %d", areaBytes)
-	}
 	if err := d.beginMembership(p); err != nil {
 		return err
 	}
 	defer d.memberMu.Unlock()
-	// Not part of the legacy address space: only the directory maps
-	// sectors onto this link.
-	if err := d.newLink(srv, areaBytes, -1); err != nil {
+	if err := d.newLink(srv, areaBytes); err != nil {
 		return err
 	}
 	id := d.dir.AddServer(srv.Name(), areaBytes)
@@ -225,9 +218,9 @@ func (d *Device) DrainServer(p *sim.Proc, name string) error {
 		return err
 	}
 	defer d.memberMu.Unlock()
-	id := d.dir.FindServer(name)
-	if id < 0 {
-		return fmt.Errorf("hpbd: unknown server %q", name)
+	id, err := d.findServer(name)
+	if err != nil {
+		return err
 	}
 	moves, err := d.dir.Drain(id)
 	if err != nil {
@@ -254,9 +247,9 @@ func (d *Device) RemoveServer(p *sim.Proc, name string) error {
 		return err
 	}
 	defer d.memberMu.Unlock()
-	id := d.dir.FindServer(name)
-	if id < 0 {
-		return fmt.Errorf("hpbd: unknown server %q", name)
+	id, err := d.findServer(name)
+	if err != nil {
+		return err
 	}
 	if err := d.dir.Remove(id); err != nil {
 		return err
@@ -357,6 +350,9 @@ func (d *Device) runMove(p *sim.Proc, mv placement.Move) error {
 		return abort(err)
 	}
 	d.dir.Commit(mv, dstOff)
+	// The range's pages left the source's working set with the cutover.
+	src := d.links[mv.From]
+	src.srv.ForgetRange(src.srvQP, mv.SrcAreaOff, mv.Bytes())
 	d.emet.epoch.Set(int64(d.dir.Epoch()))
 	d.emet.cutovers.Inc()
 	d.requeueRange(mv)

@@ -9,11 +9,13 @@ import (
 	"hpbd/internal/sim"
 )
 
-// addServer spawns a server on the bed's fabric and live-attaches it.
+// addServer spawns a server on the bed's fabric, enforcing the founders'
+// QoS spec, and live-attaches it.
 func (cb *testbed) addServer(t *testing.T, p *sim.Proc, name string, areaBytes int64) *Server {
 	t.Helper()
 	sc := DefaultServerConfig(areaBytes)
 	sc.Telemetry = cb.reg
+	sc.Tenancy = cb.spec
 	srv := NewServer(cb.fabric, name, sc)
 	if err := cb.dev.AddServerLive(p, srv, areaBytes); err != nil {
 		t.Fatalf("AddServerLive(%s): %v", name, err)
@@ -59,16 +61,13 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 		if err := cb.writeBlocks(p, blocks, blockBytes, 3); err != nil {
 			t.Fatalf("write pass: %v", err)
 		}
-		if cb.dev.Directory() != nil {
-			t.Fatal("directory exists before any membership operation")
+		dir := cb.dev.Directory()
+		if dir == nil || dir.Epoch() != 0 {
+			t.Fatal("a static fleet must be the directory at epoch 0")
 		}
 		cb.addServer(t, p, "mem2", 8<<20)
 		done.Trigger()
 		idle.Wait(p) // join the rewriter before reading its block
-		dir := cb.dev.Directory()
-		if dir == nil {
-			t.Fatal("no directory after AddServerLive")
-		}
 		if dir.Epoch() < 2 {
 			t.Errorf("epoch = %d after add+rebalance, want >= 2", dir.Epoch())
 		}
@@ -153,6 +152,46 @@ func TestElasticDrainToDecommission(t *testing.T) {
 	assertExactPartition(t, cb.dev)
 }
 
+// TestConnectAfterGrow connects a founder after a membership operation:
+// its slice joins the device tail with the link list and the directory
+// still in step, so the tail reads back and the next live add lands on
+// the link the directory names.
+func TestConnectAfterGrow(t *testing.T) {
+	const area = 1 << 20
+	const blocks, blockBytes = 24, 128 * 1024 // the 3 MB the device ends up with
+	cb := newBed(t, bedOpts{servers: 2, area: area, shared: true})
+	cb.run(func(p *sim.Proc) {
+		cb.addServer(t, p, "mem2", 2*area)
+		late := NewServer(cb.fabric, "mem3", DefaultServerConfig(area))
+		if err := cb.dev.ConnectServer(late, area); err != nil {
+			t.Errorf("ConnectServer after a grow: %v", err)
+			return
+		}
+		if got, want := cb.dev.Sectors(), int64(3*area/blockdev.SectorSize); got != want {
+			t.Errorf("device has %d sectors after the late connect, want %d", got, want)
+			return
+		}
+		if err := cb.writeBlocks(p, blocks, blockBytes, 7); err != nil {
+			t.Errorf("writes over the new tail: %v", err)
+			return
+		}
+		if late.Stats().Writes == 0 {
+			t.Error("the late founder took none of the tail's writes")
+		}
+		cb.addServer(t, p, "mem4", 2*area)
+		cb.verifyBlocks(t, p, blocks, blockBytes, 7)
+	})
+	dir := cb.dev.Directory()
+	if got := dir.NumServers(); got != len(cb.dev.links) {
+		t.Errorf("directory has %d servers, the device %d links", got, len(cb.dev.links))
+	}
+	for i, si := range dir.Servers() {
+		if name := cb.dev.links[i].srv.Name(); name != si.Name {
+			t.Errorf("directory server %d is %s, link %d is %s", i, si.Name, i, name)
+		}
+	}
+}
+
 // TestDeterministicReplayMigration replays a full membership scenario —
 // grow, concurrent traffic, drain, decommission — twice in fresh
 // simulations and requires byte-identical telemetry and directory
@@ -216,8 +255,7 @@ func TestElasticGuards(t *testing.T) {
 			!strings.Contains(err.Error(), "blocked layout") {
 			t.Errorf("remove under striping = %v, want the blocked-layout refusal", err)
 		}
-		// A refused call must not have bootstrapped a blocked-layout
-		// directory under the striped device.
+		// A refused call must leave the striped map as it was.
 		cb2.verifyBlocks(t, p, 16, 128*1024, 3)
 	})
 

@@ -26,6 +26,7 @@ type testbed struct {
 	queue   *blockdev.Queue
 	reg     *telemetry.Registry // the device's registry (the node's when shared)
 	inj     *faultsim.Injector  // nil without a fault schedule
+	spec    *tenant.Spec        // the servers' QoS spec, nil without tenancy
 }
 
 // bedOpts says what a bed has beyond one default client on one default
@@ -74,7 +75,7 @@ func newBed(t *testing.T, o bedOpts) *testbed {
 			ids = append(ids, tn.ID)
 		}
 	}
-	tb := &testbed{env: env, fabric: f, devs: make(map[string]*Device)}
+	tb := &testbed{env: env, fabric: f, devs: make(map[string]*Device), spec: spec}
 	for i := 0; i < o.servers; i++ {
 		sc := DefaultServerConfig(o.area * int64(len(ids)))
 		sc.Telemetry = o.client.Telemetry

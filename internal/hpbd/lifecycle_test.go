@@ -68,10 +68,10 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 	var dump bytes.Buffer
 	ccfg := DefaultClientConfig()
 	ccfg.RequestTimeout = 200 * sim.Microsecond
-	ccfg.FlightDumpWriter = &dump
 	tb := newBed(t, bedOpts{client: ccfg, shared: true, server: func(sc *ServerConfig) {
 		sc.StoreOpOverhead = 10 * sim.Millisecond
 	}})
+	tb.dev.Lifecycle().Flight().SetDumpWriter(&dump)
 	var waitErr error
 	tb.env.Go("test", func(p *sim.Proc) {
 		w, err := tb.queue.Submit(true, 0, pattern(4096, 1))
@@ -101,21 +101,5 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 	}
 	if !strings.Contains(out, "server=mem0") {
 		t.Fatalf("dump reason does not name the serving host:\n%s", out)
-	}
-}
-
-// TestLifecycleDisabled checks the explicit opt-out: a negative ring size
-// leaves the device with no analyzer and the datapath records nothing.
-func TestLifecycleDisabled(t *testing.T) {
-	ccfg := DefaultClientConfig()
-	ccfg.FlightRecEntries = -1
-	tb := newBed(t, bedOpts{client: ccfg})
-	tb.run(func(p *sim.Proc) {
-		if err := tb.do(p, true, 0, pattern(4096, 2)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	if lc := tb.dev.Lifecycle(); lc != nil {
-		t.Fatalf("lifecycle should be disabled, recorded %d requests", lc.Count())
 	}
 }

@@ -85,8 +85,8 @@ func newMRCache(hca *ib.HCA, mem netmodel.MemModel, cfg ClientConfig, reg *telem
 	if c.thr <= 0 {
 		c.thr = netmodel.Fig3CrossoverBytes
 	}
-	// The controller feeds on lifecycle records, so it needs the analyzer.
-	if cfg.AdaptiveCrossover && cfg.FlightRecEntries >= 0 {
+	// The controller feeds on the device's lifecycle records.
+	if cfg.AdaptiveCrossover {
 		c.win = cfg.CrossoverWindow
 		if c.win <= 0 {
 			c.win = 64

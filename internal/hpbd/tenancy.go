@@ -554,6 +554,26 @@ func (s *Server) DiscardPage(qp *ib.QP, cp ColdPage) bool {
 	return true
 }
 
+// ForgetRange drops the residency accounting of every page that
+// [areaOff, areaOff+bytes) of the connection's area touches, after a
+// migration moved that range off this server: the bytes are no longer the
+// tenant's working set here, and nothing was evicted. No-op without
+// tenancy.
+func (s *Server) ForgetRange(qp *ib.QP, areaOff, bytes int64) {
+	conn := s.conns[qp]
+	if conn == nil || s.tn == nil {
+		return
+	}
+	id := conn.tenantID
+	for pg := areaOff / tenantPageBytes; pg <= (areaOff+bytes-1)/tenantPageBytes; pg++ {
+		if _, ok := conn.resident[pg]; ok {
+			delete(conn.resident, pg)
+			s.tn.resident[id] -= tenantPageBytes
+		}
+	}
+	s.tn.met[id].resident.Set(s.tn.resident[id])
+}
+
 // TenantResident returns the connection's tenant's resident bytes on
 // this server.
 func (s *Server) TenantResident(qp *ib.QP) int64 {
@@ -655,10 +675,8 @@ func (d *Device) reclaimer(p *sim.Proc) {
 // returning whether it evicted anything.
 func (d *Device) reclaimPass(p *sim.Proc) bool {
 	progress := false
-	for _, link := range d.links {
-		// startByte < 0: an elastic directory-mapped link; reclaim only
-		// addresses the legacy blocked layout.
-		if link.down || link.srv.Crashed() || link.startByte < 0 {
+	for id, link := range d.links {
+		if link.down || link.srv.Crashed() {
 			continue
 		}
 		quota := link.srv.TenantQuota(link.srvQP)
@@ -668,7 +686,7 @@ func (d *Device) reclaimPass(p *sim.Proc) bool {
 		}
 		target := res + reclaimHeadroom - quota
 		for _, cp := range link.srv.ColdestPages(link.srvQP, target) {
-			if d.demotePage(p, link, cp) {
+			if d.demotePage(p, id, cp) {
 				progress = true
 			}
 		}
@@ -679,16 +697,24 @@ func (d *Device) reclaimPass(p *sim.Proc) bool {
 // demotePage moves one cold page to the fallback disk: server read,
 // fallback write, hold, then a guarded discard of the server copy. If a
 // fresh write raced the demotion the discard refuses and the hold is
-// dropped — the server copy stays authoritative.
-func (d *Device) demotePage(p *sim.Proc, link *serverLink, cp ColdPage) bool {
-	devByte := link.startByte + cp.Page*tenantPageBytes
+// dropped — the server copy stays authoritative. The page is addressed
+// through the placement directory like any request: one whose area bytes
+// no committed range maps as a whole (space a move still in progress has
+// reserved, or a page straddling two ranges) is skipped, never discarded.
+func (d *Device) demotePage(p *sim.Proc, id int, cp ColdPage) bool {
+	link := d.links[id]
+	sector, ok := d.dir.SectorAt(id, cp.Page*tenantPageBytes)
+	devByte := sector * blockdev.SectorSize
+	if !ok || len(d.dir.Split(devByte, tenantPageBytes)) != 1 {
+		return false
+	}
 	buf := make([]byte, tenantPageBytes)
-	r := blockdev.NewRequest(d.env, false, devByte/blockdev.SectorSize, buf)
+	r := blockdev.NewRequest(d.env, false, sector, buf)
 	d.Submit(p, r)
 	if err := r.Wait(p); err != nil {
 		return false
 	}
-	fr := blockdev.NewRequest(d.env, true, devByte/blockdev.SectorSize, buf)
+	fr := blockdev.NewRequest(d.env, true, sector, buf)
 	d.cfg.Fallback.Submit(p, fr)
 	if err := fr.Wait(p); err != nil {
 		return false

@@ -165,3 +165,62 @@ func TestTenancyOffIdentical(t *testing.T) {
 	}
 	tb.env.Close()
 }
+
+// TestQuotaReclaimOnGrownServer crosses the quota with a membership
+// change. A grow lands two moves of 600 KB on the new server under a 1 MB
+// quota: the second is refused until reclaim demotes cold pages of the
+// first — pages only the placement directory can address — so the grown
+// server's evictions move and its residency ends within the quota.
+// Rewriting the device then takes foreground writes past the quota there,
+// and draining a founder leaves none of the tenant's bytes resident on it.
+func TestQuotaReclaimOnGrownServer(t *testing.T) {
+	const area, quota = 768 << 10, 1 << 20
+	const blocks, blockBytes = 24, 64 << 10 // the whole 1.5 MB device
+	tb := newBed(t, bedOpts{servers: 2, area: area, tenancy: fmt.Sprintf("pool=16,a:w1:q%d", quota)})
+	grownStat := func() TenantStat {
+		return tb.servers[2].TenantStats()[0]
+	}
+	tb.run(func(p *sim.Proc) {
+		if err := tb.writeBlocks(p, blocks, blockBytes, 3); err != nil {
+			t.Errorf("write pass: %v", err)
+			return
+		}
+		tb.addServer(t, p, "mem2", 6<<20)
+		if n := tb.dev.Directory().SectorsOn(2) * blockdev.SectorSize; n <= quota {
+			t.Errorf("the grow put %d bytes on mem2, not more than its %d quota", n, quota)
+			return
+		}
+		afterGrow := grownStat().Evictions
+		if afterGrow == 0 {
+			t.Error("no evictions on the grown server: reclaim never addressed its pages")
+		}
+		tb.verifyBlocks(t, p, blocks, blockBytes, 3)
+		if err := tb.writeBlocks(p, blocks, blockBytes, 11); err != nil {
+			t.Errorf("rewrite pass: %v", err)
+			return
+		}
+		if got := grownStat().Evictions; got <= afterGrow {
+			t.Errorf("foreground writes past the quota evicted nothing on the grown server (%d before, %d after)", afterGrow, got)
+		}
+		if err := tb.dev.DrainServer(p, "mem0"); err != nil {
+			t.Errorf("DrainServer: %v", err)
+			return
+		}
+		if got := tb.servers[0].TenantResident(tb.dev.links[0].srvQP); got != 0 {
+			t.Errorf("drained mem0 still counts %d resident bytes", got)
+		}
+		tb.verifyBlocks(t, p, blocks, blockBytes, 11)
+	})
+	if t.Failed() {
+		return // the grow may not have happened
+	}
+	// Admission is optimistic, as in TestQuotaPushbackAndReclaim.
+	if st := grownStat(); st.Resident > quota+int64(blockdev.MaxRequestBytes)+blockBytes {
+		t.Errorf("grown server holds %d resident bytes, quota %d", st.Resident, quota)
+	}
+	for _, srv := range tb.servers {
+		if err := srv.TenancyCheck(); err != nil {
+			t.Errorf("%s: %v", srv.Name(), err)
+		}
+	}
+}

@@ -89,9 +89,10 @@ type Directory struct {
 func NewDirectory() *Directory { return &Directory{} }
 
 // Bootstrap appends a founding server owning the next contiguous slice
-// of the device — the blocked layout, so a directory bootstrapped from
-// the legacy areas splits identically to Blocked. No epoch bump: the
-// bootstrap layout is epoch 0.
+// of the device — the paper's blocked distribution (§4.2.5). No epoch
+// bump: a static fleet is the directory at epoch 0. A founder that joins
+// after membership operations have run still appends its slice at the
+// device tail, so server indices and the device's link list stay in step.
 func (d *Directory) Bootstrap(name string, areaBytes int64) int {
 	id := len(d.servers)
 	d.servers = append(d.servers, ServerInfo{Name: name, AreaBytes: areaBytes, State: Active})
@@ -100,6 +101,40 @@ func (d *Directory) Bootstrap(name string, areaBytes int64) int {
 	d.ranges = append(d.ranges, Range{Start: d.total, Sectors: sectors, Server: id, AreaOff: 0, Epoch: 0})
 	d.total += sectors
 	return id
+}
+
+// Stripe re-lays the founding range table round-robin in stripe-byte
+// chunks — the §4.2.5 ablation layout: range c lives on server c mod N at
+// area offset (c / N)·stripe, for as many full rows as the smallest area
+// holds; what a larger or misaligned area has left follows as one blocked
+// range per server, so [0, TotalSectors) stays covered. It is a bootstrap
+// layout, not a membership operation: the table must still be the
+// founders' (epoch 0), and it is laid again after every Bootstrap.
+func (d *Directory) Stripe(stripe int64) error {
+	if stripe <= 0 || stripe%SectorSize != 0 {
+		return fmt.Errorf("placement: stripe %d is not a positive multiple of the sector size", stripe)
+	}
+	if d.epoch != 0 {
+		return fmt.Errorf("placement: cannot stripe at epoch %d, only the founding layout", d.epoch)
+	}
+	n := int64(len(d.servers))
+	rows := d.total * SectorSize / stripe // no area holds more than the device
+	for _, s := range d.servers {
+		rows = min(rows, s.AreaBytes/stripe)
+	}
+	secs := stripe / SectorSize
+	d.ranges = d.ranges[:0]
+	for c := int64(0); c < rows*n; c++ {
+		d.ranges = append(d.ranges, Range{Start: c * secs, Sectors: secs, Server: int(c % n), AreaOff: c / n * stripe})
+	}
+	next := rows * n * secs
+	for i, s := range d.servers {
+		if rest := (s.AreaBytes - rows*stripe) / SectorSize; rest > 0 {
+			d.ranges = append(d.ranges, Range{Start: next, Sectors: rest, Server: i, AreaOff: rows * stripe})
+			next += rest
+		}
+	}
+	return nil
 }
 
 // AddServer registers a new empty fleet member and bumps the epoch. The
@@ -168,6 +203,18 @@ func (d *Directory) rangeIdxAt(sector int64) int {
 		return -1
 	}
 	return i
+}
+
+// SectorAt is the reverse lookup: the device sector stored at byte
+// areaOff of server id's area, or false when no committed range covers
+// that byte — space a move vacated, or reserved for one still in progress.
+func (d *Directory) SectorAt(id int, areaOff int64) (int64, bool) {
+	for _, r := range d.ranges {
+		if r.Server == id && areaOff >= r.AreaOff && areaOff < r.AreaOff+r.Sectors*SectorSize {
+			return r.Start + (areaOff-r.AreaOff)/SectorSize, true
+		}
+	}
+	return 0, false
 }
 
 // Split maps the byte range [start, start+n) through the directory,

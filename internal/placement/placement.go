@@ -1,18 +1,17 @@
 // Package placement owns the sector→server mapping of an HPBD device.
 //
-// The paper's client hardwires two static layouts: a blocked
-// distribution (each server exports the next contiguous slice of the
-// device, §4.2.5) and a striped ablation (round-robin chunks). Both are
-// reproduced here as pure policy functions over immutable Area lists —
-// byte-identical to the original split math — so the default figures do
-// not move.
+// The map is the Directory: a versioned, epoch-stamped table of sector
+// ranges to servers. A static fleet is the directory at epoch 0 — each
+// founding server bootstraps the next contiguous slice of the device,
+// the paper's blocked distribution (§4.2.5), or the founding table is
+// re-laid round-robin for the striped ablation — and Split is the one
+// function that turns a device byte range into per-server segments.
 //
-// On top of the static policies sits the Directory: a versioned,
-// epoch-stamped map of sector ranges to servers that makes membership
-// dynamic. Servers can be added, drained and removed at runtime; the
-// directory plans rebalancing moves (capacity-proportional targets,
-// minimal movement, deterministic order) and the device's migration
-// engine executes them, committing each move with an epoch bump.
+// Membership is dynamic on top of the same table. Servers can be added,
+// drained and removed at runtime; the directory plans rebalancing moves
+// (capacity-proportional targets, minimal movement, deterministic order)
+// and the device's migration engine executes them, committing each move
+// with an epoch bump.
 package placement
 
 import (
@@ -22,14 +21,6 @@ import (
 // SectorSize aliases the block layer's addressing unit.
 const SectorSize = blockdev.SectorSize
 
-// Area is one server's exported memory region. Start is the device byte
-// offset the area covers under the blocked layout (unused by the
-// striped policy, which derives position round-robin).
-type Area struct {
-	Start int64 // device byte offset (blocked layout)
-	Size  int64 // bytes exported
-}
-
 // Segment is one piece of a split request: Length bytes of the parent
 // request at byte Off map to the owning server's area at byte Offset.
 type Segment struct {
@@ -38,63 +29,4 @@ type Segment struct {
 	Off     int   // byte offset within the parent request
 	Length  int
 	DevByte int64 // absolute device byte offset of this piece
-}
-
-// Blocked maps [start, start+n) onto contiguous server areas — the
-// paper's default distribution. Returns nil when the range falls
-// outside every area (out-of-range I/O).
-func Blocked(areas []Area, start int64, n int) []Segment {
-	var out []Segment
-	reqOff := 0
-	for n > 0 {
-		srv := -1
-		for i := range areas {
-			if start >= areas[i].Start && start < areas[i].Start+areas[i].Size {
-				srv = i
-				break
-			}
-		}
-		if srv < 0 {
-			return nil
-		}
-		a := areas[srv]
-		avail := int(a.Start + a.Size - start)
-		take := n
-		if take > avail {
-			take = avail
-		}
-		out = append(out, Segment{Server: srv, Offset: start - a.Start, Off: reqOff, Length: take, DevByte: start})
-		start += int64(take)
-		reqOff += take
-		n -= take
-	}
-	return out
-}
-
-// Striped distributes [start, start+n) round-robin over the areas in
-// stripe-sized chunks (the §4.2.5 ablation layout). Returns nil when a
-// chunk would land beyond its server's area.
-func Striped(areas []Area, stripe int64, start int64, n int) []Segment {
-	nl := int64(len(areas))
-	reqOff := 0
-	var out []Segment
-	for n > 0 {
-		chunk := start / stripe
-		li := chunk % nl
-		row := chunk / nl
-		inChunk := start % stripe
-		take := int(stripe - inChunk)
-		if take > n {
-			take = n
-		}
-		areaOff := row*stripe + inChunk
-		if areaOff+int64(take) > areas[li].Size {
-			return nil
-		}
-		out = append(out, Segment{Server: int(li), Offset: areaOff, Off: reqOff, Length: take, DevByte: start})
-		start += int64(take)
-		reqOff += take
-		n -= take
-	}
-	return out
 }

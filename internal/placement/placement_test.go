@@ -1,31 +1,51 @@
 package placement
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// areas builds n equal areas laid out contiguously — the blocked layout
-// the client constructs at ConnectServer time.
-func areas(n int, size int64) []Area {
-	out := make([]Area, n)
+// founders bootstraps a directory from the given areas, in order — what
+// the client builds at ConnectServer time — and, when stripe > 0, lays the
+// founding table round-robin.
+func founders(t *testing.T, stripe int64, areas ...int64) *Directory {
+	t.Helper()
+	d := NewDirectory()
+	for _, a := range areas {
+		d.Bootstrap("s", a)
+		if stripe > 0 {
+			if err := d.Stripe(stripe); err != nil {
+				t.Fatalf("Stripe(%d): %v", stripe, err)
+			}
+		}
+	}
+	if d.Epoch() != 0 {
+		t.Fatalf("bootstrap epoch = %d, want 0", d.Epoch())
+	}
+	return d
+}
+
+// equal returns n areas of size bytes each.
+func equal(n int, size int64) []int64 {
+	out := make([]int64, n)
 	for i := range out {
-		out[i] = Area{Start: int64(i) * size, Size: size}
+		out[i] = size
 	}
 	return out
 }
 
-// The legacy blocked policy must reproduce the seed client's split math
-// exactly: these tables are the segment lists the original
+// A bootstrapped directory must reproduce the seed client's blocked split
+// math exactly: these tables are the segment lists the original
 // client.go split produced for the Figure 10 sixteen-server layout and
 // the boundary cases.
 func TestBlockedGoldenSixteenServers(t *testing.T) {
 	const area = 256 * 1024
-	as := areas(16, area)
+	d := founders(t, 0, equal(16, area)...)
 
 	// A device-spanning request: one full-area segment per server, in
 	// address order.
-	got := Blocked(as, 0, 16*area)
+	got := d.Split(0, 16*area)
 	if len(got) != 16 {
 		t.Fatalf("full-device split into %d segments, want 16", len(got))
 	}
@@ -40,7 +60,7 @@ func TestBlockedGoldenSixteenServers(t *testing.T) {
 	// area tail.
 	for i := 0; i < 16; i++ {
 		start := int64(i+1)*area - 4096
-		segs := Blocked(as, start, 4096)
+		segs := d.Split(start, 4096)
 		want := []Segment{{Server: i, Offset: area - 4096, Off: 0, Length: 4096, DevByte: start}}
 		if !reflect.DeepEqual(segs, want) {
 			t.Errorf("tail page of server %d = %+v, want %+v", i, segs, want)
@@ -50,7 +70,7 @@ func TestBlockedGoldenSixteenServers(t *testing.T) {
 
 func TestBlockedGoldenBoundaries(t *testing.T) {
 	const area = 1 << 20
-	as := areas(2, area)
+	d := founders(t, 0, area, area)
 
 	cases := []struct {
 		name  string
@@ -85,7 +105,7 @@ func TestBlockedGoldenBoundaries(t *testing.T) {
 		{"entirely out of range", 2 * area, SectorSize, nil},
 	}
 	for _, c := range cases {
-		if got := Blocked(as, c.start, c.n); !reflect.DeepEqual(got, c.want) {
+		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
@@ -94,7 +114,7 @@ func TestBlockedGoldenBoundaries(t *testing.T) {
 func TestStripedGolden(t *testing.T) {
 	const area = 1 << 20
 	const stripe = 64 * 1024
-	as := areas(2, area)
+	d := founders(t, stripe, area, area)
 
 	cases := []struct {
 		name  string
@@ -126,31 +146,150 @@ func TestStripedGolden(t *testing.T) {
 		{"past the last row", 2 * area, SectorSize, nil},
 	}
 	for _, c := range cases {
-		if got := Striped(as, stripe, c.start, c.n); !reflect.DeepEqual(got, c.want) {
+		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
 }
 
-// A directory bootstrapped from the legacy areas must split identically
-// to the blocked policy across the whole device.
-func TestDirectoryMatchesBlockedAtBootstrap(t *testing.T) {
-	const area = 256 * 1024
-	as := areas(16, area)
-	d := NewDirectory()
-	for i := 0; i < 16; i++ {
-		d.Bootstrap("s", area)
+// Areas that are not equal multiples of the stripe: full rows run up to
+// the smallest area, and each server's remainder follows as a blocked
+// tail, so every sector of every area stays addressable.
+func TestStripeMisalignedAreas(t *testing.T) {
+	const stripe = 64 * 1024
+	const a0, a1 = 3*stripe + 8192, 2*stripe + 4096 // 2 full rows, tails 72K and 4K
+	d := founders(t, stripe, a0, a1)
+
+	if got, want := d.TotalSectors(), int64(a0+a1)/SectorSize; got != want {
+		t.Fatalf("TotalSectors = %d, want %d", got, want)
 	}
-	if d.Epoch() != 0 {
-		t.Errorf("bootstrap epoch = %d, want 0", d.Epoch())
+	const rows = 4 * stripe // device bytes covered by the round-robin rows
+	cases := []struct {
+		name  string
+		start int64
+		n     int
+		want  []Segment
+	}{
+		{
+			"last full row still alternates",
+			2 * stripe, 2 * stripe,
+			[]Segment{
+				{Server: 0, Offset: stripe, Off: 0, Length: stripe, DevByte: 2 * stripe},
+				{Server: 1, Offset: stripe, Off: stripe, Length: stripe, DevByte: 3 * stripe},
+			},
+		},
+		{
+			"server 0's tail follows the rows as one blocked range",
+			rows, stripe + 8192,
+			[]Segment{{Server: 0, Offset: 2 * stripe, Off: 0, Length: stripe + 8192, DevByte: rows}},
+		},
+		{
+			"server 1's tail closes the device",
+			rows + stripe + 8192 - 4096, 8192,
+			[]Segment{
+				{Server: 0, Offset: a0 - 4096, Off: 0, Length: 4096, DevByte: rows + stripe + 8192 - 4096},
+				{Server: 1, Offset: 2 * stripe, Off: 4096, Length: 4096, DevByte: rows + stripe + 8192},
+			},
+		},
+		{"past the tails", a0 + a1, SectorSize, nil},
 	}
-	for start := int64(0); start < 16*area; start += 37 * SectorSize {
-		n := 8192
-		if start+int64(n) > 16*area {
-			n = int(16*area - start)
+	for _, c := range cases {
+		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
-		if got, want := d.Split(start, n), Blocked(as, start, n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Split(%d, %d) = %+v, want %+v", start, n, got, want)
+	}
+	if err := d.Stripe(1000); err == nil {
+		t.Error("a stripe that is not a sector multiple must be refused")
+	}
+	d.AddServer("late", stripe)
+	if err := d.Stripe(stripe); err == nil {
+		t.Error("striping after a membership change must be refused")
+	}
+}
+
+// The one property every layout and every history must keep: Split tiles
+// the requested bytes exactly, each segment lies inside one range, and
+// SectorAt inverts it. Random founding layouts (blocked and striped),
+// then random reserve/commit moves on the blocked ones.
+func TestQuickSplitTilesAndInverts(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		var stripe int64
+		if seed%3 == 0 {
+			stripe = int64(1+rnd.Intn(16)) * 4096
 		}
+		var areas []int64
+		for i, n := 0, 1+rnd.Intn(5); i < n; i++ {
+			areas = append(areas, int64(1+rnd.Intn(512))*SectorSize)
+		}
+		d := founders(t, stripe, areas...)
+		if stripe == 0 {
+			d.AddServer("grown", int64(256+rnd.Intn(1024))*SectorSize)
+			for k := rnd.Intn(12); k > 0; k-- {
+				randomMove(d, rnd)
+			}
+		}
+		checkSplit(t, seed, d, rnd)
+	}
+}
+
+// randomMove re-hosts a random sub-range of one random range on another
+// server that has room for it, the way the migration engine would.
+func randomMove(d *Directory, rnd *rand.Rand) {
+	rs := d.Ranges()
+	r := rs[rnd.Intn(len(rs))]
+	lo := rnd.Int63n(r.Sectors)
+	mv := Move{
+		Start:   r.Start + lo,
+		Sectors: 1 + rnd.Int63n(r.Sectors-lo),
+		From:    r.Server,
+		To:      rnd.Intn(d.NumServers()),
+	}
+	mv.SrcAreaOff = r.AreaOff + lo*SectorSize
+	if mv.To == mv.From {
+		return
+	}
+	if off, err := d.Reserve(mv); err == nil {
+		d.Commit(mv, off)
+	}
+}
+
+func checkSplit(t *testing.T, seed int64, d *Directory, rnd *rand.Rand) {
+	t.Helper()
+	total := d.TotalSectors() * SectorSize
+	ranges := d.Ranges()
+	for k := 0; k < 200; k++ {
+		x := rnd.Int63n(total)
+		n := 1 + rnd.Intn(int(min(total-x, 256*1024)))
+		segs := d.Split(x, n)
+		at, off := x, 0
+		for _, sg := range segs {
+			if sg.DevByte != at || sg.Off != off || sg.Length <= 0 {
+				t.Fatalf("seed %d: Split(%d, %d) does not tile: segment %+v at byte %d, off %d", seed, x, n, sg, at, off)
+			}
+			// One range holds the whole segment, on the segment's server.
+			inOne := false
+			for _, r := range ranges {
+				if r.Server == sg.Server && sg.DevByte >= r.Start*SectorSize &&
+					sg.DevByte+int64(sg.Length) <= (r.Start+r.Sectors)*SectorSize {
+					inOne = sg.Offset == r.AreaOff+sg.DevByte-r.Start*SectorSize
+				}
+			}
+			if !inOne {
+				t.Fatalf("seed %d: segment %+v lies in no single range of %+v", seed, sg, ranges)
+			}
+			sec, ok := d.SectorAt(sg.Server, sg.Offset)
+			if !ok || sec != sg.DevByte/SectorSize {
+				t.Fatalf("seed %d: SectorAt(%d, %d) = %d, %v; want sector %d", seed, sg.Server, sg.Offset, sec, ok, sg.DevByte/SectorSize)
+			}
+			at += int64(sg.Length)
+			off += sg.Length
+		}
+		if at != x+int64(n) {
+			t.Fatalf("seed %d: Split(%d, %d) covers up to byte %d", seed, x, n, at)
+		}
+	}
+	if got := d.Split(total-SectorSize, 2*SectorSize); got != nil {
+		t.Fatalf("seed %d: a split past the device end returned %+v", seed, got)
 	}
 }

@@ -27,15 +27,20 @@ const MaxRequestBytes = 128 * 1024
 // ErrOutOfRange is returned for I/O beyond the device end.
 var ErrOutOfRange = errors.New("blockdev: I/O beyond end of device")
 
+// ErrInFlight is returned by SubmitIO for a record that was submitted and
+// has not completed yet.
+var ErrInFlight = errors.New("blockdev: I/O record is still in flight")
+
 // IO is one submitted unit (a buffer head): page-sized in the swap path.
 //
-// Data belongs to the driver from Submit until Complete: the submitter
-// must neither read nor write it in between, and the driver must not
-// touch it after it has called Complete. A driver moves bytes straight
-// between Data and its own store (Request.Gather, Request.ScatterAt), so
-// after a read that completed with an error Data is undefined — a request
-// served in several pieces may have landed some of them before another
-// failed.
+// The record and Data belong to the driver from SubmitIO until Complete:
+// the submitter must neither read nor write them in between, and the
+// driver must not touch them after it has called Complete. Once Wait has
+// returned they are the submitter's again, to refill and submit once more.
+// A driver moves bytes straight between Data and its own store
+// (Request.Gather, Request.ScatterAt), so after a read that completed with
+// an error Data is undefined — a request served in several pieces may have
+// landed some of them before another failed.
 type IO struct {
 	Write  bool
 	Sector int64
@@ -43,6 +48,7 @@ type IO struct {
 	done   sim.Event
 	err    error
 	req    *Request
+	next   *IO // the I/O after this one in req's chain
 }
 
 // Wait blocks until the I/O completes and returns its error.
@@ -57,14 +63,47 @@ func (io *IO) Done() bool { return io.done.Triggered() }
 // Err returns the completion error (valid after Done).
 func (io *IO) Err() error { return io.err }
 
-// Request is a merged run of I/Os, contiguous on the device.
+// Request is a merged run of I/Os, contiguous on the device: a chain
+// through IO.next in ascending sector order.
 type Request struct {
-	Write  bool
-	Sector int64
-	ios    []*IO
-	nbytes int
-	queued sim.Time
-	id     uint64
+	Write      bool
+	Sector     int64
+	head, tail *IO
+	nios       int
+	nbytes     int
+	queued     sim.Time
+	id         uint64
+}
+
+// linkBack appends io at the tail of the chain (a back merge).
+//
+//hpbd:hotpath
+func (r *Request) linkBack(io *IO) {
+	if r.tail == nil {
+		r.head = io
+	} else {
+		r.tail.next = io
+	}
+	r.tail = io
+	r.take(io)
+}
+
+// linkFront puts io at the head of the chain (a front merge): the request
+// now starts at io's sector.
+//
+//hpbd:hotpath
+func (r *Request) linkFront(io *IO) {
+	io.next = r.head
+	r.head = io
+	r.Sector = io.Sector
+	r.take(io)
+}
+
+//hpbd:hotpath
+func (r *Request) take(io *IO) {
+	io.req = r
+	r.nios++
+	r.nbytes += len(io.Data)
 }
 
 // ID returns the queue-assigned request id (0 for standalone requests).
@@ -91,7 +130,7 @@ func (r *Request) Bytes() int { return r.nbytes }
 func (r *Request) End() int64 { return r.Sector + int64(r.nbytes/SectorSize) }
 
 // NumIOs returns how many buffer heads were merged into this request.
-func (r *Request) NumIOs() int { return len(r.ios) }
+func (r *Request) NumIOs() int { return r.nios }
 
 // Gather copies the len(dst) payload bytes starting at byte off of the
 // request out of the constituent I/O buffers into dst.
@@ -105,15 +144,12 @@ func (r *Request) Gather(dst []byte, off int) { r.move(dst, off, false) }
 //hpbd:hotpath
 func (r *Request) ScatterAt(off int, src []byte) { r.move(src, off, true) }
 
-// move is the one walk of the I/O list: it copies between b and request
+// move is the one walk of the I/O chain: it copies between b and request
 // bytes [off, off+len(b)), into the I/O buffers when toIO is set.
 //
 //hpbd:hotpath
 func (r *Request) move(b []byte, off int, toIO bool) {
-	for _, io := range r.ios {
-		if len(b) == 0 {
-			return
-		}
+	for io := r.head; io != nil && len(b) > 0; io = io.next {
 		if off >= len(io.Data) {
 			off -= len(io.Data)
 			continue
@@ -139,9 +175,11 @@ func (r *Request) Data() []byte {
 // Scatter distributes read data back to the constituent I/O buffers.
 func (r *Request) Scatter(data []byte) { r.ScatterAt(0, data) }
 
-// Complete finishes the request, propagating err to every merged I/O.
+// Complete finishes the request, propagating err to every merged I/O. A
+// driver that serves a request in pieces calls it once, when the last
+// piece has settled: from here on the records are their submitters'.
 func (r *Request) Complete(err error) {
-	for _, io := range r.ios {
+	for io := r.head; io != nil; io = io.next {
 		io.err = err
 		io.done.Trigger()
 	}
@@ -151,19 +189,18 @@ func (r *Request) Complete(err error) {
 // drivers (mirroring, striping) that fan one request out to children.
 // Completion is observed with Wait.
 func NewRequest(env *sim.Env, write bool, sector int64, data []byte) *Request {
-	io := &IO{Write: write, Sector: sector, Data: data}
-	r := &Request{Write: write, Sector: sector, ios: []*IO{io}, nbytes: len(data), queued: env.Now()}
-	io.req = r
+	r := &Request{Write: write, Sector: sector, queued: env.Now()}
+	r.linkBack(&IO{Write: write, Sector: sector, Data: data})
 	return r
 }
 
 // Wait blocks until the request completes and returns its error.
 func (r *Request) Wait(p *sim.Proc) error {
-	return r.ios[0].Wait(p)
+	return r.head.Wait(p)
 }
 
 // Err returns the first constituent IO's completion error.
-func (r *Request) Err() error { return r.ios[0].err }
+func (r *Request) Err() error { return r.head.err }
 
 // Driver is a block device driver: it accepts dispatched requests and
 // completes them asynchronously (drivers that can only handle one request
@@ -272,17 +309,36 @@ func (q *Queue) Stats() Stats { return q.stats }
 // ResetStats clears counters and the request log.
 func (q *Queue) ResetStats() { q.stats = Stats{} }
 
-// Submit queues one I/O, merging it with a pending request when adjacent.
-// The queue plugs itself on first I/O; callers submit a batch and then
-// Unplug. Returns the IO handle to wait on.
+// Submit queues one I/O on a fresh record: allocate, then SubmitIO.
+// Returns the IO handle to wait on.
 func (q *Queue) Submit(write bool, sector int64, data []byte) (*IO, error) {
-	if len(data)%SectorSize != 0 || len(data) == 0 {
-		return nil, fmt.Errorf("blockdev: I/O size %d not a positive sector multiple", len(data))
-	}
-	if sector < 0 || sector+int64(len(data)/SectorSize) > q.driver.Sectors() {
-		return nil, ErrOutOfRange
-	}
 	io := &IO{Write: write, Sector: sector, Data: data}
+	if err := q.SubmitIO(io); err != nil {
+		return nil, err
+	}
+	return io, nil
+}
+
+// SubmitIO queues the caller's record, merging it with a pending request
+// when adjacent. The queue plugs itself on first I/O; callers submit a
+// batch and then Unplug. A record whose Wait has returned may be submitted
+// again; one still in flight is refused with ErrInFlight.
+//
+//hpbd:hotpath
+func (q *Queue) SubmitIO(io *IO) error {
+	write, sector, sectors := io.Write, io.Sector, int64(len(io.Data)/SectorSize)
+	if len(io.Data)%SectorSize != 0 || len(io.Data) == 0 {
+		//hpbd:allow hotalloc -- formats the refusal of a malformed I/O; no accepted I/O reaches it
+		return fmt.Errorf("blockdev: I/O size %d not a positive sector multiple", len(io.Data))
+	}
+	if sector < 0 || sector+sectors > q.driver.Sectors() {
+		return ErrOutOfRange
+	}
+	if io.req != nil && !io.done.Triggered() {
+		return ErrInFlight
+	}
+	io.done.Reset()
+	io.err, io.req, io.next = nil, nil, nil
 	q.stats.IOsSubmitted++
 	if q.activity != nil {
 		q.activity()
@@ -291,35 +347,31 @@ func (q *Queue) Submit(write bool, sector int64, data []byte) (*IO, error) {
 	// Try back/front merge against pending requests (2.4 scans the whole
 	// queue; ours is short, so a linear scan is faithful and cheap).
 	for _, r := range q.pending {
-		if r.Write != write || r.nbytes+len(data) > MaxRequestBytes {
+		if r.Write != write || r.nbytes+len(io.Data) > MaxRequestBytes {
 			continue
 		}
-		if r.End() == sector { // back merge
-			r.ios = append(r.ios, io)
-			r.nbytes += len(data)
-			io.req = r
-			q.stats.Merges++
-			q.merges.Inc()
-			return io, nil
+		switch {
+		case r.End() == sector:
+			r.linkBack(io)
+		case sector+sectors == r.Sector:
+			r.linkFront(io)
+		default:
+			continue
 		}
-		if sector+int64(len(data)/SectorSize) == r.Sector { // front merge
-			r.ios = append([]*IO{io}, r.ios...)
-			r.Sector = sector
-			r.nbytes += len(data)
-			io.req = r
-			q.stats.Merges++
-			q.merges.Inc()
-			return io, nil
-		}
+		q.stats.Merges++
+		q.merges.Inc()
+		return nil
 	}
 	q.nextID++
-	r := &Request{Write: write, Sector: sector, ios: []*IO{io}, nbytes: len(data), queued: q.env.Now(), id: q.nextID}
-	io.req = r
+	//hpbd:allow hotalloc -- the one record per dispatched request; merged I/Os add none
+	r := &Request{Write: write, Sector: sector, queued: q.env.Now(), id: q.nextID}
+	r.linkBack(io)
 	if len(q.pending) == 0 {
 		q.plugged = true
 	}
+	//hpbd:allow hotalloc -- grows to the queue's working depth, then stays: pickNext keeps the capacity
 	q.pending = append(q.pending, r)
-	return io, nil
+	return nil
 }
 
 // Unplug releases pending requests to the dispatch process.
@@ -350,17 +402,17 @@ func (q *Queue) dispatch(p *sim.Proc) {
 		}
 		if q.logReqs {
 			q.stats.Log = append(q.stats.Log, RequestStat{
-				At: p.Now(), Sector: r.Sector, Bytes: r.nbytes, Write: r.Write, IOs: len(r.ios),
+				At: p.Now(), Sector: r.Sector, Bytes: r.nbytes, Write: r.Write, IOs: r.nios,
 			})
 		}
-		p.Sleep(q.host.BlockPerRequest + sim.Duration(len(r.ios))*q.host.BlockPerBH)
+		p.Sleep(q.host.BlockPerRequest + sim.Duration(r.nios)*q.host.BlockPerBH)
 		q.qwait.Observe(p.Now().Sub(r.queued))
 		// Run length, not a latency: the histogram machinery is
 		// unit-agnostic, so the count rides in the Duration slot.
-		q.reqIOs.Observe(sim.Duration(len(r.ios)))
+		q.reqIOs.Observe(sim.Duration(r.nios))
 		if q.tracer != nil {
 			q.tracer.Complete(q.comp, "dispatch", r.queued, p.Now(), map[string]any{
-				"req": r.id, "sector": r.Sector, "bytes": r.nbytes, "ios": len(r.ios), "write": r.Write,
+				"req": r.id, "sector": r.Sector, "bytes": r.nbytes, "ios": r.nios, "write": r.Write,
 			})
 			q.tracer.FlowStep(q.comp, "req", r.id)
 		}
@@ -369,29 +421,31 @@ func (q *Queue) dispatch(p *sim.Proc) {
 	}
 }
 
-// pickNext removes and returns the next request to dispatch.
+// pickNext removes and returns the next request to dispatch: the oldest,
+// or under the elevator the C-LOOK choice (lowest sector >= headPos, else
+// lowest sector overall). The queue is short, so closing the gap in place
+// is cheap and, unlike re-slicing from the front, keeps the capacity.
 func (q *Queue) pickNext() *Request {
-	if !q.elevator || len(q.pending) == 1 {
-		r := q.pending[0]
-		q.pending = q.pending[1:]
-		return r
-	}
-	// C-LOOK: lowest sector >= headPos, else lowest sector overall.
-	best, bestWrap := -1, -1
-	for i, r := range q.pending {
-		if r.Sector >= q.headPos {
-			if best < 0 || r.Sector < q.pending[best].Sector {
+	best := 0
+	if q.elevator && len(q.pending) > 1 {
+		best = -1
+		wrap := 0
+		for i, r := range q.pending {
+			if r.Sector >= q.headPos && (best < 0 || r.Sector < q.pending[best].Sector) {
 				best = i
 			}
+			if r.Sector < q.pending[wrap].Sector {
+				wrap = i
+			}
 		}
-		if bestWrap < 0 || r.Sector < q.pending[bestWrap].Sector {
-			bestWrap = i
+		if best < 0 {
+			best = wrap
 		}
-	}
-	if best < 0 {
-		best = bestWrap
 	}
 	r := q.pending[best]
-	q.pending = append(q.pending[:best], q.pending[best+1:]...)
+	last := len(q.pending) - 1
+	copy(q.pending[best:], q.pending[best+1:])
+	q.pending[last] = nil
+	q.pending = q.pending[:last]
 	return r
 }

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,7 @@ type memDriver struct {
 	store []byte
 	seen  []*Request
 	delay sim.Duration
+	fail  error // completes every request with this
 }
 
 func (m *memDriver) Name() string   { return "mem" }
@@ -31,8 +33,15 @@ func (m *memDriver) Submit(p *sim.Proc, r *Request) {
 	} else {
 		r.Scatter(m.store[off : off+int64(r.Bytes())])
 	}
-	r.Complete(nil)
+	r.Complete(m.fail)
 }
+
+// nullDriver completes every request at once and keeps nothing.
+type nullDriver struct{}
+
+func (nullDriver) Name() string                   { return "null" }
+func (nullDriver) Sectors() int64                 { return 1 << 20 / SectorSize }
+func (nullDriver) Submit(_ *sim.Proc, r *Request) { r.Complete(nil) }
 
 func newQueue(size int, delay sim.Duration) (*sim.Env, *Queue, *memDriver) {
 	env := sim.NewEnv()
@@ -183,6 +192,104 @@ func TestOutOfRangeAndBadSize(t *testing.T) {
 		t.Error("empty I/O accepted")
 	}
 	env.Close()
+}
+
+// A caller-owned record goes round: refused while in flight, then, once
+// its Wait has returned, resubmitted with nothing left of the first trip —
+// not the error, not the request it was merged into, not the chain link.
+func TestSubmitIORecyclesRecord(t *testing.T) {
+	env, q, d := newQueue(1<<20, 10*sim.Microsecond)
+	env.Go("io", func(p *sim.Proc) {
+		io := &IO{Write: true, Sector: 8, Data: bytes.Repeat([]byte{7}, 4096)}
+		other := &IO{Write: true, Sector: 16, Data: make([]byte, 4096)}
+		d.fail = ErrOutOfRange // any error will do
+		if err := q.SubmitIO(io); err != nil {
+			t.Fatalf("SubmitIO: %v", err)
+		}
+		if err := q.SubmitIO(other); err != nil { // back-merges: io.next = other
+			t.Fatalf("SubmitIO: %v", err)
+		}
+		if err := q.SubmitIO(io); err != ErrInFlight {
+			t.Errorf("SubmitIO of a queued record = %v, want ErrInFlight", err)
+		}
+		q.Unplug()
+		p.Yield()
+		if err := q.SubmitIO(io); err != ErrInFlight { // the driver holds it for 10us
+			t.Errorf("SubmitIO of a dispatched record = %v, want ErrInFlight", err)
+		}
+		if err := io.Wait(p); err != ErrOutOfRange {
+			t.Errorf("first trip completed with %v, want the driver's error", err)
+		}
+		first := io.RequestID()
+
+		d.fail = nil
+		io.Write, io.Sector = false, 0
+		if err := q.SubmitIO(io); err != nil {
+			t.Fatalf("SubmitIO of a completed record: %v", err)
+		}
+		if io.Done() || io.Err() != nil || io.next != nil {
+			t.Errorf("resubmitted record: done=%v err=%v next=%p, want a clean slate", io.Done(), io.Err(), io.next)
+		}
+		q.Unplug()
+		if err := io.Wait(p); err != nil {
+			t.Errorf("second trip completed with %v", err)
+		}
+		if id := io.RequestID(); id == 0 || id == first {
+			t.Errorf("second trip rode request %d, the first %d: want a fresh one", id, first)
+		}
+		if io.Data[0] != 0 {
+			t.Error("second trip did not read the (unwritten) device into the record's buffer")
+		}
+	})
+	env.Run()
+	env.Close()
+	if st := q.Stats(); st.IOsSubmitted != 3 || st.RequestsDispatched != 2 {
+		t.Errorf("stats = %+v, want 3 I/Os (refusals not counted) in 2 requests", st)
+	}
+}
+
+// Recycled records through SubmitIO leave one allocation per dispatched
+// request — the Request — however many I/Os merge into it: no record, no
+// chain storage, no event, no wait ring, no regrown pending queue.
+func TestSubmitIOAllocBudget(t *testing.T) {
+	env := sim.NewEnv()
+	q := NewQueue(env, netmodel.DefaultHost(), nullDriver{})
+	ios := make([]IO, 32)
+	for i := range ios {
+		ios[i] = IO{Write: true, Sector: int64(i) * 8, Data: make([]byte, 4096)}
+	}
+	const warmup, measured = 50, 500
+	var before, after runtime.MemStats
+	env.Go("io", func(p *sim.Proc) {
+		for round := 0; round < warmup+measured; round++ {
+			if round == warmup {
+				runtime.ReadMemStats(&before)
+			}
+			for i := range ios {
+				k := 16 + i // 16..31 merge at the back, then 15..0 at the front
+				if k >= 32 {
+					k = 47 - k
+				}
+				if err := q.SubmitIO(&ios[k]); err != nil {
+					t.Errorf("SubmitIO: %v", err)
+					return
+				}
+			}
+			q.Unplug()
+			for i := range ios {
+				ios[i].Wait(p)
+			}
+		}
+		runtime.ReadMemStats(&after)
+	})
+	env.Run()
+	env.Close()
+	if st := q.Stats(); st.RequestsDispatched != warmup+measured {
+		t.Fatalf("%d requests for %d rounds: want each round's 32 I/Os merged into one", st.RequestsDispatched, warmup+measured)
+	}
+	if perRequest := float64(after.Mallocs-before.Mallocs) / measured; perRequest > 1.05 {
+		t.Errorf("%.2f allocs per 32-I/O request, want the Request alone", perRequest)
+	}
 }
 
 func TestStatsAndLog(t *testing.T) {

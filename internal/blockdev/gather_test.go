@@ -38,9 +38,21 @@ func mergedRequest(t *testing.T, rng *rand.Rand) (*Request, func() []byte) {
 	if r.Sector != lo || r.End() != hi {
 		t.Fatalf("request covers [%d, %d), want [%d, %d)", r.Sector, r.End(), lo, hi)
 	}
+	// However the merges alternated, the chain runs in sector order.
+	at, n, last := lo, 0, (*IO)(nil)
+	for io := r.head; io != nil; io = io.next {
+		if io.Sector != at || io.req != r {
+			t.Fatalf("chain link %d: sector %d of request %p, want sector %d of %p", n, io.Sector, io.req, at, r)
+		}
+		at += int64(len(io.Data) / SectorSize)
+		n, last = n+1, io
+	}
+	if at != hi || n != r.NumIOs() || last != r.tail {
+		t.Fatalf("chain of %d links ends at sector %d (tail %v), want %d links to %d ending at the tail", n, at, last == r.tail, r.NumIOs(), hi)
+	}
 	return r, func() []byte {
 		var flat []byte
-		for _, io := range r.ios {
+		for io := r.head; io != nil; io = io.next {
 			flat = append(flat, io.Data...)
 		}
 		return flat

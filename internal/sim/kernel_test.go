@@ -126,6 +126,32 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	})
 }
 
+// A queue that holds one waiter at a time never grows its ring, even on
+// first use: every round here waits on a queue nobody used before.
+func TestOneWaiterAllocBudget(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	qs := make([]WaitQueue, 8192)
+	waits, wakes := 0, 0
+	env.Go("waiter", func(p *Proc) {
+		for ; ; waits++ {
+			qs[waits%len(qs)].Wait(p)
+		}
+	})
+	env.Go("waker", func(p *Proc) {
+		for ; ; wakes++ {
+			p.Sleep(Microsecond)
+			qs[wakes%len(qs)].WakeOne()
+		}
+	})
+	if n := steadyAllocs(env); n != 0 {
+		t.Errorf("%v allocs per 100 wait/wake rounds, want 0", n)
+	}
+	if wakes >= len(qs) {
+		t.Fatalf("%d rounds reused a queue: the budget no longer covers first use", wakes)
+	}
+}
+
 func TestRunUntilNeverMovesClockBackwards(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()

@@ -100,29 +100,89 @@ func TestRunUntil(t *testing.T) {
 	env.Close()
 }
 
+// Waiters wake in arrival order whether they sat in the inline slot (the
+// first) or in the ring behind it, one at a time or all at once.
 func TestWaitQueueFIFO(t *testing.T) {
-	env := NewEnv()
-	q := NewWaitQueue(env)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		env.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Duration(i) * Microsecond) // enforce arrival order
-			q.Wait(p)
-			order = append(order, i)
-		})
-	}
-	env.Go("waker", func(p *Proc) {
-		p.Sleep(10 * Microsecond)
-		for i := 0; i < 5; i++ {
-			q.WakeOne()
-			p.Yield()
+	for _, n := range []int{1, 2, 5} {
+		for _, all := range []bool{false, true} {
+			env := NewEnv()
+			q := NewWaitQueue(env)
+			var order []int
+			for i := 0; i < n; i++ {
+				i := i
+				env.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+					p.Sleep(Duration(i) * Microsecond) // enforce arrival order
+					q.Wait(p)
+					order = append(order, i)
+				})
+			}
+			env.Go("waker", func(p *Proc) {
+				p.Sleep(10 * Microsecond)
+				if q.Len() != n {
+					t.Errorf("n=%d: Len = %d with everyone parked", n, q.Len())
+				}
+				if all {
+					q.WakeAll()
+				}
+				for i := 0; i < n && !all; i++ {
+					if !q.WakeOne() {
+						t.Errorf("n=%d: WakeOne %d found nobody", n, i)
+					}
+					if q.Len() != n-1-i {
+						t.Errorf("n=%d: Len = %d after %d wakes", n, q.Len(), i+1)
+					}
+					p.Yield()
+				}
+				if q.WakeOne() {
+					t.Errorf("n=%d: WakeOne woke someone from an empty queue", n)
+				}
+			})
+			env.Run()
+			if len(order) != n {
+				t.Fatalf("n=%d all=%v: %d waiters woke", n, all, len(order))
+			}
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("n=%d all=%v: wake order %v, want FIFO", n, all, order)
+				}
+			}
 		}
-	})
-	env.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("wake order %v, want FIFO", order)
+	}
+}
+
+// A timed-out waiter withdraws from wherever it sits — the inline slot or
+// the ring — and those behind it keep their order.
+func TestWaitTimeoutWithdrawsFromSlotAndRing(t *testing.T) {
+	for timed := 0; timed < 3; timed++ {
+		env := NewEnv()
+		q := NewWaitQueue(env)
+		var order []int
+		for i := 0; i < 3; i++ {
+			i := i
+			env.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+				p.Sleep(Duration(i) * Microsecond)
+				if i != timed {
+					q.Wait(p)
+				} else if q.WaitTimeout(p, 5*Microsecond) {
+					t.Errorf("timed=%d: WaitTimeout reported woken", timed)
+				}
+				order = append(order, i)
+			})
+		}
+		env.Go("waker", func(p *Proc) {
+			p.Sleep(20 * Microsecond)
+			if q.Len() != 2 {
+				t.Errorf("timed=%d: Len = %d after the withdrawal, want 2", timed, q.Len())
+			}
+			q.WakeAll()
+		})
+		env.Run()
+		want := []int{timed, (timed + 1) % 3, (timed + 2) % 3}
+		if want[1] > want[2] {
+			want[1], want[2] = want[2], want[1]
+		}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("timed=%d: order %v, want %v", timed, order, want)
 		}
 	}
 }
@@ -340,6 +400,37 @@ func TestEventBroadcast(t *testing.T) {
 	env.Run()
 	if woke != 4 {
 		t.Errorf("woke = %d, want 4", woke)
+	}
+}
+
+// Reset re-arms a triggered event: a waiter Trigger woke that has not run
+// yet re-checks and parks for the next round, and so does a newcomer.
+func TestEventResetReparksLateChecker(t *testing.T) {
+	env := NewEnv()
+	var ev Event
+	var woke []Time
+	env.Go("early", func(p *Proc) {
+		ev.Wait(p)
+		woke = append(woke, p.Now())
+	})
+	env.Go("cycle", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		ev.Trigger()
+		ev.Reset() // before "early" has run
+		if ev.Triggered() {
+			t.Error("Triggered after Reset")
+		}
+		p.Sleep(10 * Microsecond)
+		ev.Trigger()
+	})
+	env.Go("late", func(p *Proc) {
+		p.Sleep(15 * Microsecond)
+		ev.Wait(p)
+		woke = append(woke, p.Now())
+	})
+	env.Run()
+	if len(woke) != 2 || woke[0] != Time(20*Microsecond) || woke[1] != Time(20*Microsecond) {
+		t.Errorf("waiters got through at %v, want both at the second Trigger (20us)", woke)
 	}
 }
 

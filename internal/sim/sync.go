@@ -5,29 +5,59 @@ package sim
 // the current virtual instant; as with condition variables, woken waiters
 // must re-check their predicate. The zero value is an empty queue ready
 // for use: every operation reaches the environment through a waiter.
+//
+// The longest-waiting process sits in an inline slot and only those behind
+// it in the ring, so a queue that never holds more than one waiter (a
+// one-shot completion, a dispatch process's work queue) allocates nothing.
 type WaitQueue struct {
-	waiters Ring[*Proc]
+	first   *Proc       // head of the queue; nil exactly when the queue is empty
+	waiters Ring[*Proc] // the processes behind first, in arrival order
 }
 
 // NewWaitQueue returns an empty wait queue.
 func NewWaitQueue(_ *Env) *WaitQueue { return &WaitQueue{} }
 
 // Len returns the number of parked processes.
-func (q *WaitQueue) Len() int { return q.waiters.Len() }
+func (q *WaitQueue) Len() int {
+	if q.first == nil {
+		return 0
+	}
+	return 1 + q.waiters.Len()
+}
+
+// push appends p at the tail.
+func (q *WaitQueue) push(p *Proc) {
+	if q.first == nil {
+		q.first = p
+		return
+	}
+	q.waiters.Push(p)
+}
+
+// pop removes and returns the longest-waiting process, nil when empty.
+func (q *WaitQueue) pop() *Proc {
+	p := q.first
+	q.first, _ = q.waiters.Pop()
+	return p
+}
 
 // Wait parks p until a waker releases it.
 func (q *WaitQueue) Wait(p *Proc) {
-	q.waiters.Push(p)
+	q.push(p)
 	p.park()
 }
 
 // WaitTimeout parks p until woken or until d elapses. It reports whether
 // the process was woken (false means the timeout fired).
 func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (woken bool) {
-	q.waiters.Push(p)
+	q.push(p)
 	p.env.schedule(p.env.now.Add(d), p, nil)
 	p.park()
 	// If we are still queued, the timer fired; withdraw.
+	if q.first == p {
+		q.pop()
+		return false
+	}
 	for i := 0; i < q.waiters.Len(); i++ {
 		if q.waiters.At(i) == p {
 			q.waiters.RemoveAt(i)
@@ -40,11 +70,12 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (woken bool) {
 // WakeOne resumes the longest-waiting process, if any, and reports whether
 // one was woken.
 func (q *WaitQueue) WakeOne() bool {
-	p, ok := q.waiters.Pop()
-	if ok {
-		p.env.schedule(p.env.now, p, nil)
+	p := q.pop()
+	if p == nil {
+		return false
 	}
-	return ok
+	p.env.schedule(p.env.now, p, nil)
+	return true
 }
 
 // WakeAll resumes every parked process.
@@ -55,7 +86,8 @@ func (q *WaitQueue) WakeAll() {
 
 // Event is a one-shot broadcast: processes wait until it is triggered;
 // waiting on an already-triggered event returns immediately.
-// The zero value is an untriggered event ready for use.
+// The zero value is an untriggered event ready for use, and Reset re-arms
+// a triggered one so a record that is resubmitted keeps its event.
 type Event struct {
 	q         WaitQueue
 	triggered bool
@@ -82,6 +114,11 @@ func (ev *Event) Trigger() {
 	ev.triggered = true
 	ev.q.WakeAll()
 }
+
+// Reset re-arms the event for another round. A waiter that Trigger woke
+// but that has not run yet re-checks, finds the event untriggered and
+// parks for the new round.
+func (ev *Event) Reset() { ev.triggered = false }
 
 // Semaphore is a counting semaphore in virtual time.
 type Semaphore struct {

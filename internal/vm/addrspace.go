@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"hpbd/internal/blockdev"
 	"hpbd/internal/sim"
 )
 
@@ -42,6 +41,8 @@ func (as *AddressSpace) Resident(idx int) bool {
 // MarkAccess updates reference/dirty state of a resident page without
 // faulting; callers must have checked Resident. It is free of simulated
 // cost (the hardware sets these bits).
+//
+//hpbd:hotpath
 func (as *AddressSpace) MarkAccess(idx int, write bool) {
 	pg := &as.pages[idx]
 	pg.referenced = true
@@ -109,14 +110,83 @@ func (as *AddressSpace) Touch(p *sim.Proc, idx int, write bool) error {
 
 		case PageReading, PageWriting:
 			// Wait for the in-flight transition, then re-inspect.
-			ev := pg.ioDone
-			if ev == nil {
-				// Completion raced ahead of us; re-inspect immediately.
-				continue
-			}
-			ev.Wait(p)
+			pg.ioDone.Wait(p)
 		}
 	}
+}
+
+// swapinBatch is one swap-in's watcher record: the reads the fault
+// submitted, the faulting page's first, which a watcher proc finalizes in
+// that order while the faulter waits only for its own page. Idle records
+// sit on System.freeBatches.
+type swapinBatch struct {
+	sys   *System
+	reads []*pageIO
+	flows map[uint64]bool // trace flows begun (see beginFlow)
+	run   func(*sim.Proc) // watch, bound once
+	next  *swapinBatch    // free-list link
+}
+
+func (s *System) getBatch() *swapinBatch {
+	b := s.freeBatches
+	if b == nil {
+		b = &swapinBatch{sys: s}
+		b.run = b.watch
+		return b
+	}
+	s.freeBatches, b.next = b.next, nil
+	return b
+}
+
+// retire puts a record with no reads left back on the free list.
+func (b *swapinBatch) retire() {
+	b.reads, b.flows = b.reads[:0], nil
+	b.next, b.sys.freeBatches = b.sys.freeBatches, b
+}
+
+// read submits the page-in of bp, a page claimed with a frame. A refused
+// submission gives the claim and the frame back.
+func (b *swapinBatch) read(bp *Page, now sim.Time) error {
+	r, err := bp.dev.submitPageIO(false, bp, now)
+	if err != nil {
+		unclaim(bp)
+		b.sys.releaseFrame()
+		return err
+	}
+	b.flows = b.sys.beginFlow(b.flows, r.RequestID())
+	b.reads = append(b.reads, r)
+	return nil
+}
+
+// watch finalizes each page as its read completes, then retires the
+// record.
+func (b *swapinBatch) watch(wp *sim.Proc) {
+	s := b.sys
+	for _, r := range b.reads {
+		bp := r.pg
+		if err := r.Wait(wp); err != nil {
+			bp.state = PageSwappedOut
+			s.releaseFrame()
+		} else {
+			// The faulting page is reads[0], so its latency is exact;
+			// readahead pages may be observed slightly late when their
+			// I/O overtakes an earlier one in the batch.
+			s.hSwapIn.Observe(wp.Now().Sub(r.start))
+			if s.tracer != nil {
+				s.tracer.Complete("vm", "swap-in", r.start, wp.Now(),
+					map[string]any{"slot": bp.slot, "readahead": bp.readahead, "req": r.RequestID()})
+			}
+			bp.state = PageResident
+			bp.dirty = false
+			bp.referenced = false
+			// Keep the slot binding: a clean swap-cache page can be
+			// reclaimed later without rewriting.
+			s.lruAdd(bp)
+		}
+		bp.ioDone.Trigger()
+		r.recycle()
+	}
+	b.retire()
 }
 
 // swapIn reads pg (and a readahead window around its slot) back into
@@ -130,13 +200,10 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 	// ioDone instead of issuing a duplicate read; then get its frame
 	// (which may block under memory pressure).
 	pg.state = PageReading
-	pg.ioDone = sim.NewEvent(s.env)
+	pg.ioDone.Reset()
 	pg.readahead = false
 	if err := s.allocFrame(p); err != nil {
-		pg.state = PageSwappedOut
-		ev := pg.ioDone
-		pg.ioDone = nil
-		ev.Trigger()
+		unclaim(pg)
 		return err
 	}
 
@@ -152,8 +219,15 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 		end = dev.Slots()
 	}
 
-	batch := []*Page{pg}
-	for slot := start; slot < end; slot++ {
+	// Submit pg's read, then claim and submit each window page there is
+	// spare memory for; a watcher finalizes them as they complete. A
+	// refused submission (should not happen: slot addresses are in range)
+	// ends the batch there and fails the fault, with what was submitted
+	// still watched.
+	now := s.env.Now()
+	b := s.getBatch()
+	err := b.read(pg, now)
+	for slot := start; slot < end && err == nil; slot++ {
 		owner := dev.owner[slot]
 		if owner == nil || owner == pg || owner.state != PageSwappedOut {
 			continue
@@ -162,72 +236,33 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 			continue // no spare memory: skip speculative read
 		}
 		owner.state = PageReading
-		owner.ioDone = sim.NewEvent(s.env)
+		owner.ioDone.Reset()
 		owner.readahead = true
 		s.stats.ReadAheadPages++
-		batch = append(batch, owner)
+		err = b.read(owner, now)
 	}
-
-	// Submit the reads and let a watcher finalize each page as its I/O
-	// completes.
-	submitAt := s.env.Now()
-	ios := make([]*blockdev.IO, 0, len(batch))
-	flowsBegun := map[uint64]bool{} // membership only, never iterated
-	for _, bp := range batch {
-		io, err := dev.submitPageIO(false, bp.slot)
-		if err == nil && s.tracer != nil {
-			// One flow per merged block request, beginning at the vm layer.
-			if id := io.RequestID(); id != 0 && !flowsBegun[id] {
-				flowsBegun[id] = true
-				s.tracer.FlowBegin("vm", "req", id)
-			}
-		}
-		if err != nil {
-			// Should not happen (slot addresses are in range); surface
-			// loudly in tests.
-			bp.state = PageSwappedOut
-			bp.ioDone.Trigger()
-			s.releaseFrame()
-			return err
-		}
-		ios = append(ios, io)
+	if len(b.reads) == 0 {
+		b.retire()
+		return err
 	}
 	dev.Queue.Unplug()
+	s.env.Go("swapin-watch", b.run)
+	if err != nil {
+		return err
+	}
 
-	myDone := pg.ioDone
-	s.env.Go("swapin-watch", func(wp *sim.Proc) {
-		for i, io := range ios {
-			bp := batch[i]
-			err := dev.waitPageIO(wp, io)
-			if err != nil {
-				bp.state = PageSwappedOut
-				s.releaseFrame()
-			} else {
-				// The faulting page is batch[0], so its latency is exact;
-				// readahead pages may be observed slightly late when their
-				// I/O overtakes an earlier one in the batch.
-				s.hSwapIn.Observe(wp.Now().Sub(submitAt))
-				if s.tracer != nil {
-					s.tracer.Complete("vm", "swap-in", submitAt, wp.Now(),
-						map[string]any{"slot": bp.slot, "readahead": bp.readahead, "req": io.RequestID()})
-				}
-				bp.state = PageResident
-				bp.dirty = false
-				bp.referenced = false
-				// Keep the slot binding: a clean swap-cache page can be
-				// reclaimed later without rewriting.
-				s.lruAdd(bp)
-			}
-			bp.ioDone.Trigger()
-			bp.ioDone = nil
-		}
-	})
-
-	myDone.Wait(p)
+	pg.ioDone.Wait(p)
 	if pg.state != PageResident {
 		return fmt.Errorf("vm: swap-in failed for %s page %d", as.name, pg.idx)
 	}
 	return nil
+}
+
+// unclaim hands a page claimed for a read that will not happen back to
+// its slot and wakes whoever waited on the claim.
+func unclaim(pg *Page) {
+	pg.state = PageSwappedOut
+	pg.ioDone.Trigger()
 }
 
 // Release tears the address space down: frames return to the free pool

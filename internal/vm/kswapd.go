@@ -1,39 +1,10 @@
 package vm
 
 import (
-	"hpbd/internal/blockdev"
+	"slices"
+
 	"hpbd/internal/sim"
 )
-
-// submitPageIO queues one page-sized I/O at the device offset for slot.
-// The page buffer comes off the device's free list and waitPageIO puts it
-// back: the simulated VM carries no page contents, so a page-out writes a
-// zero page and a page-in's bytes are dropped.
-func (d *SwapDevice) submitPageIO(write bool, slot int) (*blockdev.IO, error) {
-	var buf []byte
-	if n := len(d.pageBufs); n > 0 {
-		buf, d.pageBufs = d.pageBufs[n-1], d.pageBufs[:n-1]
-		if write {
-			clear(buf) // it last carried whatever a page-in read
-		}
-	} else {
-		buf = make([]byte, PageSize)
-	}
-	io, err := d.Queue.Submit(write, d.slotSector(slot), buf)
-	if err != nil {
-		d.pageBufs = append(d.pageBufs, buf)
-	}
-	return io, err
-}
-
-// waitPageIO blocks until io completes, recycles its page buffer — the
-// driver is done with it, and every submitted I/O is waited exactly once —
-// and returns the I/O's error.
-func (d *SwapDevice) waitPageIO(p *sim.Proc, io *blockdev.IO) error {
-	err := io.Wait(p)
-	d.pageBufs = append(d.pageBufs, io.Data)
-	return err
-}
 
 // kswapd is the background reclaimer: woken when free pages fall below
 // FreeLow, it ages the LRU and evicts from the inactive tail until free
@@ -54,7 +25,7 @@ func (s *System) kswapd(p *sim.Proc) {
 		// sustained pressure, which is what couples the paper's
 		// application times to swap device latency).
 		for s.freePages < s.cfg.FreeLow && noProgress < 3 {
-			freed, writes := s.shrink(p, s.cfg.SwapClusterMax)
+			freed, writes := s.shrink(p, s.cfg.SwapClusterMax, &s.kswapdScratch)
 			// 2.4 kswapd launders synchronously: it waits for its batch
 			// before scanning again, so background reclaim cannot outrun
 			// the swap device.
@@ -78,32 +49,24 @@ func (s *System) kswapd(p *sim.Proc) {
 
 // refillInactive ages pages from the active tail onto the inactive list,
 // giving referenced pages a second trip around the active list.
+//
+//hpbd:hotpath
 func (s *System) refillInactive(p *sim.Proc, want int) {
 	moved := 0
-	scans := s.active.Len()
-	for moved < want && scans > 0 && s.active.Len() > 0 {
+	scans := s.active.n
+	for moved < want && scans > 0 && s.active.n > 0 {
 		scans--
-		e := s.active.Back()
-		pg := e.Value.(*Page)
-		s.active.Remove(e)
+		pg := s.active.back
+		s.active.remove(pg)
 		p.Sleep(s.cfg.Host.ReclaimPerPage / 4)
 		if pg.referenced {
 			pg.referenced = false
-			pg.elem = s.active.PushFront(pg)
+			s.active.pushFront(pg)
 			continue
 		}
-		pg.active = false
-		pg.elem = s.inactive.PushFront(pg)
+		s.inactive.pushFront(pg)
 		moved++
 	}
-}
-
-// writeout is one in-flight page write-back produced by shrink.
-type writeout struct {
-	pg    *Page
-	io    *blockdev.IO
-	dev   *SwapDevice
-	start sim.Time // submission, for the swap-out latency histogram
 }
 
 // finalizeWrites waits for each write-back and finalizes its page, and
@@ -111,15 +74,15 @@ type writeout struct {
 // runs on kswapd's watcher for background reclaim, or synchronously on the
 // allocating process for direct reclaim (the Linux 2.4 balance_classzone
 // path that couples application progress to swap device latency).
-func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) (freed int) {
+func (s *System) finalizeWrites(p *sim.Proc, writes []*pageIO) (freed int) {
 	for _, w := range writes {
-		err := w.dev.waitPageIO(p, w.io)
+		err := w.Wait(p)
 		pg := w.pg
 		if err == nil {
 			s.hSwapOut.Observe(p.Now().Sub(w.start))
 			if s.tracer != nil {
 				s.tracer.Complete("vm", "swap-out", w.start, p.Now(),
-					map[string]any{"slot": pg.slot, "req": w.io.RequestID()})
+					map[string]any{"slot": pg.slot, "req": w.RequestID()})
 			}
 		}
 		if err != nil {
@@ -134,11 +97,8 @@ func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) (freed int) {
 			s.releaseFrame()
 			freed++
 		}
-		ev := pg.ioDone
-		pg.ioDone = nil
-		if ev != nil {
-			ev.Trigger()
-		}
+		pg.ioDone.Trigger()
+		w.recycle()
 	}
 	return freed
 }
@@ -147,30 +107,28 @@ func (s *System) finalizeWrites(p *sim.Proc, writes []writeout) (freed int) {
 // under memory pressure: scan, launder, and wait for the write-backs.
 func (s *System) directReclaim(p *sim.Proc) int {
 	s.stats.DirectReclaims++
-	freed, writes := s.shrink(p, s.cfg.SwapClusterMax)
+	freed, writes := s.shrink(p, s.cfg.SwapClusterMax, &s.directScratch)
 	return freed + s.finalizeWrites(p, writes)
 }
 
 // shrink evicts up to batch pages from the inactive tail. It returns the
 // number of frames freed immediately and the write-backs it submitted
-// (whose frames free when the caller finalizes them).
-func (s *System) shrink(p *sim.Proc, batch int) (freed int, writes []writeout) {
-	if s.inactive.Len() < batch {
-		s.refillInactive(p, batch-s.inactive.Len())
+// (whose frames free when the caller finalizes them), which live in sc
+// until then.
+func (s *System) shrink(p *sim.Proc, batch int, sc *reclaimScratch) (freed int, writes []*pageIO) {
+	if s.inactive.n < batch {
+		s.refillInactive(p, batch-s.inactive.n)
 	}
-	// Slice keyed by a seen-map: unplug order must follow submission
-	// order, not random map order (Unplug dispatches queued I/O).
-	seen := map[*SwapDevice]bool{}
-	var devsTouched []*SwapDevice
-	flowsBegun := map[uint64]bool{} // membership only, never iterated
+	// Unplug order follows first-submission order (Unplug dispatches
+	// queued I/O).
+	sc.writes, sc.devs = sc.writes[:0], sc.devs[:0]
+	var flowsBegun map[uint64]bool
 
 	scanned := 0
-	for scanned < batch && s.inactive.Len() > 0 {
+	for scanned < batch && s.inactive.n > 0 {
 		scanned++
-		e := s.inactive.Back()
-		pg := e.Value.(*Page)
-		s.inactive.Remove(e)
-		pg.elem = nil
+		pg := s.inactive.back
+		s.inactive.remove(pg)
 		p.Sleep(s.cfg.Host.ReclaimPerPage)
 
 		if pg.referenced {
@@ -204,36 +162,42 @@ func (s *System) shrink(p *sim.Proc, batch int) (freed int, writes []writeout) {
 		pg.dev, pg.slot = dev, slot
 		pg.state = PageWriting
 		pg.dirty = false
-		pg.ioDone = sim.NewEvent(s.env)
-		io, serr := dev.submitPageIO(true, slot)
+		pg.ioDone.Reset()
+		w, serr := dev.submitPageIO(true, pg, p.Now())
 		if serr != nil {
 			// Device refused (should not happen): undo.
 			dev.freeSlot(slot)
 			pg.dev = nil
 			pg.state = PageResident
 			pg.dirty = true
-			ev := pg.ioDone
-			pg.ioDone = nil
-			ev.Trigger()
+			pg.ioDone.Trigger()
 			s.lruAdd(pg)
 			continue
 		}
 		s.stats.SwapOuts++
-		if s.tracer != nil {
-			// One flow per merged block request, beginning at the vm layer.
-			if id := io.RequestID(); id != 0 && !flowsBegun[id] {
-				flowsBegun[id] = true
-				s.tracer.FlowBegin("vm", "req", id)
-			}
-		}
-		writes = append(writes, writeout{pg: pg, io: io, dev: dev, start: p.Now()})
-		if !seen[dev] {
-			seen[dev] = true
-			devsTouched = append(devsTouched, dev)
+		flowsBegun = s.beginFlow(flowsBegun, w.RequestID())
+		sc.writes = append(sc.writes, w)
+		if !slices.Contains(sc.devs, dev) {
+			sc.devs = append(sc.devs, dev)
 		}
 	}
-	for _, dev := range devsTouched {
+	for _, dev := range sc.devs {
 		dev.Queue.Unplug()
 	}
-	return freed, writes
+	return freed, sc.writes
+}
+
+// beginFlow starts the trace flow of block request id at the vm layer,
+// once: begun holds the ids a batch has already started (one flow per
+// merged request) and is built only when a tracer is attached.
+func (s *System) beginFlow(begun map[uint64]bool, id uint64) map[uint64]bool {
+	if s.tracer == nil || id == 0 || begun[id] {
+		return begun
+	}
+	if begun == nil {
+		begun = map[uint64]bool{}
+	}
+	begun[id] = true
+	s.tracer.FlowBegin("vm", "req", id)
+	return begun
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/sim"
 )
 
 // ErrSwapFull reports that no swap device has a free slot.
@@ -25,7 +26,55 @@ type SwapDevice struct {
 	remaining int
 	cluster   int
 
-	pageBufs [][]byte // idle page I/O buffers (see submitPageIO)
+	freeIOs *pageIO // idle page-I/O records (see submitPageIO)
+}
+
+// pageIO is one page-sized I/O record with its 4 K buffer, reused across
+// submissions: the simulated VM carries no page contents, so a page-out
+// writes a zero page and a page-in's bytes are dropped. From submitPageIO
+// until its Wait returns the record and the buffer are the driver's (see
+// blockdev.IO); then the waiter reads what it needs and recycles it.
+type pageIO struct {
+	blockdev.IO
+	dev   *SwapDevice
+	pg    *Page    // the page in transition
+	start sim.Time // submission, for the latency histograms
+	next  *pageIO  // free-list link
+}
+
+// submitPageIO queues a page-sized I/O for pg at its slot's device offset,
+// on a record off the device's free list.
+//
+//hpbd:hotpath
+func (d *SwapDevice) submitPageIO(write bool, pg *Page, now sim.Time) (*pageIO, error) {
+	rec := d.freeIOs
+	if rec != nil {
+		d.freeIOs, rec.next = rec.next, nil
+		if write {
+			clear(rec.Data) // it last carried whatever a page-in read
+		}
+	} else {
+		//hpbd:allow hotalloc -- free-list miss: the records a run keeps in flight are made once, then recycled
+		rec = &pageIO{dev: d}
+		//hpbd:allow hotalloc -- the new record's page buffer, kept for the record's life
+		rec.Data = make([]byte, PageSize)
+	}
+	rec.Write, rec.Sector = write, d.slotSector(pg.slot)
+	rec.pg, rec.start = pg, now
+	if err := d.Queue.SubmitIO(&rec.IO); err != nil {
+		rec.recycle()
+		return nil, err
+	}
+	return rec, nil
+}
+
+// recycle returns a record whose I/O has been waited for (or was refused)
+// to its device's free list.
+//
+//hpbd:hotpath
+func (rec *pageIO) recycle() {
+	rec.pg = nil
+	rec.next, rec.dev.freeIOs = rec.dev.freeIOs, rec
 }
 
 func newSwapDevice(q *blockdev.Queue, prio, slotCluster int) *SwapDevice {
@@ -48,6 +97,8 @@ func (d *SwapDevice) Slots() int { return d.nslots }
 func (d *SwapDevice) FreeSlots() int { return d.freeSlots }
 
 // allocSlot returns a slot index, preferring the current cluster.
+//
+//hpbd:hotpath
 func (d *SwapDevice) allocSlot(pg *Page) (int, bool) {
 	if d.freeSlots == 0 {
 		return 0, false

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"container/list"
 	"errors"
 	"sort"
 
@@ -16,31 +15,75 @@ var ErrOutOfMemory = errors.New("vm: out of memory")
 
 // Page is the per-virtual-page bookkeeping record.
 type Page struct {
-	as         *AddressSpace
-	idx        int
-	state      PageState
-	dirty      bool
-	referenced bool
+	as  *AddressSpace
+	idx int
 
 	// Swap binding (valid in PageWriting/PageSwappedOut/PageReading, and
 	// in PageResident for clean swap-cache pages).
 	dev  *SwapDevice
 	slot int
 
-	// LRU membership while resident.
-	elem   *list.Element
-	active bool
+	// LRU membership while resident: the list that holds the page and its
+	// neighbours there, all nil off the lists.
+	lru        *pageList
+	prev, next *Page // prev is towards the front (more recent)
 
-	// ioDone is triggered when an in-flight transition (write-out or
-	// read-in) finishes; waiters re-inspect state afterwards.
-	ioDone *sim.Event
+	// ioDone is re-armed when a transition (write-out or read-in) starts
+	// and triggered when it finishes; waiters re-inspect state afterwards.
+	ioDone sim.Event
 
+	state      PageState
+	dirty      bool
+	referenced bool
 	// readahead marks pages brought in speculatively, for stats.
 	readahead bool
 }
 
 // State returns the page's current lifecycle state.
 func (pg *Page) State() PageState { return pg.state }
+
+// pageList is one LRU list, linked through the pages themselves.
+type pageList struct {
+	front, back *Page // front = most recent
+	n           int
+}
+
+//hpbd:hotpath
+func (l *pageList) pushFront(pg *Page) {
+	pg.lru, pg.prev, pg.next = l, nil, l.front
+	if l.front != nil {
+		l.front.prev = pg
+	} else {
+		l.back = pg
+	}
+	l.front = pg
+	l.n++
+}
+
+//hpbd:hotpath
+func (l *pageList) remove(pg *Page) {
+	if pg.prev != nil {
+		pg.prev.next = pg.next
+	} else {
+		l.front = pg.next
+	}
+	if pg.next != nil {
+		pg.next.prev = pg.prev
+	} else {
+		l.back = pg.prev
+	}
+	pg.lru, pg.prev, pg.next = nil, nil, nil
+	l.n--
+}
+
+// reclaimScratch is the working storage of one reclaim pass, reused by the
+// pass after it: the write-backs shrink submitted and the devices to
+// unplug. A pass owns it until its write-backs are finalized, so each
+// context that reclaims (kswapd, the one direct reclaimer) has its own.
+type reclaimScratch struct {
+	writes []*pageIO
+	devs   []*SwapDevice
+}
 
 // System is one node's VM: physical frames, the LRU lists, kswapd, and the
 // registered swap devices.
@@ -49,9 +92,12 @@ type System struct {
 	cfg Config
 
 	freePages int
-	active    *list.List // of *Page, front = most recent
-	inactive  *list.List
+	active    pageList
+	inactive  pageList
 	swapDevs  []*SwapDevice
+
+	kswapdScratch, directScratch reclaimScratch
+	freeBatches                  *swapinBatch // idle swap-in watcher records
 
 	freeWait   *sim.WaitQueue // allocators waiting for memory
 	kswapdWake *sim.WaitQueue
@@ -77,8 +123,6 @@ func NewSystem(env *sim.Env, cfg Config) *System {
 		env:        env,
 		cfg:        cfg,
 		freePages:  cfg.PhysPages,
-		active:     list.New(),
-		inactive:   list.New(),
 		freeWait:   sim.NewWaitQueue(env),
 		kswapdWake: sim.NewWaitQueue(env),
 		hSwapOut:   cfg.Telemetry.Histogram("vm.swapout.latency"),
@@ -126,32 +170,48 @@ func (s *System) SwapFree() int {
 // allocSwapSlot picks a device and allocates a slot: highest priority
 // first, round-robin among devices of equal priority (as swapon does, so
 // equal-priority devices share load instead of filling in order).
+//
+// Each equal-priority group is walked from a rotating start. The rotation
+// advances once per SlotCluster allocations so whole clusters stay on one
+// device (merging still works) while load spreads.
 func (s *System) allocSwapSlot(pg *Page) (*SwapDevice, int, error) {
-	for _, d := range s.rotatedDevs() {
-		if slot, ok := d.allocSlot(pg); ok {
-			return d, slot, nil
+	devs := s.swapDevs
+	if len(devs) > 1 {
+		s.rrCount++
+	}
+	for i := 0; i < len(devs); {
+		j := i + 1
+		for j < len(devs) && devs[j].Prio == devs[i].Prio {
+			j++
 		}
+		group := devs[i:j]
+		start := 0
+		if len(group) > 1 {
+			start = int(s.rrCount/int64(s.cfg.SlotCluster)) % len(group)
+		}
+		for k := range group {
+			d := group[(start+k)%len(group)]
+			if slot, ok := d.allocSlot(pg); ok {
+				return d, slot, nil
+			}
+		}
+		i = j
 	}
 	return nil, 0, ErrSwapFull
 }
 
 // lruAdd puts a resident page on the front of the active list.
-func (s *System) lruAdd(pg *Page) {
-	pg.active = true
-	pg.elem = s.active.PushFront(pg)
-}
+//
+//hpbd:hotpath
+func (s *System) lruAdd(pg *Page) { s.active.pushFront(pg) }
 
 // lruRemove detaches a page from whichever list holds it.
+//
+//hpbd:hotpath
 func (s *System) lruRemove(pg *Page) {
-	if pg.elem == nil {
-		return
+	if pg.lru != nil {
+		pg.lru.remove(pg)
 	}
-	if pg.active {
-		s.active.Remove(pg.elem)
-	} else {
-		s.inactive.Remove(pg.elem)
-	}
-	pg.elem = nil
 }
 
 // wakeKswapd nudges the background reclaimer.
@@ -209,35 +269,6 @@ func (s *System) tryAllocFrame() bool {
 func (s *System) releaseFrame() {
 	s.freePages++
 	s.freeWait.WakeAll()
-}
-
-// rotatedDevs returns the devices in allocation order: descending
-// priority, with a rotating start position within each equal-priority
-// group. The rotation advances once per SlotCluster allocations so whole
-// clusters stay on one device (merging still works) while load spreads.
-func (s *System) rotatedDevs() []*SwapDevice {
-	if len(s.swapDevs) <= 1 {
-		return s.swapDevs
-	}
-	s.rrCount++
-	out := make([]*SwapDevice, 0, len(s.swapDevs))
-	for i := 0; i < len(s.swapDevs); {
-		j := i
-		for j < len(s.swapDevs) && s.swapDevs[j].Prio == s.swapDevs[i].Prio {
-			j++
-		}
-		group := s.swapDevs[i:j]
-		if len(group) == 1 {
-			out = append(out, group[0])
-		} else {
-			start := int(s.rrCount/int64(s.cfg.SlotCluster)) % len(group)
-			for k := 0; k < len(group); k++ {
-				out = append(out, group[(start+k)%len(group)])
-			}
-		}
-		i = j
-	}
-	return out
 }
 
 // sortSwapDevs keeps devices in descending priority order.

@@ -47,8 +47,10 @@ type IO struct {
 	Data   []byte
 	done   sim.Event
 	err    error
-	req    *Request
-	next   *IO // the I/O after this one in req's chain
+	req    *Request // the request carrying this I/O; nil unless in flight
+	reqID  uint64   // that request's id, kept past completion
+	next   *IO      // the I/O after this one in req's chain
+	onDone func()   // completion callback armed by OnDone, nil when none
 }
 
 // Wait blocks until the I/O completes and returns its error.
@@ -60,11 +62,34 @@ func (io *IO) Wait(p *sim.Proc) error {
 // Done reports whether the I/O has completed.
 func (io *IO) Done() bool { return io.done.Triggered() }
 
+// OnDone is Wait for a follower that is not a process — one that never
+// sleeps and charges no virtual time. While the I/O is in flight it arms
+// fn to run once when the I/O completes and reports true: Complete
+// schedules fn as a callback at that instant, not inside itself, behind
+// the wakes of the processes in Wait, so a sole follower takes exactly the
+// slot a sole waiting process's wake would. An I/O holds one callback at a
+// time. On an I/O that is not in flight it arms nothing and reports false.
+//
+//hpbd:hotpath
+func (io *IO) OnDone(fn func()) bool {
+	if io.req == nil {
+		return false
+	}
+	io.onDone = fn
+	return true
+}
+
 // Err returns the completion error (valid after Done).
 func (io *IO) Err() error { return io.err }
 
 // Request is a merged run of I/Os, contiguous on the device: a chain
 // through IO.next in ascending sector order.
+//
+// A request a queue dispatched belongs to that queue: Complete zeroes it
+// and puts it back on the queue's free list, so the driver must not touch
+// it afterwards — a stale use finds an empty chain, not another request's
+// I/Os. A standalone request (NewRequest) is its creator's and stays
+// readable after completion.
 type Request struct {
 	Write      bool
 	Sector     int64
@@ -73,6 +98,9 @@ type Request struct {
 	nbytes     int
 	queued     sim.Time
 	id         uint64
+	env        *sim.Env
+	q          *Queue   // the owning queue, nil for a standalone request
+	free       *Request // free-list link
 }
 
 // linkBack appends io at the tail of the chain (a back merge).
@@ -101,7 +129,7 @@ func (r *Request) linkFront(io *IO) {
 
 //hpbd:hotpath
 func (r *Request) take(io *IO) {
-	io.req = r
+	io.req, io.reqID = r, r.id
 	r.nios++
 	r.nbytes += len(io.Data)
 }
@@ -114,14 +142,10 @@ func (r *Request) ID() uint64 { return r.id }
 // QueuedAt returns the virtual time the request entered the block layer.
 func (r *Request) QueuedAt() sim.Time { return r.queued }
 
-// RequestID returns the id of the request this I/O was merged into
-// (valid once submitted; 0 before).
-func (io *IO) RequestID() uint64 {
-	if io.req == nil {
-		return 0
-	}
-	return io.req.id
-}
+// RequestID returns the id of the request this I/O was merged into on its
+// latest submission (0 before the first). The I/O keeps its own copy: the
+// request record is recycled at completion.
+func (io *IO) RequestID() uint64 { return io.reqID }
 
 // Bytes returns the total request payload size.
 func (r *Request) Bytes() int { return r.nbytes }
@@ -177,11 +201,22 @@ func (r *Request) Scatter(data []byte) { r.ScatterAt(0, data) }
 
 // Complete finishes the request, propagating err to every merged I/O. A
 // driver that serves a request in pieces calls it once, when the last
-// piece has settled: from here on the records are their submitters'.
+// piece has settled: from here on the I/O records are their submitters'
+// and a queue's request record is the queue's again.
+//
+//hpbd:hotpath
 func (r *Request) Complete(err error) {
 	for io := r.head; io != nil; io = io.next {
-		io.err = err
+		io.err, io.req = err, nil
 		io.done.Trigger()
+		if fn := io.onDone; fn != nil {
+			io.onDone = nil
+			r.env.After(0, fn)
+		}
+	}
+	if q := r.q; q != nil {
+		*r = Request{free: q.freeReqs}
+		q.freeReqs = r
 	}
 }
 
@@ -189,7 +224,7 @@ func (r *Request) Complete(err error) {
 // drivers (mirroring, striping) that fan one request out to children.
 // Completion is observed with Wait.
 func NewRequest(env *sim.Env, write bool, sector int64, data []byte) *Request {
-	r := &Request{Write: write, Sector: sector, queued: env.Now()}
+	r := &Request{Write: write, Sector: sector, queued: env.Now(), env: env}
 	r.linkBack(&IO{Write: write, Sector: sector, Data: data})
 	return r
 }
@@ -241,6 +276,7 @@ type Queue struct {
 	host     netmodel.HostModel
 	driver   Driver
 	pending  []*Request
+	freeReqs *Request // completed request records, reused by SubmitIO
 	plugged  bool
 	work     *sim.WaitQueue
 	stats    Stats
@@ -334,11 +370,11 @@ func (q *Queue) SubmitIO(io *IO) error {
 	if sector < 0 || sector+sectors > q.driver.Sectors() {
 		return ErrOutOfRange
 	}
-	if io.req != nil && !io.done.Triggered() {
+	if io.req != nil {
 		return ErrInFlight
 	}
 	io.done.Reset()
-	io.err, io.req, io.next = nil, nil, nil
+	io.err, io.next = nil, nil
 	q.stats.IOsSubmitted++
 	if q.activity != nil {
 		q.activity()
@@ -363,8 +399,14 @@ func (q *Queue) SubmitIO(io *IO) error {
 		return nil
 	}
 	q.nextID++
-	//hpbd:allow hotalloc -- the one record per dispatched request; merged I/Os add none
-	r := &Request{Write: write, Sector: sector, queued: q.env.Now(), id: q.nextID}
+	r := q.freeReqs
+	if r == nil {
+		//hpbd:allow hotalloc -- free-list miss: allocates until the list has grown to the peak requests outstanding
+		r = &Request{}
+	} else {
+		q.freeReqs = r.free
+	}
+	*r = Request{Write: write, Sector: sector, queued: q.env.Now(), id: q.nextID, env: q.env, q: q}
 	r.linkBack(io)
 	if len(q.pending) == 0 {
 		q.plugged = true

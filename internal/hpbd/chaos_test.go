@@ -11,6 +11,7 @@ import (
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 	"hpbd/internal/tenant"
+	"hpbd/internal/wire"
 )
 
 // writeBlocks writes count blocks of blockBytes each, sequentially, with
@@ -238,6 +239,7 @@ func TestChaosTable(t *testing.T) {
 			if leak := cb.dev.Pool().InUse(); leak != 0 {
 				t.Errorf("pool leak after chaos: %d bytes", leak)
 			}
+			assertRecordsHome(t, cb.dev)
 		})
 	}
 }
@@ -264,6 +266,7 @@ func TestWedgedServerRecovers(t *testing.T) {
 		t.Error("device failed on a hung (not dead) server")
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestWedgedServerNoFallback is the same hang without a fallback: the
@@ -306,6 +309,7 @@ func TestWedgedServerNoFallback(t *testing.T) {
 		t.Error("a wedged server must not kill the device")
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestStripedReadWithOneLinkDown holds the one behaviour direct scatter
@@ -546,6 +550,139 @@ func TestAttachDuringStarve(t *testing.T) {
 			}
 			if err := srv.TenancyCheck(); err != nil {
 				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestServerNaksMalformedRequest reaches the one arm of handleRecvCQE no
+// device drives: a control message that does not decode. A raw client —
+// a bare QP attached to the server — sends garbage: the server answers
+// StatusBadRequest under the handle the decode yields (zero: it failed
+// before the field), gives the receive slot back, counts the message and,
+// under tenancy, returns the request's credit to the bank. The next
+// well-formed request on the same connection is served.
+func TestServerNaksMalformedRequest(t *testing.T) {
+	for _, tenancy := range []bool{false, true} {
+		tenancy := tenancy
+		t.Run(fmt.Sprintf("tenancy=%v", tenancy), func(t *testing.T) {
+			env := sim.NewEnv()
+			reg := telemetry.New(env)
+			f := ib.NewFabric(env, ib.DefaultConfig())
+			scfg := DefaultServerConfig(1 << 20)
+			scfg.Telemetry = reg
+			tenantID := ""
+			if tenancy {
+				spec, err := tenant.ParseSpec("pool=4,a:w1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				scfg.Tenancy, tenantID = spec, "a"
+			}
+			srv := NewServer(f, "mem0", scfg)
+
+			hca := f.NewHCA("raw")
+			cq := hca.CreateCQ("raw-cq")
+			qp := hca.CreateQP(cq, cq)
+			srvQP, err := srv.attach(qp, 1<<20, tenantID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := srv.conns[srvQP]
+			ctl := hca.RegisterMRAtSetup(make([]byte, wire.RequestSize))
+			replies := hca.RegisterMRAtSetup(make([]byte, 2*wire.ReplySize))
+			data := hca.RegisterMRAtSetup(pattern(4096, 5))
+			for slot := 0; slot < 2; slot++ {
+				if err := qp.PostRecv(ib.RecvWR{ID: uint64(slot),
+					Local: ib.Segment{MR: replies, Off: slot * wire.ReplySize, Len: wire.ReplySize}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held := func() int {
+				if !tenancy {
+					return 0
+				}
+				return srv.tn.bank.Held(tenantID)
+			}
+			window := func() (posted, withheld int) {
+				withheld = len(srv.starved)
+				if tenancy {
+					withheld += len(srv.tn.withheld[tenantID])
+				}
+				return srvQP.PostedRecvs(), withheld
+			}
+
+			// exchange sends the control message in ctl and returns the reply.
+			exchange := func(p *sim.Proc) wire.Reply {
+				if err := qp.PostSend(p, ib.SendWR{Op: ib.OpSend, Local: ib.Segment{MR: ctl, Len: wire.RequestSize}}); err != nil {
+					t.Fatalf("PostSend: %v", err)
+				}
+				for {
+					e := cq.WaitPoll(p)
+					if e.Status != ib.StatusSuccess {
+						t.Fatalf("CQE %+v", e)
+					}
+					if e.Op != ib.OpRecv {
+						continue // our own send completing
+					}
+					slot := int(e.WRID)
+					rep, err := wire.UnmarshalReply(replies.Buf[slot*wire.ReplySize : (slot+1)*wire.ReplySize])
+					if err != nil {
+						t.Fatalf("reply does not decode: %v", err)
+					}
+					return rep
+				}
+			}
+			env.Go("raw-client", func(p *sim.Proc) {
+				held0 := held()
+				posted0, _ := window()
+				for i := range ctl.Buf {
+					ctl.Buf[i] = 0xEE // no request magic
+				}
+				if _, err := wire.UnmarshalRequest(ctl.Buf); err == nil {
+					t.Fatal("the garbage decodes; the test proves nothing")
+				}
+				rep := exchange(p)
+				if rep.Status != wire.StatusBadRequest || rep.Handle != 0 {
+					t.Errorf("garbage answered with %+v, want StatusBadRequest under handle 0", rep)
+				}
+				if got := reg.Counter("mem0.bad_requests").Value(); got != 1 {
+					t.Errorf("mem0.bad_requests = %d, want 1", got)
+				}
+				if got := reg.Counter("mem0.requests").Value(); got != 0 {
+					t.Errorf("mem0.requests = %d: the garbage was counted as a request", got)
+				}
+				p.Sleep(10 * sim.Microsecond) // the NAK proc releases the credit after its send
+				if posted, withheld := window(); posted+withheld != recvDepth || posted != posted0 {
+					t.Errorf("after the NAK: %d posted + %d withheld receive slots, want %d posted of %d in all: the message's credit did not come back",
+						posted, withheld, posted0, recvDepth)
+				}
+				if got := held(); got != held0 {
+					t.Errorf("tenant holds %d credits after the NAK, %d before the message", got, held0)
+				}
+
+				wire.MarshalRequest(ctl.Buf, &wire.Request{
+					Type: wire.ReqWrite, Handle: 7, Offset: 8192, Length: 4096, RKey: data.RKey,
+				})
+				if rep := exchange(p); rep.Status != wire.StatusOK || rep.Handle != 7 {
+					t.Errorf("well-formed write after the NAK answered with %+v, want StatusOK under handle 7", rep)
+				}
+				got := make([]byte, 4096)
+				if err := srv.Store().ReadAt(p, got, conn.areaOff+8192); err != nil || !bytes.Equal(got, pattern(4096, 5)) {
+					t.Errorf("the write after the NAK did not reach the store (err=%v)", err)
+				}
+			})
+			env.Run()
+			env.Close()
+
+			if posted, withheld := window(); posted+withheld != recvDepth {
+				t.Errorf("at drain: %d posted + %d withheld receive slots, want %d in all", posted, withheld, recvDepth)
+			}
+			if err := srv.TenancyCheck(); err != nil {
+				t.Error(err)
+			}
+			if st := srv.Stats(); st.BadRequests != 1 || st.Requests != 1 || st.Writes != 1 {
+				t.Errorf("server stats %+v, want one bad request, one request, one write", st)
 			}
 		})
 	}

@@ -263,11 +263,22 @@ type serverLink struct {
 	removed bool   // decommissioned by RemoveServer (drained, QP closed)
 }
 
-// parentReq tracks one block-layer request across its physical requests.
+// parentReq is the device's record of one block-layer request across its
+// physical requests: the completion count, the request's first — usually
+// only — physical request inline, and the scratch its split is written to.
+// Records are recycled: getRec takes one, and finishPhys, which every
+// settlement funnels through, gives it back zeroed once the last physical
+// request has settled. A phys still owed a settlement — in the in-flight
+// table, or out of it waiting on a backoff timer, a fallback I/O or the
+// sender — therefore always points at a live record; one that has settled
+// must not be touched again, and reads as zero if it is.
 type parentReq struct {
 	req    *blockdev.Request
 	remain int
 	err    error
+	first  phys                // the physical request of segs[0]
+	segs   []placement.Segment // Submit's split; the capacity survives recycling
+	free   *parentReq          // free-list link
 }
 
 // phys is one physical request to one server.
@@ -282,11 +293,13 @@ type phys struct {
 	devByte int64 // absolute device byte offset (fallback addressing)
 	attempt int   // recovery re-sends already performed
 
-	// subs marks a merge carrier: the sector-contiguous requests riding
-	// this WR, in device order. A carrier has no parent of its own —
-	// completion (success or any error path) fans out to the subs, each
-	// keeping its own handle, lifecycle record, and flow id.
+	// A non-empty subs marks a merge carrier: the sector-contiguous
+	// requests riding this WR, in device order. A carrier has no parent of
+	// its own — completion (success or any error path) fans out to the
+	// subs, each keeping its own handle, lifecycle record, and flow id.
+	// The capacity survives recycling.
 	subs []*phys
+	free *phys // free-list link (records that are not a parentReq's first)
 
 	mtrack *migState // in-range foreground write tracked by a live move
 
@@ -321,6 +334,14 @@ type Device struct {
 	batch []*phys
 	wrs   []ib.SendWR
 	items []*phys
+
+	// Recycled request records (see parentReq): one per block request, plus
+	// loose phys for a request's second and later segments and for merge
+	// carriers. The live counts are what is handed out and not yet back.
+	freeRecs *parentReq
+	freePhys *phys
+	liveRecs int
+	livePhys int
 
 	links []*serverLink
 	byQP  map[*ib.QP]*serverLink
@@ -547,11 +568,65 @@ func (l *serverLink) postReplyBuf(slot int) error {
 	})
 }
 
-// newPhys builds the physical request for segment sg of block request r
-// on link, not yet staged or admitted. parent is nil for a merge carrier,
+// getRec takes a record for block request r, to be settled by remain
+// physical requests.
+//
+//hpbd:hotpath
+func (d *Device) getRec(r *blockdev.Request, remain int) *parentReq {
+	rec := d.freeRecs
+	if rec == nil {
+		//hpbd:allow hotalloc -- free-list miss: allocates until the list has grown to the peak requests in flight
+		rec = &parentReq{}
+	} else {
+		d.freeRecs, rec.free = rec.free, nil
+	}
+	rec.req, rec.remain = r, remain
+	d.liveRecs++
+	return rec
+}
+
+// putRec recycles a record whose request has completed.
+//
+//hpbd:hotpath
+func (d *Device) putRec(rec *parentReq) {
+	*rec = parentReq{segs: rec.segs[:0], free: d.freeRecs}
+	d.freeRecs = rec
+	d.liveRecs--
+}
+
+// getPhys takes a loose phys: a request's second or later segment, or a
+// merge carrier.
+//
+//hpbd:hotpath
+func (d *Device) getPhys() *phys {
+	ph := d.freePhys
+	if ph == nil {
+		//hpbd:allow hotalloc -- free-list miss: allocates until the list has grown to the peak loose phys in flight
+		ph = &phys{}
+	} else {
+		d.freePhys, ph.free = ph.free, nil
+	}
+	d.livePhys++
+	return ph
+}
+
+// putPhys recycles a settled loose phys.
+//
+//hpbd:hotpath
+func (d *Device) putPhys(ph *phys) {
+	clear(ph.subs)
+	*ph = phys{subs: ph.subs[:0], free: d.freePhys}
+	d.freePhys = ph
+	d.livePhys--
+}
+
+// setup makes ph the physical request for segment sg of block request r on
+// link, not yet staged or admitted. parent is nil for a merge carrier,
 // which borrows r and submitAt from its first constituent.
-func newPhys(parent *parentReq, r *blockdev.Request, link *serverLink, sg placement.Segment, submitAt sim.Time) *phys {
-	return &phys{
+//
+//hpbd:hotpath
+func (ph *phys) setup(parent *parentReq, r *blockdev.Request, link *serverLink, sg placement.Segment, submitAt sim.Time) {
+	*ph = phys{
 		parent:   parent,
 		link:     link,
 		write:    r.Write,
@@ -562,6 +637,7 @@ func newPhys(parent *parentReq, r *blockdev.Request, link *serverLink, sg placem
 		flowID:   r.ID(),
 		blkAt:    r.QueuedAt(),
 		submitAt: submitAt,
+		subs:     ph.subs[:0],
 	}
 }
 
@@ -580,18 +656,27 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 	}
 	start := r.Sector * blockdev.SectorSize
 	n := r.Bytes()
-	segs := d.dir.Split(start, n)
+	parent := d.getRec(r, 0)
+	segs := d.dir.SplitInto(parent.segs[:0], start, n)
 	if segs == nil {
 		r.Complete(blockdev.ErrOutOfRange)
+		d.putRec(parent)
 		return
 	}
 	if len(segs) > 1 {
 		d.met.splits.Inc()
 	}
-	parent := &parentReq{req: r, remain: len(segs)}
-	for _, sg := range segs {
+	// The record lives until its last segment settles, which cannot come
+	// before the last iteration below has handed that segment off: nothing
+	// in the loop reads parent or segs after a segment's finishPhys.
+	parent.segs, parent.remain = segs, len(segs)
+	for i, sg := range segs {
 		link := d.links[sg.Server]
-		ph := newPhys(parent, r, link, sg, p.Now())
+		ph := &parent.first
+		if i > 0 {
+			ph = d.getPhys()
+		}
+		ph.setup(parent, r, link, sg, p.Now())
 		if link.down {
 			// The server backing this range is gone: skip the pool and
 			// the wire entirely and degrade immediately (fallback driver
@@ -770,16 +855,18 @@ func (d *Device) stage(p *sim.Proc, ph *phys) error {
 // under a fresh handle — and are settled exactly once by the carrier's
 // completion fan-out, on every path.
 func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
-	subs := append([]*phys(nil), run...) // run aliases the batch being rewritten
-	first := subs[0]
+	first := run[0]
 	total := 0
-	for _, s := range subs {
+	for _, s := range run {
 		total += s.length
 	}
-	c := newPhys(nil, first.parent.req, first.link,
+	c := d.getPhys()
+	c.setup(nil, first.parent.req, first.link,
 		placement.Segment{Offset: first.offset, Length: total, DevByte: first.devByte}, first.submitAt)
 	c.enqAt = first.enqAt
-	c.subs = subs
+	//hpbd:allow hotalloc -- grows a recycled carrier's list to the merge window, then stays
+	c.subs = append(c.subs, run...) // a copy: run aliases the batch being rewritten
+	subs := c.subs
 	c.home.stageMR(d, p, total)
 	if c.write {
 		buf := c.home.bytes(d)
@@ -820,6 +907,14 @@ func (d *Device) reroute(ph *phys) {
 // visited in connect order, never map order — acquires one credit per
 // request, and posts each group as a single chained doorbell. The paper's
 // one credit, one WQE, one doorbell per request is a batch of one.
+//
+// A queued, unsent request is settled by nobody but the sender, so the
+// batch's records are the sender's to read across every stall here. Once
+// a request is marked sent that ends: a link failure, a device failure or
+// a timeout cancel may pull it back at the next yield, and a request
+// pulled back may settle and its record be recycled. So an entry leaves
+// live as it is handed on, and after the doorbell a posted request is
+// touched only while the table still holds it under the handle posted.
 func (d *Device) issue(p *sim.Proc, batch []*phys) {
 	live := batch[:0]
 	for _, ph := range batch {
@@ -838,10 +933,11 @@ func (d *Device) issue(p *sim.Proc, batch []*phys) {
 	}
 	for _, link := range d.links {
 		wrs, items := d.wrs[:0], d.items[:0]
-		for _, ph := range live {
-			if ph.link != link {
+		for k, ph := range live {
+			if ph == nil || ph.link != link {
 				continue
 			}
+			live[k] = nil
 			if link.down {
 				// The link died mid-batch (during an earlier credit stall).
 				d.reroute(ph)
@@ -886,22 +982,26 @@ func (d *Device) issue(p *sim.Proc, batch []*phys) {
 				d.failLink(link)
 				continue
 			}
-			for _, ph := range items {
-				d.settle(p, ph, err)
+			for i, ph := range items {
+				if d.inflight.holds(wrs[i].ID, ph) {
+					d.settle(p, ph, err)
+				}
 				link.credits.Release(1)
 			}
 			continue
 		}
 		now := p.Now()
-		for _, ph := range items {
-			ph.sentAt = now
+		for i, ph := range items {
+			if d.inflight.holds(wrs[i].ID, ph) {
+				ph.sentAt = now
+			}
 			if d.tracer != nil {
 				// Thread the causal flow across the wire: the server half
 				// continues it under the same id, looked up by wire handle
 				// through the shared-registry link table (the wire format
 				// itself is frozen — see telemetry.ServerStamp).
-				d.tracer.FlowStep(d.name, "req", ph.flowID)
-				d.lc.LinkFlow(ph.handle, ph.flowID)
+				d.tracer.FlowStep(d.name, "req", wrs[i].Flow)
+				d.lc.LinkFlow(wrs[i].ID, wrs[i].Flow)
 			}
 			d.met.physReqs.Inc()
 		}
@@ -1048,7 +1148,7 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 //
 //hpbd:hotpath
 func (ph *phys) scatter(src []byte) {
-	if ph.subs == nil {
+	if len(ph.subs) == 0 {
 		ph.parent.req.ScatterAt(ph.off, src[:ph.length])
 		return
 	}
@@ -1069,7 +1169,7 @@ func (d *Device) traceDone(p *sim.Proc, ph *phys) {
 		"bytes": ph.length, "server": ph.link.srv.Name(),
 		"flow": ph.flowID, "handle": ph.handle,
 	}
-	if ph.subs == nil {
+	if len(ph.subs) == 0 {
 		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), args)
 		d.tracer.FlowEnd(d.name, "req", ph.flowID)
 		return
@@ -1096,7 +1196,7 @@ func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr e
 	now := p.Now()
 	st, stOK := d.lc.TakeServerStamp(ph.handle)
 	stOK = stOK && st.Start >= ph.creditAt && st.Reply >= st.Start && replyAt >= st.Reply
-	if ph.subs == nil {
+	if len(ph.subs) == 0 {
 		d.recordReq(ph, ph, &st, stOK, replyAt, now, ferr)
 		return
 	}
@@ -1155,20 +1255,31 @@ func (d *Device) recordReq(s, ph *phys, st *telemetry.ServerStamp, stOK bool, re
 // fans out to the constituents instead, so every error path that settles
 // the carrier (device failure, link failover, retry exhaustion, timeout
 // cancel, degraded completion) settles each constituent exactly once.
+//
+// It is also where the records go back: ph is zeroed here — onto the free
+// list unless it is its parent's inline first — and the parent record
+// follows when its request has completed. The caller must not touch ph
+// afterwards.
+//
+//hpbd:hotpath
 func (d *Device) finishPhys(ph *phys, err error) {
 	if m := ph.mtrack; m != nil {
 		ph.mtrack = nil
 		m.noteDone(ph, err)
 	}
-	if ph.subs != nil {
-		subs := ph.subs
-		ph.subs = nil // the fan-out happens once, whatever path got here
-		for _, s := range subs {
+	if len(ph.subs) > 0 {
+		for _, s := range ph.subs {
 			d.finishPhys(s, err)
 		}
+		d.putPhys(ph)
 		return
 	}
 	parent := ph.parent
+	if ph == &parent.first {
+		*ph = phys{}
+	} else {
+		d.putPhys(ph)
+	}
 	if err != nil && parent.err == nil {
 		parent.err = err
 	}
@@ -1177,6 +1288,7 @@ func (d *Device) finishPhys(ph *phys, err error) {
 		return
 	}
 	parent.req.Complete(parent.err)
+	d.putRec(parent)
 }
 
 // watchdog (spawned when RequestTimeout > 0) periodically scans the
@@ -1203,6 +1315,10 @@ func (d *Device) watchdog(p *sim.Proc) {
 			continue
 		}
 		now := p.Now()
+		// The walk does not yield, and re-routing an entry settles at most
+		// that entry and, for a carrier, its constituents, which the table
+		// does not hold: every later entry of the snapshot is still owed
+		// its settlement, so its record is live.
 		for _, ph := range d.inflight.ordered() {
 			age := now.Sub(ph.submitAt)
 			if ph.timedOut || age < d.cfg.RequestTimeout {
@@ -1247,7 +1363,8 @@ func (d *Device) failLink(link *serverLink) {
 		return
 	}
 	// Requeue the sent in-flight requests of this link. Unsent queued
-	// requests are cleaned up by the sender on dequeue.
+	// requests are cleaned up by the sender on dequeue. As in the
+	// watchdog's walk, each step settles nothing the snapshot still holds.
 	for _, ph := range d.inflight.ordered() {
 		if ph.link == link && ph.sent {
 			d.inflight.cancel(ph.handle)
@@ -1270,7 +1387,8 @@ func (d *Device) retryOrRoute(ph *phys) {
 			"handle": ph.handle, "attempt": ph.attempt, "backoff_us": backoff.Micros(),
 		})
 		// The fresh handle is taken now and enters the table only after
-		// the backoff: in between the request is in nobody's scan.
+		// the backoff: in between the request is in nobody's scan, so only
+		// the timer below can settle it and its record is live when it fires.
 		d.inflight.stamp(ph)
 		d.env.After(backoff, func() {
 			if d.failed {
@@ -1382,7 +1500,7 @@ func (d *Device) fallbackCovers(devByte int64, n int) bool {
 // constituents: one record each, then one fan-out.
 func (d *Device) finishDegraded(ph *phys, err error, server string) {
 	reqs := ph.subs
-	if reqs == nil {
+	if len(reqs) == 0 {
 		reqs = []*phys{ph}
 	}
 	now := d.env.Now()
@@ -1441,6 +1559,7 @@ func (d *Device) fail() {
 	}
 	d.failed = true
 	d.lc.Flight().DumpOnEvent(fmt.Sprintf("device %s failed: %d requests pending", d.name, d.inflight.len()))
+	// Settling one entry settles nothing else the snapshot holds (see watchdog).
 	for _, ph := range d.inflight.ordered() {
 		if !ph.sent {
 			continue // the sender cleans up queued requests on dequeue

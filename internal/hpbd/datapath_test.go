@@ -45,7 +45,7 @@ func TestSplitExactBoundaries(t *testing.T) {
 	d := tb.dev
 
 	// 8 KB centred on the boundary: exactly 4 KB to each server.
-	segs := d.dir.Split(area-4096, 8192)
+	segs := d.dir.SplitInto(nil, area-4096, 8192)
 	checkSegs(t, d, segs, 8192)
 	if len(segs) != 2 {
 		t.Fatalf("straddle split into %d segments, want 2", len(segs))
@@ -59,20 +59,20 @@ func TestSplitExactBoundaries(t *testing.T) {
 	}
 
 	// One sector each side of the edge must not split.
-	last := d.dir.Split(area-blockdev.SectorSize, blockdev.SectorSize)
+	last := d.dir.SplitInto(nil, area-blockdev.SectorSize, blockdev.SectorSize)
 	if len(last) != 1 || last[0].Server != 0 || last[0].Offset != area-blockdev.SectorSize {
 		t.Errorf("last sector of range 0 split wrong: %+v", last)
 	}
-	first := d.dir.Split(area, blockdev.SectorSize)
+	first := d.dir.SplitInto(nil, area, blockdev.SectorSize)
 	if len(first) != 1 || first[0].Server != 1 || first[0].Offset != 0 {
 		t.Errorf("first sector of range 1 split wrong: %+v", first)
 	}
 
 	// The device's last sector is reachable; one byte past it is not.
-	if segs := d.dir.Split(2*area-blockdev.SectorSize, blockdev.SectorSize); len(segs) != 1 {
+	if segs := d.dir.SplitInto(nil, 2*area-blockdev.SectorSize, blockdev.SectorSize); len(segs) != 1 {
 		t.Errorf("device-tail sector split into %d segments", len(segs))
 	}
-	if segs := d.dir.Split(2*area-blockdev.SectorSize, 2*blockdev.SectorSize); segs != nil {
+	if segs := d.dir.SplitInto(nil, 2*area-blockdev.SectorSize, 2*blockdev.SectorSize); segs != nil {
 		t.Error("split past the device end did not fail")
 	}
 }
@@ -85,7 +85,7 @@ func TestSplitSixteenServerLayout(t *testing.T) {
 	tb := newBed(t, bedOpts{servers: 16, area: area})
 	d := tb.dev
 
-	segs := d.dir.Split(0, 16*area)
+	segs := d.dir.SplitInto(nil, 0, 16*area)
 	checkSegs(t, d, segs, 16*area)
 	if len(segs) != 16 {
 		t.Fatalf("full-device split into %d segments, want 16", len(segs))
@@ -141,7 +141,7 @@ func TestSplitStripedBoundaries(t *testing.T) {
 	d := tb.dev
 
 	// Two full stripes starting at a stripe boundary alternate servers.
-	segs := d.dir.Split(0, 2*stripe)
+	segs := d.dir.SplitInto(nil, 0, 2*stripe)
 	checkSegs(t, d, segs, 2*stripe)
 	if len(segs) != 2 || segs[0].Server != 0 || segs[1].Server != 1 {
 		t.Fatalf("striped split = %+v, want chunk 0 on server 0, chunk 1 on server 1", segs)
@@ -149,7 +149,7 @@ func TestSplitStripedBoundaries(t *testing.T) {
 
 	// A straddle of the stripe edge splits there; the second chunk of a
 	// round maps to server 1 at the same row offset.
-	segs = d.dir.Split(stripe-4096, 8192)
+	segs = d.dir.SplitInto(nil, stripe-4096, 8192)
 	checkSegs(t, d, segs, 8192)
 	if len(segs) != 2 {
 		t.Fatalf("stripe straddle split into %d segments, want 2", len(segs))
@@ -162,7 +162,7 @@ func TestSplitStripedBoundaries(t *testing.T) {
 	}
 
 	// Chunk 2 wraps to server 0, row 1: area offset stripe.
-	segs = d.dir.Split(2*stripe, 4096)
+	segs = d.dir.SplitInto(nil, 2*stripe, 4096)
 	if len(segs) != 1 || segs[0].Server != 0 || segs[0].Offset != stripe {
 		t.Errorf("round-robin wrap = %+v, want server 0 at area offset %d", segs, stripe)
 	}
@@ -412,6 +412,7 @@ func TestDataPathFeatureMatrix(t *testing.T) {
 							}
 							assertMergeClean(t, cb, credits)
 							assertExactPartition(t, cb.dev)
+							assertRecordsHome(t, cb.dev)
 						})
 					}
 				}

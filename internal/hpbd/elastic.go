@@ -436,9 +436,12 @@ func (d *Device) requeueRange(mv placement.Move) {
 			d.inflight.cancel(ph.handle)
 			sent = append(sent, ph)
 		}
-		segs := d.dir.Split(ph.devByte, ph.length)
-		ph.link = d.links[segs[0].Server]
-		ph.offset = segs[0].Offset
+		// The request lies inside the committed range: its first segment
+		// says where on the destination it now starts.
+		var segs [1]placement.Segment
+		sg := d.dir.SplitInto(segs[:0], ph.devByte, ph.length)[0]
+		ph.link = d.links[sg.Server]
+		ph.offset = sg.Offset
 	}
 	for _, ph := range sent {
 		d.inflight.admit(ph)
@@ -462,8 +465,9 @@ func (d *Device) migXfer(p *sim.Proc, link *serverLink, write bool, areaOff, dev
 	// I/O buffer and its home at once, so a read's scatter copies the MR
 	// onto itself.
 	r := blockdev.NewRequest(d.env, write, devByte/blockdev.SectorSize, d.migMR.Buf[:n])
-	parent := &parentReq{req: r, remain: 1}
-	ph := newPhys(parent, r, link, placement.Segment{Offset: areaOff, Length: n, DevByte: devByte}, p.Now())
+	parent := d.getRec(r, 1)
+	ph := &parent.first
+	ph.setup(parent, r, link, placement.Segment{Offset: areaOff, Length: n, DevByte: devByte}, p.Now())
 	ph.mig = true
 	ph.home.stageMig(d)
 	d.inflight.admit(ph)

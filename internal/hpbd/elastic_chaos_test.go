@@ -65,6 +65,7 @@ func TestChaosCrashMidChunkCopy(t *testing.T) {
 		t.Error("device failed: a dead newcomer must only cost its own link")
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestChaosDrainDuringSenderrBurst fires a transient send-error burst
@@ -116,6 +117,7 @@ func TestChaosDrainDuringSenderrBurst(t *testing.T) {
 		t.Errorf("drain aborted %d times; transient errors must be retried", got)
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestChaosDoubleMembershipChange runs two concurrent AddServerLive
@@ -174,4 +176,5 @@ func TestChaosDoubleMembershipChange(t *testing.T) {
 		t.Errorf("epoch = %d after two adds with moves, want >= 4", epoch)
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }

@@ -109,6 +109,7 @@ func TestElasticGrowMigratesAndRoundTrips(t *testing.T) {
 		t.Error("placement.epoch gauge never set")
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestElasticDrainToDecommission retires a founding server: grow first
@@ -150,6 +151,7 @@ func TestElasticDrainToDecommission(t *testing.T) {
 		t.Errorf("mem0 kept taking writes after decommission (%d)", w0)
 	}
 	assertExactPartition(t, cb.dev)
+	assertRecordsHome(t, cb.dev)
 }
 
 // TestConnectAfterGrow connects a founder after a membership operation:

@@ -65,6 +65,10 @@ func (t *inflight) get(h uint64) (*phys, bool) {
 	return ph, ok
 }
 
+// holds reports whether handle h is still ph's: false once ph was taken
+// or cancelled, whatever has become of its record since.
+func (t *inflight) holds(h uint64, ph *phys) bool { return t.reqs[h] == ph }
+
 // take removes handle h; the caller owns the request and settles it
 // exactly once. An absent handle (duplicate or stale) reports false.
 func (t *inflight) take(h uint64) (*phys, bool) {

@@ -28,7 +28,8 @@ func mergeConfig() ClientConfig {
 }
 
 // assertMergeClean checks the invariants every merged run must restore:
-// all credits back, nothing pending, no staging-pool leak.
+// all credits back, nothing pending, no staging-pool leak, every request
+// record back on its free list.
 func assertMergeClean(t *testing.T, cb *testbed, credits int) {
 	t.Helper()
 	for i, link := range cb.dev.links {
@@ -42,6 +43,7 @@ func assertMergeClean(t *testing.T, cb *testbed, credits int) {
 	if leak := cb.dev.Pool().InUse(); leak != 0 {
 		t.Errorf("pool leak: %d bytes", leak)
 	}
+	assertRecordsHome(t, cb.dev)
 }
 
 // Contiguous 128K writes under a tight credit window must coalesce into

@@ -32,15 +32,15 @@ func heapPerRound(t *testing.T, warmup, measured int, round func(tb *testbed, p 
 
 // TestRequestPathAllocBudget pins the host cost of a round trip through
 // blockdev.Queue, telemetry attached and tracer off. Allocations: one
-// sequential 4K write — what is left is the block layer's I/O and request
-// records and the driver's and server's per-request records; a change
-// that re-introduces a per-event, per-wait or per-WR allocation fails
-// here. Bytes: a 128K write and a 128K read back allocate no
+// sequential 4K write — what is left is the caller's own *IO from
+// Queue.Submit; a change that re-introduces a per-request record in the
+// block layer, the driver or the server, or a per-event, per-wait or
+// per-WR allocation, fails here. Bytes: a 128K write and a 128K read back allocate no
 // payload-sized buffer anywhere between the I/O buffers and the server's
 // store — the pool, the fabric's wire buffers and the server's staging
 // are all set up once.
 func TestRequestPathAllocBudget(t *testing.T) {
-	const allocBudget, byteBudget = 7, 4 << 10 // measured 6.10
+	const allocBudget, byteBudget = 2, 4 << 10 // measured 1.00
 	small := make([]byte, 4<<10)
 	allocs, _ := heapPerRound(t, 500, 2000, func(tb *testbed, p *sim.Proc) error {
 		return tb.do(p, true, 0, small)

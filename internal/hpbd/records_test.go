@@ -1,0 +1,215 @@
+package hpbd
+
+import (
+	"testing"
+
+	"hpbd/internal/blockdev"
+	"hpbd/internal/sim"
+)
+
+// settledPhys reports whether ph looks the way finishPhys leaves a record:
+// zero but for the capacity of its carrier list.
+func settledPhys(ph *phys) bool {
+	return ph.parent == nil && ph.link == nil && ph.handle == 0 && ph.length == 0 &&
+		!ph.home.staged() && len(ph.subs) == 0 && ph.mtrack == nil && !ph.sent
+}
+
+// assertRecordsHome checks, once a device has drained, that every request
+// record it handed out came back: nothing live, nothing in the in-flight
+// table, and both free lists acyclic chains of zeroed records — a record
+// put back twice would sit on its list twice, a stale settle would have
+// left a count or a field behind.
+func assertRecordsHome(t *testing.T, d *Device) {
+	t.Helper()
+	if d.liveRecs != 0 || d.livePhys != 0 {
+		t.Errorf("%d request records and %d loose phys handed out and not returned", d.liveRecs, d.livePhys)
+	}
+	if n := d.inflight.len(); n != 0 {
+		t.Errorf("%d requests still in the in-flight table", n)
+	}
+	recs := map[*parentReq]bool{}
+	for rec := d.freeRecs; rec != nil; rec = rec.free {
+		if recs[rec] {
+			t.Fatalf("request record %p is on the free list twice", rec)
+		}
+		recs[rec] = true
+		if rec.req != nil || rec.remain != 0 || rec.err != nil || len(rec.segs) != 0 || !settledPhys(&rec.first) {
+			t.Errorf("recycled request record not zeroed: %+v", rec)
+		}
+	}
+	loose := map[*phys]bool{}
+	for ph := d.freePhys; ph != nil; ph = ph.free {
+		if loose[ph] {
+			t.Fatalf("phys %p is on the free list twice", ph)
+		}
+		loose[ph] = true
+		if !settledPhys(ph) {
+			t.Errorf("recycled phys not zeroed: %+v", ph)
+		}
+	}
+}
+
+// checkRecordsLive is the invariant while requests are in flight: what the
+// in-flight table reaches — a request, a carrier and its constituents, and
+// their parent records — is live, never a recycled record.
+func checkRecordsLive(t *testing.T, d *Device) {
+	t.Helper()
+	free := map[*phys]bool{}
+	for ph := d.freePhys; ph != nil; ph = ph.free {
+		free[ph] = true
+	}
+	freeRecs := map[*parentReq]bool{}
+	for rec := d.freeRecs; rec != nil; rec = rec.free {
+		freeRecs[rec] = true
+	}
+	owed := func(what string, ph *phys) {
+		switch {
+		case free[ph]:
+			t.Errorf("%s %d is on the free list", what, ph.handle)
+		case ph.link == nil || ph.length == 0:
+			t.Errorf("%s %d is a zeroed record", what, ph.handle)
+		case ph.parent == nil:
+			t.Errorf("%s %d has no parent record", what, ph.handle)
+		case freeRecs[ph.parent] || ph.parent.remain <= 0 || ph.parent.req == nil:
+			t.Errorf("%s %d points at a recycled parent record (remain %d)", what, ph.handle, ph.parent.remain)
+		}
+	}
+	for _, ph := range d.inflight.ordered() {
+		if !d.inflight.holds(ph.handle, ph) {
+			t.Errorf("the table does not hold request %d under its own handle", ph.handle)
+		}
+		if len(ph.subs) == 0 {
+			owed("request", ph)
+			continue
+		}
+		if free[ph] || ph.link == nil || ph.parent != nil {
+			t.Errorf("carrier %d is not a live carrier record", ph.handle)
+		}
+		for _, s := range ph.subs {
+			owed("constituent", s)
+		}
+	}
+}
+
+// TestRequestRecordLifetimes runs the chaos schedules that settle requests
+// on every path there is — a crash with the fallback absorbing what was in
+// flight, a hang the watchdog cancels, transient send errors retried after
+// a backoff, a striped request losing one of its two servers — over a
+// merging sender (MergeWindow 8 behind four credits, so carriers form), and
+// holds the record discipline throughout: the in-flight table reaches only
+// live records at every sampling instant, every I/O completes, and at the
+// drain every record handed out is back on its free list, zeroed, once.
+func TestRequestRecordLifetimes(t *testing.T) {
+	const blocks, blockBytes = 32, 32 << 10
+	cases := []struct {
+		name    string
+		servers int
+		stripe  int64
+		faults  string
+		check   func(t *testing.T, st DeviceStats, cb *testbed)
+	}{
+		{name: "crash-degraded", servers: 1, faults: "crash@400us=mem0",
+			check: func(t *testing.T, st DeviceStats, _ *testbed) {
+				if st.LinkFailures != 1 || st.Fallbacks == 0 {
+					t.Errorf("link failures %d, fallbacks %d: the crash did not degrade requests", st.LinkFailures, st.Fallbacks)
+				}
+			}},
+		{name: "hang-timeout-cancel", servers: 1, faults: "hang@100us+20ms=mem0",
+			check: func(t *testing.T, st DeviceStats, cb *testbed) {
+				if cb.reg.Counter("hpbd.timeout_cancels").Value() == 0 {
+					t.Error("the watchdog cancelled nothing")
+				}
+			}},
+		{name: "rnr-retry-backoff", servers: 1, faults: "senderr@200usx2=hpbd0",
+			check: func(t *testing.T, st DeviceStats, _ *testbed) {
+				if st.Retries == 0 {
+					t.Error("the send-error burst caused no retry")
+				}
+			}},
+		{name: "striped-split-crash", servers: 2, stripe: blockBytes / 2, faults: "crash@400us=mem1",
+			check: func(t *testing.T, st DeviceStats, _ *testbed) {
+				if st.Splits == 0 || st.LinkFailures != 1 {
+					t.Errorf("splits %d, link failures %d: want two-server requests losing one server", st.Splits, st.LinkFailures)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ccfg := recoveryConfig()
+			// Four credits back the send queue up for the merge window and
+			// still leave a reply buffer for each of the server's four
+			// workers: when a hang lifts they all reply at one instant,
+			// cancelled requests included (see ROADMAP item 1, hazard c).
+			ccfg.Credits = 4
+			ccfg.MergeWindow = 8
+			ccfg.MergeBytes = 512 << 10
+			ccfg.StripeBytes = tc.stripe
+			cb := newBed(t, bedOpts{servers: tc.servers, area: 4 << 20, client: ccfg, shared: true,
+				fallback: true, faults: tc.faults, server: stagingBytes(512 << 10)})
+			secPerBlock := int64(blockBytes / blockdev.SectorSize)
+			// burst keeps all its blocks outstanding at once: the backlog
+			// behind four credits is what the sender merges.
+			burst := func(p *sim.Proc, write bool, seed byte) (errs int) {
+				ios := make([]*blockdev.IO, blocks)
+				bufs := make([][]byte, blocks)
+				for i := range ios {
+					bufs[i] = make([]byte, blockBytes)
+					if write {
+						bufs[i] = pattern(blockBytes, seed+byte(i))
+					}
+					io, err := cb.queue.Submit(write, int64(i)*secPerBlock, bufs[i])
+					if err != nil {
+						t.Fatalf("submit %d: %v", i, err)
+					}
+					ios[i] = io
+				}
+				cb.queue.Unplug()
+				for i, io := range ios {
+					if err := io.Wait(p); err != nil {
+						errs++
+					} else if !write && string(bufs[i]) != string(pattern(blockBytes, seed+byte(i))) {
+						t.Errorf("block %d read back different bytes", i)
+					}
+				}
+				return errs
+			}
+			done := false
+			cb.env.Go("records-check", func(p *sim.Proc) {
+				for !done {
+					checkRecordsLive(t, cb.dev)
+					p.Sleep(7 * sim.Microsecond)
+				}
+			})
+			cb.run(func(p *sim.Proc) {
+				defer func() { done = true }()
+				burst(p, true, 3) // the faults fire in here
+				// A rewrite gives every range an authoritative copy again
+				// (what lived only on a crashed server is gone with it).
+				if errs := burst(p, true, 11); errs != 0 {
+					t.Errorf("%d rewrites failed after the faults", errs)
+				}
+				if errs := burst(p, false, 11); errs != 0 {
+					t.Errorf("%d reads failed after the rewrite", errs)
+				}
+			})
+			if cb.reg.Counter("faultsim.injected").Value() == 0 {
+				t.Error("schedule injected no faults; case timing is off")
+			}
+			if tc.stripe == 0 && cb.reg.Counter("hpbd.merge.wrs").Value() == 0 {
+				t.Error("no carrier was built; the case exercises no merge record")
+			}
+			tc.check(t, cb.dev.Stats(), cb)
+			if cb.dev.Failed() {
+				t.Error("device failed despite the fallback")
+			}
+			assertRecordsHome(t, cb.dev)
+			if cb.dev.freeRecs == nil {
+				t.Error("no request record was ever recycled")
+			}
+			assertExactPartition(t, cb.dev)
+			if leak := cb.dev.Pool().InUse(); leak != 0 {
+				t.Errorf("pool leak: %d bytes", leak)
+			}
+		})
+	}
+}

@@ -210,8 +210,8 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 	}
 	s.store.SetOpOverhead(cfg.StoreOpOverhead)
 	s.reqCQ.SetEventHandler(func() { s.sleepQ.WakeAll() })
+	s.dataCQ.SetSink(s.onDataCQE)
 	env.Go(name+"-recv", s.recvLoop)
-	env.Go(name+"-datacq", s.dataCQLoop)
 	if cfg.DoorbellBatch > 1 {
 		s.issueQ = sim.NewChan[rdmaIssue](env, 0)
 		env.Go(name+"-issuer", s.rdmaIssuer)
@@ -491,22 +491,16 @@ func (s *Server) handleRecvCQE(p *sim.Proc, e ib.CQE) {
 	s.work.Send(p, srvReq{conn: conn, req: req})
 }
 
-// dataCQLoop demultiplexes RDMA and reply-send completions to the waiting
-// workers by work-request ID.
-func (s *Server) dataCQLoop(p *sim.Proc) {
-	for {
-		e := s.dataCQ.WaitPoll(p)
-		if ev, ok := s.rdmaWaits[e.WRID]; ok {
-			delete(s.rdmaWaits, e.WRID)
-			if e.Status != ib.StatusSuccess {
-				// Surface the failure to the waiting worker via a
-				// triggered event; the worker re-checks QP state.
-				ev.Trigger()
-				continue
-			}
-			ev.Trigger()
-		}
-		// Reply-send completions carry no registered waiter: drained here.
+// onDataCQE is the data CQ's sink: it demultiplexes RDMA completions to
+// the waiting workers by work-request ID. A failed RDMA wakes its worker
+// the same way; the worker re-checks QP state. Reply-send completions
+// carry no registered waiter and are dropped here.
+//
+//hpbd:hotpath
+func (s *Server) onDataCQE(e ib.CQE) {
+	if ev, ok := s.rdmaWaits[e.WRID]; ok {
+		delete(s.rdmaWaits, e.WRID)
+		ev.Trigger()
 	}
 }
 
@@ -516,14 +510,17 @@ type rdmaIssue struct {
 	wr   ib.SendWR
 }
 
-// postRDMA issues one RDMA op on conn's QP and returns an event that
-// triggers on completion. With DoorbellBatch > 1 the op is handed to the
+// postRDMA issues one RDMA op on conn's QP and re-arms done, the calling
+// worker's own event (a worker has one RDMA outstanding at a time), to
+// trigger on completion. With DoorbellBatch > 1 the op is handed to the
 // issuer process, which chains adjacent ops per connection under a single
 // doorbell; the completion event contract is identical either way.
-func (s *Server) postRDMA(p *sim.Proc, conn *clientConn, op ib.Opcode, local ib.Segment, remoteKey uint32, remoteOff int, flow uint64) (*sim.Event, error) {
+//
+//hpbd:hotpath
+func (s *Server) postRDMA(p *sim.Proc, conn *clientConn, done *sim.Event, op ib.Opcode, local ib.Segment, remoteKey uint32, remoteOff int, flow uint64) error {
 	s.nextWRID++
 	id := s.nextWRID
-	ev := sim.NewEvent(s.env)
+	done.Reset()
 	wr := ib.SendWR{
 		ID:        id,
 		Op:        op,
@@ -532,20 +529,20 @@ func (s *Server) postRDMA(p *sim.Proc, conn *clientConn, op ib.Opcode, local ib.
 		RemoteOff: remoteOff,
 		Flow:      flow,
 	}
+	//hpbd:allow hotalloc -- the map holds one entry per worker with an RDMA outstanding; its buckets are reused
+	s.rdmaWaits[id] = done
 	if s.issueQ != nil {
-		s.rdmaWaits[id] = ev
 		s.issueQ.Send(p, rdmaIssue{conn: conn, wr: wr})
 		s.met.rdmaIssued.Inc()
-		return ev, nil
+		return nil
 	}
-	s.rdmaWaits[id] = ev
 	if err := conn.qp.PostSend(p, wr); err != nil {
 		delete(s.rdmaWaits, id)
-		return nil, err
+		return err
 	}
 	s.met.rdmaIssued.Inc()
 	s.met.doorbells.Inc()
-	return ev, nil
+	return nil
 }
 
 // rdmaIssuer drains queued RDMA operations and rings one doorbell per
@@ -555,6 +552,7 @@ func (s *Server) postRDMA(p *sim.Proc, conn *clientConn, op ib.Opcode, local ib.
 // what gets chained.
 func (s *Server) rdmaIssuer(p *sim.Proc) {
 	batch := make([]rdmaIssue, 0, s.cfg.DoorbellBatch)
+	wrs := make([]ib.SendWR, 0, s.cfg.DoorbellBatch) // one connection's chain
 	for {
 		first, ok := s.issueQ.Recv(p)
 		if !ok {
@@ -573,7 +571,7 @@ func (s *Server) rdmaIssuer(p *sim.Proc) {
 			if conn == nil {
 				continue // already chained with an earlier op
 			}
-			wrs := make([]ib.SendWR, 0, len(batch)-i)
+			wrs = wrs[:0]
 			for j := i; j < len(batch); j++ {
 				if batch[j].conn == conn {
 					wrs = append(wrs, batch[j].wr)
@@ -651,21 +649,31 @@ func (s *Server) checkReq(conn *clientConn, req wire.Request) wire.Status {
 // multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels this
 // worker's trace track so the overlap is visible across workers.
 func (s *Server) worker(p *sim.Proc, wname string) {
-	staging := s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))
-	replyMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
+	w := &workerBufs{
+		staging: s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)),
+		replyMR: s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize)),
+	}
 	for {
 		item, ok := s.work.Recv(p)
 		if !ok {
 			return
 		}
-		s.serveOne(p, wname, staging, replyMR, item)
+		s.serveOne(p, wname, w, item)
 	}
 }
 
-// serveOne services a single request on the calling worker's staging and
-// reply buffers.
-func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, item srvReq) {
+// workerBufs is what a worker owns and reuses for every request: its
+// staging and reply buffers and the completion event of its one
+// outstanding RDMA.
+type workerBufs struct {
+	staging, replyMR *ib.MR
+	rdmaDone         sim.Event
+}
+
+// serveOne services a single request on the calling worker's buffers.
+func (s *Server) serveOne(p *sim.Proc, wname string, w *workerBufs, item srvReq) {
 	conn, req := item.conn, item.req
+	staging, replyMR := w.staging, w.replyMR
 	// Lifecycle instrumentation: the client's flow (linked by handle
 	// through the shared registry) continues on this worker's trace
 	// track, and stamp is published just before every reply.
@@ -685,13 +693,13 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 	case wire.ReqWrite:
 		// Swap-out: pull the page data out of the client's pool.
 		span := s.tracer.Begin(wname, "rdma-read")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMARead,
+		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMARead,
 			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
 		if err != nil {
 			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
-		ev.Wait(p)
+		w.rdmaDone.Wait(p)
 		span.EndBytes(n)
 		if conn.qp.Closed() {
 			return
@@ -721,13 +729,13 @@ func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, it
 		stamp.copyNs = p.Now().Sub(copyStart)
 		span.EndBytes(n)
 		span = s.tracer.Begin(wname, "rdma-write")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
+		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMAWrite,
 			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
 		if err != nil {
 			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
 			return
 		}
-		ev.Wait(p)
+		w.rdmaDone.Wait(p)
 		span.EndBytes(n)
 		if conn.qp.Closed() {
 			return

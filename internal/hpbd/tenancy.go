@@ -5,6 +5,7 @@ import (
 
 	"hpbd/internal/blockdev"
 	"hpbd/internal/ib"
+	"hpbd/internal/placement"
 	"hpbd/internal/sim"
 	"hpbd/internal/telemetry"
 	"hpbd/internal/tenant"
@@ -330,7 +331,8 @@ const (
 // sched-wait histogram, serves one grant, and releases the request's
 // credit once it is done. wname labels its trace track.
 func (s *Server) tnWorker(p *sim.Proc, wname string) {
-	replyMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
+	// The staging buffer travels with the request (tnCont.buf), not the worker.
+	w := &workerBufs{replyMR: s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))}
 	for {
 		item, pushAt, ok := s.tn.sched.Pop(p)
 		if !ok {
@@ -342,7 +344,7 @@ func (s *Server) tnWorker(p *sim.Proc, wname string) {
 			// request's first grant measures its queueing delay.
 			s.tn.met[item.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
 		}
-		item, grant := s.tnServeQuantum(p, wname, replyMR, item)
+		item, grant := s.tnServeQuantum(p, wname, w, item)
 		switch grant {
 		case tnDone:
 			s.tnRelease(item.conn)
@@ -376,8 +378,8 @@ func (s *Server) tnWorker(p *sim.Proc, wname string) {
 // storer proc (tnParked). Reads dispatch the store read first (tnParked),
 // whose proc re-queues the request when the data is staged; the chunks
 // then RDMA-write per grant and the worker replies inline.
-func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item srvReq) (srvReq, tnGrant) {
-	conn, req := item.conn, item.req
+func (s *Server) tnServeQuantum(p *sim.Proc, wname string, w *workerBufs, item srvReq) (srvReq, tnGrant) {
+	conn, req, replyMR := item.conn, item.req, w.replyMR
 	n := int(req.Length)
 	c := item.cont
 	if c == nil {
@@ -405,14 +407,14 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 	case wire.ReqWrite:
 		chunk := s.tnChunk(n, c.done)
 		span := s.tracer.Begin(wname, "rdma-read")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMARead,
+		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMARead,
 			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
 		if err != nil {
 			s.tnPutBuf(c.buf)
 			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
 			return item, tnDone
 		}
-		ev.Wait(p)
+		w.rdmaDone.Wait(p)
 		if s.tracer != nil {
 			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
 		}
@@ -467,14 +469,14 @@ func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item 
 		}
 		chunk := s.tnChunk(n, c.done)
 		span := s.tracer.Begin(wname, "rdma-write")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
+		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMAWrite,
 			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
 		if err != nil {
 			s.tnPutBuf(c.buf)
 			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
 			return item, tnDone
 		}
-		ev.Wait(p)
+		w.rdmaDone.Wait(p)
 		if s.tracer != nil {
 			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
 		}
@@ -705,7 +707,8 @@ func (d *Device) demotePage(p *sim.Proc, id int, cp ColdPage) bool {
 	link := d.links[id]
 	sector, ok := d.dir.SectorAt(id, cp.Page*tenantPageBytes)
 	devByte := sector * blockdev.SectorSize
-	if !ok || len(d.dir.Split(devByte, tenantPageBytes)) != 1 {
+	var segs [2]placement.Segment
+	if !ok || len(d.dir.SplitInto(segs[:0], devByte, tenantPageBytes)) != 1 {
 		return false
 	}
 	buf := make([]byte, tenantPageBytes)

@@ -51,7 +51,7 @@ type QP struct {
 	peer   *QP
 	sendCQ *CQ
 	recvCQ *CQ
-	recvQ  []RecvWR
+	recvQ  sim.Ring[RecvWR]
 	closed bool
 }
 
@@ -88,7 +88,7 @@ func (q *QP) Peer() *QP { return q.peer }
 func (q *QP) Closed() bool { return q.closed }
 
 // PostedRecvs returns the current receive queue depth.
-func (q *QP) PostedRecvs() int { return len(q.recvQ) }
+func (q *QP) PostedRecvs() int { return q.recvQ.Len() }
 
 // Close transitions the QP to the error state: posted receives flush with
 // StatusFlushErr and subsequent operations fail.
@@ -97,14 +97,15 @@ func (q *QP) Close() {
 		return
 	}
 	q.closed = true
-	for _, r := range q.recvQ {
+	for r, ok := q.recvQ.Pop(); ok; r, ok = q.recvQ.Pop() {
 		q.recvCQ.push(CQE{WRID: r.ID, Op: OpRecv, Status: StatusFlushErr, QP: q})
 	}
-	q.recvQ = nil
 }
 
 // PostRecv posts a receive buffer. Receives complete in FIFO order as
 // SENDs arrive.
+//
+//hpbd:hotpath
 func (q *QP) PostRecv(wr RecvWR) error {
 	if q.closed {
 		return ErrQPClosed
@@ -112,7 +113,8 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	if !wr.Local.valid() {
 		return ErrBadSegment
 	}
-	q.recvQ = append(q.recvQ, wr)
+	//hpbd:allow hotalloc -- the ring grows to the connection's receive depth, then stays
+	q.recvQ.Push(wr)
 	return nil
 }
 
@@ -397,14 +399,13 @@ func (q *QP) deliver(wr *SendWR, payload []byte, peer *QP) Status {
 	}
 	switch wr.Op {
 	case OpSend:
-		if len(peer.recvQ) == 0 {
+		rwr, ok := peer.recvQ.Pop()
+		if !ok {
 			// RC would RNR-retry; the paper avoids this entirely with
 			// credit-based flow control. Surface it as an error so tests
 			// can demonstrate why flow control is required.
 			return StatusRNR
 		}
-		rwr := peer.recvQ[0]
-		peer.recvQ = peer.recvQ[1:]
 		ncopy := copy(rwr.Local.bytes(), payload)
 		peer.recvCQ.push(CQE{
 			WRID: rwr.ID, Op: OpRecv, Status: StatusSuccess, QP: peer,

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"hpbd/internal/sim"
@@ -185,5 +186,114 @@ func TestRecordsReturnOnEveryPath(t *testing.T) {
 		if n != len(wrs) {
 			t.Errorf("%s: %d records on the free list, want the %d the burst had in flight", tc.name, n, len(wrs))
 		}
+	}
+}
+
+// The receive queue is a ring: a connection that posts and consumes at
+// its working depth allocates nothing, consumes in FIFO order, and Close
+// flushes what is still posted oldest first.
+func TestPostRecvAllocsPerRun(t *testing.T) {
+	const depth = 16
+	env, _, a, b := pair(DefaultConfig())
+	amr, bmr := a.mr(64), b.mr(depth*64)
+	post := func(slot int) {
+		if err := b.qp.PostRecv(RecvWR{ID: uint64(slot), Local: Segment{bmr, slot * 64, 64}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for slot := 0; slot < depth; slot++ {
+		post(slot)
+	}
+	next := 0
+	cycle := func() {
+		// One SEND consumes the oldest receive; its slot is reposted.
+		if err := a.qp.PostSendAsync(SendWR{Op: OpSend, Local: Segment{amr, 0, 64}}); err != nil {
+			t.Fatal(err)
+		}
+		env.Run()
+		a.sendCQ.Poll()
+		e, ok := b.recvCQ.Poll()
+		if !ok || e.Status != StatusSuccess || e.WRID != uint64(next) {
+			t.Fatalf("receive CQE = %+v ok=%v, want slot %d (FIFO)", e, ok, next)
+		}
+		post(next)
+		next = (next + 1) % depth
+	}
+	for i := 0; i < 2*depth; i++ { // rings and free lists reach their working size
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(10000, cycle); allocs != 0 {
+		t.Errorf("%.4f allocs per post/consume cycle at depth %d, want 0", allocs, depth)
+	}
+	if got := b.qp.PostedRecvs(); got != depth {
+		t.Errorf("PostedRecvs = %d, want %d", got, depth)
+	}
+	b.qp.Close()
+	for i := 0; i < depth; i++ {
+		want := uint64((next + i) % depth)
+		if e, ok := b.recvCQ.Poll(); !ok || e.Status != StatusFlushErr || e.WRID != want {
+			t.Fatalf("flush %d = %+v ok=%v, want slot %d flushed in posting order", i, e, ok, want)
+		}
+	}
+	if b.qp.PostedRecvs() != 0 || b.recvCQ.Len() != 0 {
+		t.Errorf("after Close: %d posted, %d CQEs left", b.qp.PostedRecvs(), b.recvCQ.Len())
+	}
+}
+
+// A CQ with a sink delivers a burst from one scheduled drain, in push
+// order; a completion that the sink's own consequence pushes later gets a
+// drain of its own; and every delivery falls where a process looping on
+// WaitPoll would have made it.
+func TestCQSinkBurstOrder(t *testing.T) {
+	run := func(sink bool) (got []uint64, order []string) {
+		env, _, a, _ := pair(DefaultConfig())
+		cq := a.hca.CreateCQ("cq")
+		consume := func(e CQE) {
+			got = append(got, e.WRID)
+			order = append(order, "cqe")
+			if e.WRID == 3 {
+				// The consequence of a completion (a woken worker posting
+				// its next WR) produces the next completion later.
+				env.After(0, func() {
+					order = append(order, "consequence")
+					cq.push(CQE{WRID: 4})
+				})
+			}
+		}
+		if sink {
+			cq.SetSink(consume)
+		} else {
+			env.Go("poll", func(p *sim.Proc) {
+				for {
+					consume(cq.WaitPoll(p))
+				}
+			})
+		}
+		env.After(sim.Microsecond, func() {
+			order = append(order, "burst")
+			for id := uint64(1); id <= 3; id++ {
+				cq.push(CQE{WRID: id})
+			}
+			if len(got) != 0 {
+				t.Error("push delivered inline")
+			}
+			env.After(0, func() { order = append(order, "after") })
+		})
+		env.Run()
+		if cq.Len() != 0 || cq.draining {
+			t.Errorf("sink=%v: %d CQEs left queued, draining=%v", sink, cq.Len(), cq.draining)
+		}
+		env.Close()
+		return got, order
+	}
+	got, order := run(true)
+	if want := []uint64{1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("sink saw %v, want %v", got, want)
+	}
+	if want := []string{"burst", "cqe", "cqe", "cqe", "after", "consequence", "cqe"}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if _, procOrder := run(false); !slices.Equal(order, procOrder) {
+		t.Errorf("sink order %v differs from a WaitPoll process's %v", order, procOrder)
 	}
 }

@@ -9,7 +9,10 @@ package lint
 // forgets loses the request while a path that settles twice completes it
 // twice. (The HPBD client's own table deletes only inside inflight.take,
 // which returns the request: ownership moves to the caller there and this
-// analyzer does not follow it; the client's tests do.)
+// analyzer does not follow it; the client's tests do. Nor does it follow a
+// settlement through finishPhys into the recycled record: there a second
+// settle finds a zeroed record — a nil parent at run time, and the
+// free-list checks of TestRequestRecordLifetimes — not a finding here.)
 //
 // Tracked maps are discovered per package: any map identity (field or
 // local) with a pointer-to-named-struct element that sees BOTH an index

@@ -195,7 +195,10 @@ func (d *Directory) FreeBytes(id int) int64 {
 
 // rangeIdxAt returns the index of the range containing sector (ranges
 // cover [0, total) contiguously, so this only fails out of range).
+//
+//hpbd:hotpath
 func (d *Directory) rangeIdxAt(sector int64) int {
+	//hpbd:allow hotalloc -- the closure does not escape sort.Search and stays on the stack (TestSplitIntoAllocsPerRun)
 	i := sort.Search(len(d.ranges), func(i int) bool {
 		return d.ranges[i].Start+d.ranges[i].Sectors > sector
 	})
@@ -217,15 +220,18 @@ func (d *Directory) SectorAt(id int, areaOff int64) (int64, bool) {
 	return 0, false
 }
 
-// Split maps the byte range [start, start+n) through the directory,
-// producing one segment per crossed range. Returns nil out of range.
-func (d *Directory) Split(start int64, n int) []Segment {
+// SplitInto maps the byte range [start, start+n) through the directory,
+// appending one segment per crossed range to dst, the caller's scratch:
+// it allocates only to grow dst. Returns nil out of range.
+//
+//hpbd:hotpath
+func (d *Directory) SplitInto(dst []Segment, start int64, n int) []Segment {
 	if start < 0 || n <= 0 || start+int64(n) > d.total*SectorSize {
 		return nil
 	}
 	end := start + int64(n)
 	reqOff := 0
-	var out []Segment
+	out := dst
 	for start < end {
 		i := d.rangeIdxAt(start / SectorSize)
 		if i < 0 {
@@ -237,6 +243,7 @@ func (d *Directory) Split(start int64, n int) []Segment {
 		if int64(take) > end-start {
 			take = int(end - start)
 		}
+		//hpbd:allow hotalloc -- grows the caller's scratch to the most ranges one request has crossed, then stays
 		out = append(out, Segment{
 			Server:  r.Server,
 			Offset:  r.AreaOff + (start - r.Start*SectorSize),

@@ -74,11 +74,11 @@ func TestSplitUnchangedByPureRemaps(t *testing.T) {
 	d := grow(t)
 	before := make(map[int64]Segment)
 	for s := int64(0); s < d.TotalSectors(); s += 97 {
-		before[s] = d.Split(s*SectorSize, SectorSize)[0]
+		before[s] = d.SplitInto(nil, s*SectorSize, SectorSize)[0]
 	}
 	d.PlanRebalance() // plans carve ranges (pure remaps), commit nothing
 	for s, want := range before {
-		got := d.Split(s*SectorSize, SectorSize)[0]
+		got := d.SplitInto(nil, s*SectorSize, SectorSize)[0]
 		// Off/DevByte unchanged trivially; the owner and area offset must
 		// also be untouched by planning alone.
 		if got != want {
@@ -144,7 +144,7 @@ func TestCommitBumpsEpochAndStampsRanges(t *testing.T) {
 	}
 	m := moves[0]
 	for s := m.Start; s < m.Start+m.Sectors; s += 64 {
-		sg := d.Split(s*SectorSize, SectorSize)[0]
+		sg := d.SplitInto(nil, s*SectorSize, SectorSize)[0]
 		if sg.Server != m.To {
 			t.Fatalf("sector %d maps to server %d after commit, want %d", s, sg.Server, m.To)
 		}

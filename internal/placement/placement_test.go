@@ -45,7 +45,7 @@ func TestBlockedGoldenSixteenServers(t *testing.T) {
 
 	// A device-spanning request: one full-area segment per server, in
 	// address order.
-	got := d.Split(0, 16*area)
+	got := d.SplitInto(nil, 0, 16*area)
 	if len(got) != 16 {
 		t.Fatalf("full-device split into %d segments, want 16", len(got))
 	}
@@ -60,7 +60,7 @@ func TestBlockedGoldenSixteenServers(t *testing.T) {
 	// area tail.
 	for i := 0; i < 16; i++ {
 		start := int64(i+1)*area - 4096
-		segs := d.Split(start, 4096)
+		segs := d.SplitInto(nil, start, 4096)
 		want := []Segment{{Server: i, Offset: area - 4096, Off: 0, Length: 4096, DevByte: start}}
 		if !reflect.DeepEqual(segs, want) {
 			t.Errorf("tail page of server %d = %+v, want %+v", i, segs, want)
@@ -105,7 +105,7 @@ func TestBlockedGoldenBoundaries(t *testing.T) {
 		{"entirely out of range", 2 * area, SectorSize, nil},
 	}
 	for _, c := range cases {
-		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
+		if got := d.SplitInto(nil, c.start, c.n); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
@@ -146,7 +146,7 @@ func TestStripedGolden(t *testing.T) {
 		{"past the last row", 2 * area, SectorSize, nil},
 	}
 	for _, c := range cases {
-		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
+		if got := d.SplitInto(nil, c.start, c.n); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
@@ -194,7 +194,7 @@ func TestStripeMisalignedAreas(t *testing.T) {
 		{"past the tails", a0 + a1, SectorSize, nil},
 	}
 	for _, c := range cases {
-		if got := d.Split(c.start, c.n); !reflect.DeepEqual(got, c.want) {
+		if got := d.SplitInto(nil, c.start, c.n); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
@@ -207,8 +207,9 @@ func TestStripeMisalignedAreas(t *testing.T) {
 	}
 }
 
-// The one property every layout and every history must keep: Split tiles
-// the requested bytes exactly, each segment lies inside one range, and
+// The one property every layout and every history must keep: SplitInto
+// appends to the caller's scratch segments that tile the requested bytes
+// exactly, each segment lies inside one range, and
 // SectorAt inverts it. Random founding layouts (blocked and striped),
 // then random reserve/commit moves on the blocked ones.
 func TestQuickSplitTilesAndInverts(t *testing.T) {
@@ -258,10 +259,18 @@ func checkSplit(t *testing.T, seed int64, d *Directory, rnd *rand.Rand) {
 	t.Helper()
 	total := d.TotalSectors() * SectorSize
 	ranges := d.Ranges()
+	// One scratch for all 200 splits, reused the way the driver reuses a
+	// record's: behind a sentinel the appends must leave alone.
+	sentinel := Segment{Server: -1}
+	scratch := []Segment{sentinel}
 	for k := 0; k < 200; k++ {
 		x := rnd.Int63n(total)
 		n := 1 + rnd.Intn(int(min(total-x, 256*1024)))
-		segs := d.Split(x, n)
+		scratch = d.SplitInto(scratch[:1], x, n)
+		if scratch[0] != sentinel {
+			t.Fatalf("seed %d: SplitInto(%d, %d) overwrote what dst already held: %+v", seed, x, n, scratch[0])
+		}
+		segs := scratch[1:]
 		at, off := x, 0
 		for _, sg := range segs {
 			if sg.DevByte != at || sg.Off != off || sg.Length <= 0 {
@@ -289,7 +298,35 @@ func checkSplit(t *testing.T, seed int64, d *Directory, rnd *rand.Rand) {
 			t.Fatalf("seed %d: Split(%d, %d) covers up to byte %d", seed, x, n, at)
 		}
 	}
-	if got := d.Split(total-SectorSize, 2*SectorSize); got != nil {
+	if got := d.SplitInto(scratch[:1], total-SectorSize, 2*SectorSize); got != nil {
 		t.Fatalf("seed %d: a split past the device end returned %+v", seed, got)
+	}
+}
+
+// SplitInto writes into the caller's scratch: once that has grown to the
+// most ranges a request crosses, a split allocates nothing — on the
+// paper's blocked layout (a request crossing the one boundary) and on a
+// striped one (a request crossing many).
+func TestSplitIntoAllocsPerRun(t *testing.T) {
+	const area = 1 << 20
+	for _, tc := range []struct {
+		name     string
+		stripe   int64
+		start    int64
+		n, nsegs int
+	}{
+		{"two ranges", 0, area - 64<<10, 128 << 10, 2},
+		{"striped", 16 << 10, 8 << 10, 128 << 10, 9},
+	} {
+		d := founders(t, tc.stripe, area, area)
+		scratch := d.SplitInto(nil, tc.start, tc.n)
+		if len(scratch) != tc.nsegs {
+			t.Fatalf("%s: %d segments, want %d", tc.name, len(scratch), tc.nsegs)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			scratch = d.SplitInto(scratch[:0], tc.start, tc.n)
+		}); allocs != 0 || len(scratch) != tc.nsegs {
+			t.Errorf("%s: %.2f allocs per SplitInto with caller scratch (%d segments), want 0", tc.name, allocs, len(scratch))
+		}
 	}
 }

@@ -116,22 +116,28 @@ func (as *AddressSpace) Touch(p *sim.Proc, idx int, write bool) error {
 }
 
 // swapinBatch is one swap-in's watcher record: the reads the fault
-// submitted, the faulting page's first, which a watcher proc finalizes in
-// that order while the faulter waits only for its own page. Idle records
-// sit on System.freeBatches.
+// submitted, the faulting page's first, finalized in that order — not in
+// completion order — while the faulter waits only for its own page. The
+// watcher never sleeps and charges no time, so it is not a process but a
+// cursor over reads driven by callbacks (step). Idle records sit on
+// System.freeBatches.
 type swapinBatch struct {
-	sys   *System
-	reads []*pageIO
-	flows map[uint64]bool // trace flows begun (see beginFlow)
-	run   func(*sim.Proc) // watch, bound once
-	next  *swapinBatch    // free-list link
+	sys    *System
+	reads  []*pageIO
+	cursor int             // reads[:cursor] are finalized
+	flows  map[uint64]bool // trace flows begun (see beginFlow)
+	stepFn func()          // step, bound once
+	next   *swapinBatch    // free-list link
 }
 
+//hpbd:hotpath
 func (s *System) getBatch() *swapinBatch {
 	b := s.freeBatches
 	if b == nil {
+		//hpbd:allow hotalloc -- free-list miss: allocates until the list has grown to the peak swap-ins in flight
 		b = &swapinBatch{sys: s}
-		b.run = b.watch
+		//hpbd:allow hotalloc -- the method value is bound once per record
+		b.stepFn = b.step
 		return b
 	}
 	s.freeBatches, b.next = b.next, nil
@@ -139,8 +145,10 @@ func (s *System) getBatch() *swapinBatch {
 }
 
 // retire puts a record with no reads left back on the free list.
+//
+//hpbd:hotpath
 func (b *swapinBatch) retire() {
-	b.reads, b.flows = b.reads[:0], nil
+	b.reads, b.cursor, b.flows = b.reads[:0], 0, nil
 	b.next, b.sys.freeBatches = b.sys.freeBatches, b
 }
 
@@ -158,22 +166,34 @@ func (b *swapinBatch) read(bp *Page, now sim.Time) error {
 	return nil
 }
 
-// watch finalizes each page as its read completes, then retires the
-// record.
-func (b *swapinBatch) watch(wp *sim.Proc) {
+// step advances the watcher: it finalizes the page at the cursor while
+// that page's read is done, and otherwise arms itself on exactly that
+// read's completion and returns. It runs first in the slot a watcher
+// process would have started in, and again where the completion would
+// have woken that process. The last page retires the record.
+//
+//hpbd:hotpath
+func (b *swapinBatch) step() {
 	s := b.sys
-	for _, r := range b.reads {
+	for b.cursor < len(b.reads) {
+		r := b.reads[b.cursor]
+		if r.OnDone(b.stepFn) {
+			return
+		}
+		b.cursor++
 		bp := r.pg
-		if err := r.Wait(wp); err != nil {
+		if r.Err() != nil {
 			bp.state = PageSwappedOut
 			s.releaseFrame()
 		} else {
 			// The faulting page is reads[0], so its latency is exact;
 			// readahead pages may be observed slightly late when their
 			// I/O overtakes an earlier one in the batch.
-			s.hSwapIn.Observe(wp.Now().Sub(r.start))
+			now := s.env.Now()
+			s.hSwapIn.Observe(now.Sub(r.start))
 			if s.tracer != nil {
-				s.tracer.Complete("vm", "swap-in", r.start, wp.Now(),
+				s.tracer.Complete("vm", "swap-in", r.start, now,
+					//hpbd:allow hotalloc -- the span's argument map is built only with a tracer attached
 					map[string]any{"slot": bp.slot, "readahead": bp.readahead, "req": r.RequestID()})
 			}
 			bp.state = PageResident
@@ -246,7 +266,7 @@ func (as *AddressSpace) swapIn(p *sim.Proc, pg *Page) error {
 		return err
 	}
 	dev.Queue.Unplug()
-	s.env.Go("swapin-watch", b.run)
+	s.env.After(0, b.stepFn)
 	if err != nil {
 		return err
 	}

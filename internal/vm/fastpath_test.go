@@ -4,10 +4,12 @@ import (
 	"container/list"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hpbd/internal/blockdev"
 	"hpbd/internal/sim"
+	"hpbd/internal/telemetry"
 )
 
 // nullDriver completes every request at once and keeps nothing.
@@ -19,13 +21,13 @@ func (nullDriver) Submit(_ *sim.Proc, r *blockdev.Request) { r.Complete(nil) }
 
 // TestFaultPathAllocBudget pins the host cost of a major fault: sweeps
 // over an address space twice the memory, read-ahead 8, every page dirtied
-// so each one is written out and read back. What is left per fault is the
-// watcher proc (record, baton channel, goroutine) and the block layer's
-// one record per merged request; a change that re-introduces a per-page,
-// per-transition or per-batch allocation anywhere from Touch to Complete
-// fails here.
+// so each one is written out and read back. Nothing is left per fault —
+// the page I/O records, the watcher record and its callbacks, and the
+// block layer's request records are all recycled; a change that
+// re-introduces a per-page, per-transition, per-batch or per-request
+// allocation anywhere from Touch to Complete fails here.
 func TestFaultPathAllocBudget(t *testing.T) {
-	const allocBudget = 5.3 // measured 4.27: the watcher proc's three, 1.25 requests
+	const allocBudget = 1 // measured 0.00
 	const memPages, pages = 256, 512
 	env := sim.NewEnv()
 	cfg := DefaultConfig(memPages * PageSize)
@@ -60,9 +62,9 @@ func TestFaultPathAllocBudget(t *testing.T) {
 	env.Run()
 	env.Close()
 	if allocs > allocBudget {
-		t.Errorf("major fault: %.2f allocs, budget %.1f", allocs, allocBudget)
+		t.Errorf("major fault: %.2f allocs, budget %d", allocs, allocBudget)
 	} else {
-		t.Logf("major fault: %.2f allocs (budget %.1f)", allocs, allocBudget)
+		t.Logf("major fault: %.2f allocs (budget %d)", allocs, allocBudget)
 	}
 }
 
@@ -363,5 +365,85 @@ func TestSlotRotationOrderAndAllocsPerRun(t *testing.T) {
 		d.freeSlot(slot)
 	}); n != 0 {
 		t.Errorf("allocSwapSlot: %v allocs with three devices registered, want 0", n)
+	}
+}
+
+// reverseDriver completes the requests of a batch in reverse dispatch
+// order: each later request takes 100 us less than the one before it.
+type reverseDriver struct {
+	env  *sim.Env
+	n    int
+	done []int64 // first sector of each request, in completion order
+}
+
+func (*reverseDriver) Name() string   { return "reverse" }
+func (*reverseDriver) Sectors() int64 { return 64 * SectorsPerPage }
+func (d *reverseDriver) Submit(_ *sim.Proc, r *blockdev.Request) {
+	delay := sim.Duration(300-100*d.n) * sim.Microsecond
+	d.n++
+	sector := r.Sector
+	d.env.After(delay, func() {
+		d.done = append(d.done, sector)
+		r.Complete(nil)
+	})
+}
+
+// Pages finalize in batch order, not completion order: a fault on the
+// page at slot 4 of a swapped-out window reads 4 first, then 0..3 and
+// 5..7; the block layer makes that requests [3..7] and [0..2], and the
+// driver completes the second one first. Pages 0..2 still finalize behind
+// page 4, so every vm.swapin.latency sample is taken when the first
+// request lands (values pinned from the watcher process at efa37d3).
+func TestSwapInFinalizesInBatchOrder(t *testing.T) {
+	env := sim.NewEnv()
+	reg := telemetry.New(env)
+	cfg := DefaultConfig(256 * PageSize)
+	cfg.Telemetry = reg
+	sys := NewSystem(env, cfg)
+	drv := &reverseDriver{env: env}
+	dev := sys.AddSwap(blockdev.NewQueue(env, cfg.Host, drv), 0)
+	as := sys.NewAddressSpace("a", 8)
+	for i := range as.pages {
+		pg := &as.pages[i]
+		slot, ok := dev.allocSlot(pg)
+		if !ok || slot != i {
+			t.Fatalf("page %d got slot %d (ok=%v), want slot %d", i, slot, ok, i)
+		}
+		pg.dev, pg.slot, pg.state = dev, slot, PageSwappedOut
+	}
+	var touched sim.Time
+	env.Go("fault", func(p *sim.Proc) {
+		if err := as.Touch(p, 4, false); err != nil {
+			t.Errorf("Touch: %v", err)
+		}
+		touched = p.Now()
+	})
+	env.Run()
+	env.Close()
+
+	if want := []int64{0, 3 * SectorsPerPage}; !slices.Equal(drv.done, want) {
+		t.Fatalf("requests completed in order %v, want %v: [0..2] before [3..7]", drv.done, want)
+	}
+	var order []int // finalization order: lruAdd pushes each page to the active front
+	for pg := sys.active.back; pg != nil; pg = pg.prev {
+		order = append(order, pg.idx)
+	}
+	if want := []int{4, 0, 1, 2, 3, 5, 6, 7}; !slices.Equal(order, want) {
+		t.Errorf("pages finalized in order %v, want batch order %v", order, want)
+	}
+	h := reg.Histogram("vm.swapin.latency")
+	const sample = 322 * sim.Microsecond // [3..7]: 2 us + 5 x 4 us of dispatch, 300 us of device
+	if h.Count() != 8 || h.Min() != sample || h.Max() != sample || h.Sum() != 8*sample {
+		t.Errorf("vm.swapin.latency: n=%d min=%v max=%v sum=%v, want 8 samples of %v",
+			h.Count(), h.Min(), h.Max(), h.Sum(), sample)
+	}
+	if want := sim.Time(0).Add(cfg.Host.PageFaultCPU + sample); touched != want {
+		t.Errorf("Touch returned at %v, want %v", touched, want)
+	}
+	if st := sys.Stats(); st.SwapIns != 1 || st.ReadAheadPages != 7 {
+		t.Errorf("stats = %+v, want one swap-in with 7 read-ahead pages", st)
+	}
+	if sys.freeBatches == nil || sys.freeBatches.cursor != 0 || len(sys.freeBatches.reads) != 0 {
+		t.Error("the watcher record did not retire clean")
 	}
 }

@@ -222,13 +222,22 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		// tenant's wait if one grant means one transfer in flight. The
 		// multi-worker RDMA/memcpy overlap is what the QoS contract
 		// trades away.
+		// The staging buffer travels with the request (tnCont.buf), not
+		// the worker.
 		wname := name + "-worker0"
-		env.Go(wname, func(p *sim.Proc) { s.tnWorker(p, wname) })
+		w := &workerBufs{replyMR: hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))}
+		env.Go(wname, func(p *sim.Proc) { s.tnWorker(p, wname, w) })
 		return s
 	}
+	// Each worker's buffers are registered here, at device set-up, not
+	// on its first request.
 	for i := 0; i < serverWorkers; i++ {
 		wname := fmt.Sprintf("%s-worker%d", name, i)
-		env.Go(wname, func(p *sim.Proc) { s.worker(p, wname) })
+		w := &workerBufs{
+			staging: hca.RegisterMRAtSetup(make([]byte, cfg.StagingBytes)),
+			replyMR: hca.RegisterMRAtSetup(make([]byte, wire.ReplySize)),
+		}
+		env.Go(wname, func(p *sim.Proc) { s.worker(p, wname, w) })
 	}
 	return s
 }
@@ -648,11 +657,7 @@ func (s *Server) checkReq(conn *clientConn, req wire.Request) wire.Status {
 // worker processes requests with its own staging buffer, providing the
 // multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels this
 // worker's trace track so the overlap is visible across workers.
-func (s *Server) worker(p *sim.Proc, wname string) {
-	w := &workerBufs{
-		staging: s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)),
-		replyMR: s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize)),
-	}
+func (s *Server) worker(p *sim.Proc, wname string, w *workerBufs) {
 	for {
 		item, ok := s.work.Recv(p)
 		if !ok {

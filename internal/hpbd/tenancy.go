@@ -330,9 +330,7 @@ const (
 // scheduler's order, observes each one's queueing delay into its tenant's
 // sched-wait histogram, serves one grant, and releases the request's
 // credit once it is done. wname labels its trace track.
-func (s *Server) tnWorker(p *sim.Proc, wname string) {
-	// The staging buffer travels with the request (tnCont.buf), not the worker.
-	w := &workerBufs{replyMR: s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))}
+func (s *Server) tnWorker(p *sim.Proc, wname string, w *workerBufs) {
 	for {
 		item, pushAt, ok := s.tn.sched.Pop(p)
 		if !ok {

@@ -9,14 +9,13 @@ import (
 
 // Simblock flags real concurrency primitives inside simulated processes.
 // A function that receives a *sim.Proc runs under the cooperative kernel,
-// which lets exactly one process goroutine execute at a time while the
-// others wait for a baton only the running one can pass. A raw channel
-// operation, select or sync.Mutex/WaitGroup call inside such a function
-// blocks the baton holder, so nothing else ever runs and the simulation
-// deadlocks; a spawned goroutine runs beside the holder and races it.
-// Blocking must go through sim primitives (Proc.Sleep, sim.WaitQueue,
-// sim.Chan, Env.Go). The sim package itself — which implements the
-// hand-off on real channels — is exempted by the suite config.
+// which lets exactly one process execute at a time while the others stay
+// parked until it yields. A raw channel operation, select or
+// sync.Mutex/WaitGroup call inside such a function blocks the running
+// process, so nothing else ever runs and the simulation deadlocks; a
+// spawned goroutine runs beside it and races it. Blocking must go through
+// sim primitives (Proc.Sleep, sim.WaitQueue, sim.Chan, Env.Go). The sim
+// package itself switches with coroutines and is checked like any other.
 var Simblock = &analysis.Analyzer{
 	Name: "simblock",
 	Doc: "flag raw channel ops, select, go statements and sync.* calls in " +

@@ -54,8 +54,6 @@ func init() {
 //     legitimately lives on the wall clock and OS entropy.
 //   - mapiter: scoped to the deterministic core — packages whose map
 //     iteration can reach a scheduling decision.
-//   - simblock: the sim kernel itself implements parking with real
-//     channels; everyone above it must not.
 //   - telemetrynil: the telemetry package is the constructor.
 var skipPackages = map[string]map[string]bool{
 	Walltime.Name: {
@@ -65,9 +63,6 @@ var skipPackages = map[string]map[string]bool{
 	Globalrand.Name: {
 		"hpbd/internal/netblock": true,
 		"hpbd/cmd/hpbd-server":   true,
-	},
-	Simblock.Name: {
-		"hpbd/internal/sim": true,
 	},
 	Telemetrynil.Name: {
 		"hpbd/internal/telemetry": true,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 )
@@ -29,9 +30,8 @@ type Env struct {
 	now      Time
 	seq      uint64
 	nextProc uint64
-	events   []event       // 4-ary min-heap of values ordered by (at, seq)
-	limit    Time          // bound of the RunUntil in progress, < 0 for none
-	main     chan struct{} // hands the baton back to the Run/Close caller
+	events   []event // 4-ary min-heap of values ordered by (at, seq)
+	limit    Time    // bound of the RunUntil in progress, < 0 for none
 	procs    map[*Proc]struct{}
 	closed   bool
 
@@ -42,7 +42,6 @@ type Env struct {
 // NewEnv returns an empty environment with a deterministic random source.
 func NewEnv() *Env {
 	return &Env{
-		main:  make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 		Rand:  rand.New(rand.NewSource(1)),
 	}
@@ -121,20 +120,23 @@ func (e *Env) After(d Duration, fn func()) {
 
 // Go starts a new simulated process running fn. The process begins at the
 // current virtual time, after the caller next gives up the CPU.
-// The name appears in diagnostics.
+// The name appears in diagnostics. Its coroutine is built and parked
+// here, so whatever the process costs the runtime is paid by the caller.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProc++
-	p := &Proc{env: e, id: e.nextProc, name: name, resume: make(chan struct{}, 1), start: fn}
+	p := &Proc{env: e, id: e.nextProc, name: name}
+	p.resume, p.stop = iter.Pull(p.body(fn))
+	p.resume() // runs to the body's first yield
 	e.procs[p] = struct{}{}
 	e.schedule(e.now, p, nil)
 	return p
 }
 
-// next is the dispatch loop. The goroutine that gives up the CPU runs it
-// itself: it pops events in (at, seq) order, runs callbacks inline and
-// skips cancelled wakes until it finds a process to resume. It returns nil
-// when the baton goes back to the Run caller instead: the queue drained,
-// the RunUntil limit was reached, or Close is killing processes.
+// next is the dispatch loop. Whoever gives up the CPU runs it itself: it
+// pops events in (at, seq) order, runs callbacks inline and skips
+// cancelled wakes until it finds a process to resume. It returns nil when
+// control stays with the Run caller instead: the queue drained, the
+// RunUntil limit was reached, or Close is killing processes.
 func (e *Env) next() *Proc {
 	for len(e.events) > 0 && !e.closed {
 		if e.limit >= 0 && e.events[0].at > e.limit {
@@ -158,21 +160,6 @@ func (e *Env) next() *Proc {
 	return nil
 }
 
-// handoff passes the baton to p, or back to the Run caller when p is nil.
-// The caller must touch no simulation state afterwards until it is resumed.
-func (e *Env) handoff(p *Proc) {
-	switch {
-	case p == nil:
-		e.main <- struct{}{}
-	case p.start != nil:
-		fn := p.start
-		p.start = nil
-		go p.run(fn)
-	default:
-		p.resume <- struct{}{}
-	}
-}
-
 // Run executes events until the queue drains. It returns the final virtual
 // time. Processes still parked on queues when Run returns remain parked;
 // use Close to release them.
@@ -182,11 +169,19 @@ func (e *Env) Run() Time { return e.RunUntil(-1) }
 // bound) and returns the virtual time reached: limit if events remain
 // beyond it, else the time of the last dispatched event. The clock never
 // moves backwards, so a limit in the past dispatches nothing.
+//
+// The caller is the only resumer: a process that parks yields its
+// successor back here rather than switching to it, and after one exits
+// the caller dispatches the next itself. A process that panics makes
+// RunUntil panic with the value annotated by the process name.
 func (e *Env) RunUntil(limit Time) Time {
 	e.limit = limit
-	if p := e.next(); p != nil {
-		e.handoff(p)
-		<-e.main
+	for p := e.next(); p != nil; {
+		next, ok := p.resume()
+		if !ok {
+			next = e.next() // p exited
+		}
+		p = next
 	}
 	return e.now
 }
@@ -226,14 +221,13 @@ func (e *Env) Close() {
 	for _, p := range live {
 		switch {
 		case p.done:
-		case p.start != nil:
-			p.start = nil
+		case !p.started:
 			p.done = true
 			delete(e.procs, p)
+			p.stop()
 		default:
 			p.killed = true
-			p.resume <- struct{}{}
-			<-e.main
+			p.resume()
 		}
 	}
 }

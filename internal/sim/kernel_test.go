@@ -126,6 +126,40 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	})
 }
 
+// A whole Run of a two-process ping-pong, kicked from outside and
+// drained back to both processes parked, allocates nothing.
+func TestRunPingPongAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	ping, pong := NewChan[int](env, 1), NewChan[int](env, 1)
+	kick := NewWaitQueue(env)
+	env.Go("echo", func(p *Proc) {
+		for {
+			v, _ := ping.Recv(p)
+			pong.Send(p, v)
+		}
+	})
+	env.Go("driver", func(p *Proc) {
+		for {
+			kick.Wait(p)
+			for i := 0; i < 100; i++ {
+				ping.Send(p, i)
+				pong.Recv(p)
+			}
+		}
+	})
+	env.Run()
+	if n := testing.AllocsPerRun(20, func() {
+		kick.WakeOne()
+		env.Run()
+	}); n != 0 {
+		t.Errorf("%v allocs per Run of 100 round trips, want 0", n)
+	}
+	if kick.Len() != 1 || env.Parked() != 2 {
+		t.Errorf("after Run: kick queue %d, parked %d; want 1 and 2", kick.Len(), env.Parked())
+	}
+}
+
 // A queue that holds one waiter at a time never grows its ring, even on
 // first use: every round here waits on a queue nobody used before.
 func TestOneWaiterAllocBudget(t *testing.T) {
@@ -166,8 +200,8 @@ func TestRunUntilNeverMovesClockBackwards(t *testing.T) {
 }
 
 func TestSplitRunVisitsProcsInSameOrder(t *testing.T) {
-	// The baton changes hands at every RunUntil boundary; the visit order
-	// must not notice.
+	// Control returns to the caller at every RunUntil boundary; the visit
+	// order must not notice.
 	run := func(stops ...Time) []string {
 		env := NewEnv()
 		defer env.Close()
@@ -258,11 +292,118 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	if env.Parked() != 0 || unwound != 2 {
 		t.Errorf("after Close: parked = %d (want 0), unwound = %d (want 2)", env.Parked(), unwound)
 	}
-	// A killed goroutine hands the baton back before it finishes exiting.
+	// A killed coroutine's goroutine is gone by the time Close returns;
+	// the grace loop only covers runtime bookkeeping.
 	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
 		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Close, %d before the Env existed", n, before)
+	}
+}
+
+// Every process's goroutine exists once Go returns: Run only switches
+// between them and starts none.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	q := NewWaitQueue(env)
+	for i := 0; i < 4; i++ {
+		env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(Duration(i) * Microsecond)
+			q.Wait(p) // stay parked, so no exit lowers the count either
+		})
+	}
+	before := runtime.NumGoroutine()
+	env.Run()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Run, %d before", n, before)
+	}
+	if q.Len() != 4 {
+		t.Errorf("%d processes reached the queue, want 4", q.Len())
+	}
+}
+
+// A panic in a process comes out of Run on the caller's goroutine,
+// annotated with the process name, and Close still unwinds the rest.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	q := NewWaitQueue(env)
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		env.Go("waiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			q.Wait(p)
+		})
+	}
+	env.Go("bomb", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	env.Go("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(Second)
+	})
+	func() {
+		defer func() {
+			const want = `sim: process "bomb" panicked: boom`
+			if r := recover(); r != want {
+				t.Errorf("Run panicked with %v, want %q", r, want)
+			}
+		}()
+		env.Run()
+		t.Error("Run returned normally")
+	}()
+	env.Go("never-started", func(p *Proc) { t.Error("never-started process ran during Close") })
+	env.Close()
+	if env.Parked() != 0 || unwound != 4 {
+		t.Errorf("after Close: parked = %d (want 0), unwound = %d (want 4)", env.Parked(), unwound)
+	}
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Close, %d before the Env existed", n, before)
+	}
+}
+
+// A process spawned from inside a process first runs in its own (at, seq)
+// slot: after every event already queued for that instant, before any
+// scheduled later. The order below is the one the kernel has always
+// produced; #n is the scheduling sequence number at each step.
+func TestGoFromProcOrder(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	var order []string
+	log := func(s string) { order = append(order, fmt.Sprintf("%s@%d#%d", s, env.Now(), env.seq)) }
+	env.Go("parent", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		env.After(0, func() { log("cb-before") })
+		env.Go("child", func(c *Proc) {
+			log("child")
+			c.Yield()
+			log("child-yielded")
+			env.Go("grandchild", func(*Proc) { log("grandchild") })
+		})
+		env.After(0, func() { log("cb-after") })
+		log("parent-spawned")
+		p.Yield()
+		log("parent-yielded")
+	})
+	env.Go("peer", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		log("peer")
+		p.Yield()
+		log("peer-yielded")
+	})
+	env.Run()
+	want := []string{
+		"parent-spawned@5000#7", "peer@5000#8", "cb-before@5000#9", "child@5000#9",
+		"cb-after@5000#10", "parent-yielded@5000#10", "peer-yielded@5000#10",
+		"child-yielded@5000#10", "grandchild@5000#11",
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order:\n got %q\nwant %q", order, want)
 	}
 }

@@ -1,24 +1,33 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // killedError is the panic value used to unwind processes on Env.Close.
 type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: process " + k.name + " killed" }
 
-// Proc is a simulated process. A Proc's function runs on its own goroutine,
-// but the kernel guarantees that at most one process executes at a time and
-// that all blocking primitives return at deterministic virtual times.
+// Proc is a simulated process. A Proc's function runs as a runtime
+// coroutine, but the kernel guarantees that at most one process executes at
+// a time and that all blocking primitives return at deterministic virtual
+// times.
 type Proc struct {
-	env    *Env
-	id     uint64 // spawn sequence number: a deterministic identity for ordering
-	name   string
-	resume chan struct{} // capacity 1: the baton holder never waits for us to block
-	start  func(*Proc)   // body, until the start event spawns the goroutine
-	wake   uint64        // seq of the pending wake event, 0 = none (for cancellation)
-	done   bool
-	killed bool
+	env  *Env
+	id   uint64 // spawn sequence number: a deterministic identity for ordering
+	name string
+	// resume switches into the coroutine until it parks, returning the
+	// process to run next (nil: back to the Run caller), or until it exits
+	// (ok false). stop drops a coroutine that never started.
+	resume  func() (next *Proc, ok bool)
+	stop    func()
+	yield   func(next *Proc) bool // inside the coroutine: park, naming the successor
+	wake    uint64                // seq of the pending wake event, 0 = none (for cancellation)
+	started bool
+	done    bool
+	killed  bool
 }
 
 // ID returns the process's spawn sequence number, unique within its Env.
@@ -33,33 +42,43 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-func (p *Proc) run(fn func(*Proc)) {
-	defer func() {
-		r := recover()
-		p.done = true
-		delete(p.env.procs, p)
-		if r != nil {
-			if _, ok := r.(killedError); !ok {
-				// Re-panicking here would crash the whole program from a
-				// detached goroutine with a confusing stack; annotate instead.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-			}
+// body is the coroutine: it parks once as soon as it is built, so that the
+// goroutine exists before the start event, and runs fn when first resumed.
+func (p *Proc) body(fn func(*Proc)) iter.Seq[*Proc] {
+	return func(yield func(*Proc) bool) {
+		p.yield = yield
+		if !yield(nil) {
+			return // dropped by Close before its start event
 		}
-		// The exiting goroutine dispatches until someone else takes over.
-		p.env.handoff(p.env.next())
-	}()
-	fn(p)
+		p.started = true
+		defer p.exit()
+		fn(p)
+	}
+}
+
+// exit retires the process. A kill unwinds quietly; any other panic is
+// annotated with the process name and propagates out of the coroutine to
+// the Run caller that resumed it.
+func (p *Proc) exit() {
+	r := recover()
+	p.done = true
+	delete(p.env.procs, p)
+	if r != nil {
+		if _, ok := r.(killedError); !ok {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}
 }
 
 // park blocks the process until some other party schedules its resumption.
 // The caller must have arranged a wake-up (a scheduled event or membership
-// in a wait queue) before calling park. The parking goroutine runs the
+// in a wait queue) before calling park. The parking process runs the
 // dispatch loop itself; if the next live wake is its own it returns
-// without switching goroutines at all.
+// without switching at all, otherwise it yields the successor to the Run
+// caller, which resumes it.
 func (p *Proc) park() {
 	if next := p.env.next(); next != p {
-		p.env.handoff(next)
-		<-p.resume
+		p.yield(next)
 	}
 	if p.killed {
 		panic(killedError{p.name})

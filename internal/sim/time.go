@@ -1,22 +1,24 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes (Proc) cooperatively: each has its own
-// goroutine, but exactly one holds the baton and executes at any instant.
-// There is no scheduler goroutine. Whoever gives up the CPU — a process that
-// blocks (Sleep, Wait, channel operations) or exits, or the caller of
-// Env.Run — runs the dispatch loop itself: it pops events, runs After
-// callbacks inline, skips cancelled wakes, and on reaching a live wake hands
-// the baton straight to that process and blocks. A process whose own wake
-// is next simply carries on; the baton returns to the Run caller only when
-// the queue drains, RunUntil's limit is reached or Close is unwinding.
+// The kernel runs simulated processes (Proc) cooperatively: each is a
+// runtime coroutine (iter.Pull), built and parked when it is spawned, and
+// exactly one executes at any instant. There is no scheduler goroutine.
+// Whoever gives up the CPU — a process that blocks (Sleep, Wait, channel
+// operations) or exits, or the caller of Env.Run — runs the dispatch loop
+// itself: it pops events, runs After callbacks inline, skips cancelled
+// wakes and stops at the first live wake. A process whose own wake is next
+// simply carries on. Otherwise it yields that successor to the Run caller,
+// the only resumer, which switches into it: two coroutine switches through
+// the Run caller, or none. Control stays with the Run caller when the
+// queue drains, RunUntil's limit is reached or Close is unwinding.
 //
-// Callbacks therefore run on whichever goroutine happens to hold the baton.
+// Callbacks therefore run on whichever process happens to be dispatching.
 // They must not block and must not depend on goroutine identity.
 //
 // Events live by value in a 4-ary min-heap ordered by (at, seq), where seq
 // is the global scheduling sequence number. The order is total, so what
-// runs next is a function of the queue alone, never of which goroutine
-// pops it: the hand-off is invisible to virtual time, and a simulation is
+// runs next is a function of the queue alone, never of which process
+// pops it: the switch is invisible to virtual time, and a simulation is
 // exactly reproducible run-to-run. Events scheduled for the same virtual
 // time fire in scheduling order. In steady state an event, a wait and a
 // channel operation allocate nothing.

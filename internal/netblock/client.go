@@ -21,26 +21,6 @@ var (
 	ErrLostConn   = errors.New("netblock: connection lost")
 )
 
-// hdrPool recycles request-header buffers across issues; payloadPool
-// recycles reply payload buffers across reads. Both store pointers so the
-// pool does not re-box the slice header on every Put.
-var (
-	hdrPool = sync.Pool{New: func() any {
-		b := make([]byte, wire.RequestSize)
-		return &b
-	}}
-	payloadPool = sync.Pool{New: func() any {
-		b := make([]byte, MaxRequestBytes)
-		return &b
-	}}
-)
-
-func putPayload(p *[]byte) {
-	if p != nil {
-		payloadPool.Put(p)
-	}
-}
-
 // Client is a remote-memory block device over TCP. ReadAt/WriteAt are
 // safe for concurrent use; up to `credits` requests are pipelined on the
 // wire (the paper's water-mark flow control).
@@ -55,15 +35,19 @@ type Client struct {
 	// socket analogue of the doorbell batching in the simulated client).
 	wmu       sync.Mutex
 	wq        net.Buffers
-	wrecycle  []*[]byte // pooled header buffers to release after flushing
-	wqSpare   net.Buffers
-	wrecSpare []*[]byte // retired queue slices, reused to avoid churn
+	wqSpare   net.Buffers // the retired queue, reused to avoid churn
 	wflushing bool
 	wlost     bool
+	// wout is the active flusher's shadow of the batch it writes: WriteTo
+	// consumes its receiver, and a field keeps that receiver off the heap.
+	wout net.Buffers
 
+	// pmu guards the request records and the connection state. recs is
+	// indexed by the low 32 bits of a wire handle and only grows; free
+	// chains the records no caller holds.
 	pmu     sync.Mutex
-	pending map[uint64]*waiter
-	nextH   uint64
+	recs    []*req
+	free    *req
 	closed  bool
 	lostErr error
 
@@ -74,21 +58,32 @@ type Client struct {
 	wg sync.WaitGroup
 }
 
-// waiter tracks one outstanding request.
-type waiter struct {
-	ch      chan result
-	readLen int // payload length expected with the reply (0 for writes)
-	// credit and send are the issue path's wall-clock stage measurements,
-	// consumed by the caller when it records the completed request.
-	credit time.Duration
-	send   time.Duration
-}
+// req is one request record, owned by the client and recycled. It is
+// taken live by issue, settled exactly once — by recvLoop with the reply
+// or by fail — and handed back only after its caller has collected the
+// completion, so the table grows past the credit count while callers
+// hold unreaped WriteAsyncs.
+type req struct {
+	c *Client
+	// The wire handle is gen<<32 | idx. gen is bumped on every take, so a
+	// stale reply cannot match the record's reuse.
+	idx, gen uint32
+	live     bool // on the wire and unclaimed; guarded by pmu
+	hdr      [wire.RequestSize]byte
+	done     chan struct{} // 1-buffered, signalled by whoever settles the record
 
-type result struct {
 	status wire.Status
-	data   []byte
-	pooled *[]byte // backing buffer of data to return to payloadPool
 	err    error
+	dst    []byte // where the reply payload lands: the caller's buffer, or stat
+	stat   [wire.StatPayloadSize]byte
+
+	// start, credit and send are the issue path's wall-clock stage
+	// stamps, consumed when the caller collects the completion.
+	start        time.Time
+	credit, send time.Duration
+
+	waitFn func() error // wait, bound once for WriteAsync
+	next   *req         // free list
 }
 
 // Dial attaches to the memory server at addr, reserving size bytes, with
@@ -128,7 +123,6 @@ func Dial(addr string, size int64, credits int) (*Client, error) {
 		conn:    conn,
 		size:    size,
 		credits: make(chan struct{}, credits),
-		pending: make(map[uint64]*waiter),
 	}
 	for i := 0; i < credits; i++ {
 		c.credits <- struct{}{}
@@ -141,7 +135,8 @@ func Dial(addr string, size int64, credits int) (*Client, error) {
 // Size returns the attached area size in bytes.
 func (c *Client) Size() int64 { return c.size }
 
-// Close tears the connection down; outstanding requests fail.
+// Close tears the connection down; outstanding requests fail with
+// ErrLostConn and later ones with ErrClosed.
 func (c *Client) Close() error {
 	c.pmu.Lock()
 	if c.closed {
@@ -151,13 +146,12 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.pmu.Unlock()
 	err := c.conn.Close()
-	c.wg.Wait()
-	c.fail(ErrClosed)
+	c.wg.Wait() // recvLoop fails what is in flight on its way out
 	return err
 }
 
 // recvLoop is the reply demultiplexer (the event-driven receiver thread
-// of the paper's client design).
+// of the paper's client design). It leaves through fail on every path.
 func (c *Client) recvLoop() {
 	defer c.wg.Done()
 	rbuf := make([]byte, wire.ReplySize)
@@ -171,53 +165,61 @@ func (c *Client) recvLoop() {
 			c.fail(err)
 			return
 		}
-		c.pmu.Lock()
-		w := c.pending[rep.Handle]
-		delete(c.pending, rep.Handle)
-		c.pmu.Unlock()
-		if w == nil {
+		r := c.claim(rep.Handle)
+		if r == nil {
 			c.fail(fmt.Errorf("netblock: reply for unknown handle %d", rep.Handle))
 			return
 		}
-		var data []byte
-		var pooled *[]byte
-		if w.readLen > 0 && rep.Status == wire.StatusOK {
-			pooled = payloadPool.Get().(*[]byte)
-			if cap(*pooled) < w.readLen {
-				*pooled = make([]byte, w.readLen)
-			}
-			data = (*pooled)[:w.readLen]
-			if _, err := io.ReadFull(c.conn, data); err != nil {
-				putPayload(pooled)
-				w.ch <- result{err: ErrLostConn}
-				c.credits <- struct{}{}
-				c.fail(ErrLostConn)
-				return
+		r.status = rep.Status
+		if rep.Status == wire.StatusOK && len(r.dst) > 0 {
+			// The payload lands straight in the caller's buffer. fail
+			// cannot settle a claimed record, so the caller cannot return
+			// while this read is still writing its buffer.
+			if _, err := io.ReadFull(c.conn, r.dst); err != nil {
+				r.err = ErrLostConn
 			}
 		}
-		w.ch <- result{status: rep.Status, data: data, pooled: pooled}
+		lost := r.err != nil
+		r.done <- struct{}{}
 		// The reply releases the flow-control credit (the paper's
 		// receiver thread replenishes the water-mark).
 		c.credits <- struct{}{}
+		if lost {
+			c.fail(ErrLostConn)
+			return
+		}
 	}
 }
 
-// fail errors out every waiter and records the loss.
+// claim takes the live record a reply names, or returns nil if none is
+// outstanding under that handle: an index past the table, a stale
+// generation or a record already settled.
+func (c *Client) claim(h uint64) *req {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	if idx := h & (1<<32 - 1); idx < uint64(len(c.recs)) {
+		if r := c.recs[idx]; r.live && r.gen == uint32(h>>32) {
+			r.live = false
+			return r
+		}
+	}
+	return nil
+}
+
+// fail records the loss and settles every live record with ErrLostConn,
+// refunding its credit. A record recvLoop has claimed is not live:
+// recvLoop settles it once its payload has landed or failed.
 func (c *Client) fail(err error) {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	if c.lostErr == nil {
 		c.lostErr = err
 	}
-	for h, w := range c.pending {
-		delete(c.pending, h)
-		select {
-		case w.ch <- result{err: ErrLostConn}:
-		default:
-		}
-		select {
-		case c.credits <- struct{}{}:
-		default:
+	for _, r := range c.recs {
+		if r.live {
+			r.live, r.err = false, ErrLostConn
+			r.done <- struct{}{}
+			c.credits <- struct{}{}
 		}
 	}
 }
@@ -233,254 +235,212 @@ func (c *Client) checkRange(off int64, n int) error {
 	return nil
 }
 
+// getRec takes a free record, or grows the table by one, and makes it
+// live under a new generation. pmu is held.
+//
+//hpbd:hotpath
+func (c *Client) getRec() *req {
+	r := c.free
+	if r == nil {
+		//hpbd:allow hotalloc -- free-list miss: the table grows to the most records callers hold at once
+		r = &req{c: c, idx: uint32(len(c.recs)), done: make(chan struct{}, 1)}
+		r.waitFn = r.wait // bound once, like the channel
+		//hpbd:allow hotalloc -- as above
+		c.recs = append(c.recs, r)
+	} else {
+		c.free, r.next = r.next, nil
+	}
+	r.gen++
+	r.live = true
+	return r
+}
+
+// putRec hands back a record whose completion its caller has collected.
+//
+//hpbd:hotpath
+func (c *Client) putRec(r *req) {
+	r.dst, r.err = nil, nil
+	c.pmu.Lock()
+	r.next, c.free = c.free, r
+	c.pmu.Unlock()
+}
+
 // send queues a header frame (plus optional payload) for transmission and
 // flushes the queue unless another issuer is already flushing (that
-// issuer's next writev picks them up). recycle buffers go back to hdrPool
-// once their frames are on the wire.
-func (c *Client) send(hdr, payload []byte, recycle *[]byte) error {
+// issuer's next writev picks them up).
+//
+//hpbd:hotpath
+func (c *Client) send(hdr, payload []byte) error {
 	c.wmu.Lock()
 	if c.wlost {
 		c.wmu.Unlock()
-		if recycle != nil {
-			hdrPool.Put(recycle)
-		}
 		return ErrLostConn
 	}
+	//hpbd:allow hotalloc -- the queue grows to the deepest burst, then its two arrays alternate
 	c.wq = append(c.wq, hdr)
 	if payload != nil {
+		//hpbd:allow hotalloc -- as above
 		c.wq = append(c.wq, payload)
-	}
-	if recycle != nil {
-		c.wrecycle = append(c.wrecycle, recycle)
 	}
 	if c.wflushing {
 		c.wmu.Unlock()
 		return nil // the active flusher will carry these frames
 	}
 	c.wflushing = true
-	var lost bool
-	for len(c.wq) > 0 && !lost {
-		// Swap in the spare queue slices so concurrent enqueuers reuse
-		// retired backing arrays instead of growing fresh ones each burst.
+	for len(c.wq) > 0 && !c.wlost {
+		// Swap in the spare queue so concurrent enqueuers reuse the
+		// retired backing array instead of growing a fresh one each burst.
 		batch := c.wq
-		rec := c.wrecycle
-		c.wq = c.wqSpare
-		c.wrecycle = c.wrecSpare
-		c.wqSpare = nil
-		c.wrecSpare = nil
+		c.wq, c.wqSpare = c.wqSpare, nil
 		c.wmu.Unlock()
-		// WriteTo advances (and nils out) its receiver; flush a shadow
-		// header so batch keeps the backing array for reuse.
-		bw := batch
-		_, err := bw.WriteTo(c.conn)
-		for _, r := range rec {
-			hdrPool.Put(r)
-		}
+		c.wout = batch
+		_, err := c.wout.WriteTo(c.conn)
 		if err != nil {
 			c.fail(ErrLostConn)
-			lost = true
 		}
-		for i := range batch {
-			batch[i] = nil
-		}
-		for i := range rec {
-			rec[i] = nil
-		}
+		clear(batch)
 		c.wmu.Lock()
+		c.wlost = c.wlost || err != nil
 		c.wqSpare = batch[:0]
-		c.wrecSpare = rec[:0]
 	}
-	c.wlost = c.wlost || lost
 	c.wflushing = false
-	// Frames enqueued after a failed writev will never flush; release
-	// their header buffers now that wlost stops new arrivals.
+	var err error
 	if c.wlost {
-		for _, r := range c.wrecycle {
-			hdrPool.Put(r)
-		}
-		c.wq, c.wrecycle = nil, nil
+		// Frames queued after a failed writev never flush; fail has
+		// settled their records.
+		c.wq, err = nil, ErrLostConn
 	}
-	lost = c.wlost
 	c.wmu.Unlock()
-	if lost {
-		return ErrLostConn
-	}
-	return nil
+	return err
 }
 
-// issue sends one request (plus optional payload) and returns the waiter,
-// with the credit-stall and send stage durations measured on it.
-func (c *Client) issue(typ wire.ReqType, off int64, n int, payload []byte) (*waiter, error) {
-	issueAt := time.Now()
+// issue takes a credit and a record and sends one request. data is the
+// write payload or the read destination; a stat lands in the record. The
+// record comes back live with its credit-stall and send stages stamped.
+//
+//hpbd:hotpath
+func (c *Client) issue(typ wire.ReqType, off int64, data []byte) (*req, error) {
+	start := time.Now()
 	<-c.credits // water-mark flow control
 	creditAt := time.Now()
 	c.pmu.Lock()
-	if c.closed || c.lostErr != nil {
-		err := c.lostErr
+	err := c.lostErr
+	if c.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		c.pmu.Unlock()
 		c.credits <- struct{}{}
-		if err == nil {
-			err = ErrClosed
-		}
 		return nil, err
 	}
-	c.nextH++
-	h := c.nextH
-	w := &waiter{ch: make(chan result, 1), credit: creditAt.Sub(issueAt)}
-	if typ == wire.ReqRead {
-		w.readLen = n
+	r := c.getRec()
+	// Set under pmu, which recvLoop takes to claim the record.
+	r.start, r.credit = start, creditAt.Sub(start)
+	var payload []byte
+	switch typ {
+	case wire.ReqWrite:
+		payload = data
+	case wire.ReqRead:
+		r.dst = data
+	case wire.ReqStat:
+		r.dst = r.stat[:]
 	}
-	c.pending[h] = w
 	c.pmu.Unlock()
 
-	hp := hdrPool.Get().(*[]byte)
-	hdr := (*hp)[:wire.RequestSize]
-	wire.MarshalRequest(hdr, &wire.Request{
-		Type: typ, Handle: h, Offset: uint64(off), Length: uint32(n),
+	wire.MarshalRequest(r.hdr[:], &wire.Request{
+		Type: typ, Handle: uint64(r.gen)<<32 | uint64(r.idx), Offset: uint64(off), Length: uint32(len(data)),
 	})
-	if err := c.send(hdr, payload, hp); err != nil {
-		// fail() may have already reaped the waiter and refunded the
-		// credit; only undo what is still ours.
-		c.pmu.Lock()
-		_, still := c.pending[h]
-		delete(c.pending, h)
-		c.pmu.Unlock()
-		if still {
-			c.credits <- struct{}{}
-		}
+	if err := c.send(r.hdr[:], payload); err != nil {
+		// send fails only once a fail has run after r went live, and
+		// every live record is settled by fail or by recvLoop's claim.
+		r.collect()
+		c.putRec(r)
 		return nil, err
 	}
-	w.send = time.Since(creditAt)
-	return w, nil
+	r.send = time.Since(creditAt)
+	return r, nil
 }
 
-// wait collects the result (the credit was already returned by the
-// receive loop when the reply arrived).
-func (c *Client) wait(w *waiter) (result, error) {
-	r := <-w.ch
+// collect blocks for r's completion (its credit was already returned by
+// whoever settled it) and maps the outcome to an error.
+//
+//hpbd:hotpath
+func (r *req) collect() error {
+	<-r.done
 	if r.err != nil {
-		return r, r.err
+		return r.err
 	}
 	switch r.status {
 	case wire.StatusOK:
-		return r, nil
+		return nil
 	case wire.StatusOutOfRange:
-		return r, ErrOutOfRange
-	default:
-		return r, fmt.Errorf("%w: %v", ErrRemote, r.status)
+		return ErrOutOfRange
 	}
+	//hpbd:allow hotalloc -- error path: the server refused the request
+	return fmt.Errorf("%w: %v", ErrRemote, r.status)
+}
+
+// wait collects r's completion, attributes its stages and hands the
+// record back.
+//
+//hpbd:hotpath
+func (r *req) wait() error {
+	err := r.collect()
+	c := r.c
+	c.stages.record(err != nil, r.credit, r.send, time.Since(r.start))
+	c.putRec(r)
+	return err
 }
 
 // WriteAt stores p at byte offset off (a swap-out). It blocks until the
 // server acknowledges.
-func (c *Client) WriteAt(p []byte, off int64) (int, error) {
+func (c *Client) WriteAt(p []byte, off int64) (int, error) { return c.syncIO(wire.ReqWrite, p, off) }
+
+// ReadAt fills p from byte offset off (a swap-in). On error the contents
+// of p are undefined.
+func (c *Client) ReadAt(p []byte, off int64) (int, error) { return c.syncIO(wire.ReqRead, p, off) }
+
+// syncIO issues one data request and blocks for its completion.
+func (c *Client) syncIO(typ wire.ReqType, p []byte, off int64) (int, error) {
 	if err := c.checkRange(off, len(p)); err != nil {
 		return 0, err
 	}
-	start := time.Now()
-	w, err := c.issue(wire.ReqWrite, off, len(p), p)
+	r, err := c.issue(typ, off, p)
 	if err != nil {
 		return 0, err
 	}
-	_, werr := c.wait(w)
-	c.stages.record(werr != nil, w.credit, w.send, 0, time.Since(start))
-	if werr != nil {
-		return 0, werr
+	if err := r.wait(); err != nil {
+		return 0, err
 	}
 	return len(p), nil
 }
 
-// ReadAt fills p from byte offset off (a swap-in).
-func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	if err := c.checkRange(off, len(p)); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	w, err := c.issue(wire.ReqRead, off, len(p), nil)
-	if err != nil {
-		return 0, err
-	}
-	r, err := c.wait(w)
-	if err != nil {
-		putPayload(r.pooled)
-		c.stages.record(true, w.credit, w.send, 0, time.Since(start))
-		return 0, err
-	}
-	drainAt := time.Now()
-	n := copy(p, r.data)
-	putPayload(r.pooled)
-	c.stages.record(false, w.credit, w.send, time.Since(drainAt), time.Since(start))
-	return n, nil
-}
-
 // Stat asks the server for its capacity and current allocation.
 func (c *Client) Stat() (capacity, allocated int64, err error) {
-	w, err := c.issueStat()
+	r, err := c.issue(wire.ReqStat, 0, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	r, err := c.wait(w)
-	if err != nil {
-		putPayload(r.pooled)
+	defer c.putRec(r)
+	if err := r.collect(); err != nil {
 		return 0, 0, err
 	}
-	st, err := wire.UnmarshalStat(r.data)
-	putPayload(r.pooled)
-	if err != nil {
-		return 0, 0, ErrLostConn
-	}
+	// r.stat is StatPayloadSize long, so it always decodes.
+	st, _ := wire.UnmarshalStat(r.stat[:])
 	return int64(st.CapacityBytes), int64(st.AllocatedBytes), nil
 }
 
-// issueStat sends a stat request expecting the fixed stat payload.
-func (c *Client) issueStat() (*waiter, error) {
-	<-c.credits
-	c.pmu.Lock()
-	if c.closed || c.lostErr != nil {
-		err := c.lostErr
-		c.pmu.Unlock()
-		c.credits <- struct{}{}
-		if err == nil {
-			err = ErrClosed
-		}
-		return nil, err
-	}
-	c.nextH++
-	h := c.nextH
-	w := &waiter{ch: make(chan result, 1), readLen: wire.StatPayloadSize}
-	c.pending[h] = w
-	c.pmu.Unlock()
-
-	hp := hdrPool.Get().(*[]byte)
-	hdr := (*hp)[:wire.RequestSize]
-	wire.MarshalRequest(hdr, &wire.Request{Type: wire.ReqStat, Handle: h})
-	if err := c.send(hdr, nil, hp); err != nil {
-		c.pmu.Lock()
-		_, still := c.pending[h]
-		delete(c.pending, h)
-		c.pmu.Unlock()
-		if still {
-			c.credits <- struct{}{}
-		}
-		return nil, err
-	}
-	return w, nil
-}
-
 // WriteAsync begins a pipelined write; the returned function blocks for
-// completion. Use it to keep several requests on the wire at once.
+// completion and must be called exactly once, since calling it hands the
+// request's record back for reuse. Use it to keep several requests on
+// the wire at once.
 func (c *Client) WriteAsync(p []byte, off int64) (func() error, error) {
 	if err := c.checkRange(off, len(p)); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	w, err := c.issue(wire.ReqWrite, off, len(p), p)
+	r, err := c.issue(wire.ReqWrite, off, p)
 	if err != nil {
 		return nil, err
 	}
-	return func() error {
-		_, werr := c.wait(w)
-		c.stages.record(werr != nil, w.credit, w.send, 0, time.Since(start))
-		return werr
-	}, nil
+	return r.waitFn, nil
 }

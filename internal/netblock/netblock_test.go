@@ -2,6 +2,7 @@ package netblock
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log"
 	"sync"
@@ -255,5 +256,82 @@ func TestStat(t *testing.T) {
 	}
 	if _, _, err := c.Stat(); err != nil {
 		t.Fatalf("second Stat: %v", err)
+	}
+}
+
+// TestOpsAfterCloseReturnErrClosed: once Close has returned, every
+// operation reports the client closed, not the connection Close itself
+// tore down.
+func TestOpsAfterCloseReturnErrClosed(t *testing.T) {
+	s := startServer(t, 1<<20)
+	c, err := Dial(s.Addr(), 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	page := pattern(4096, 3)
+	if _, err := c.WriteAt(page, 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := c.ReadAt(page, 0); !errors.Is(err, ErrClosed) {
+		t.Errorf("ReadAt after Close: %v, want ErrClosed", err)
+	}
+	if _, err := c.WriteAt(page, 0); !errors.Is(err, ErrClosed) {
+		t.Errorf("WriteAt after Close: %v, want ErrClosed", err)
+	}
+	if _, err := c.WriteAsync(page, 0); !errors.Is(err, ErrClosed) {
+		t.Errorf("WriteAsync after Close: %v, want ErrClosed", err)
+	}
+	if _, _, err := c.Stat(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Stat after Close: %v, want ErrClosed", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestRequestPathAllocsPerRun pins a steady-state request at zero
+// allocations on both ends: the client's recycled records and the
+// server's pooled reply frames. The count is process-wide, so it covers
+// the server's goroutines as well as the caller's.
+func TestRequestPathAllocsPerRun(t *testing.T) {
+	s := startServer(t, 1<<20)
+	c, err := Dial(s.Addr(), 1<<20, 16)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	page, mid, big := make([]byte, 4096), make([]byte, 32*1024), make([]byte, MaxRequestBytes)
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"WriteAt 4K", func() error { _, err := c.WriteAt(page, 0); return err }},
+		{"ReadAt 4K", func() error { _, err := c.ReadAt(page, 0); return err }},
+		{"ReadAt 32K", func() error { _, err := c.ReadAt(mid, 0); return err }},
+		{"WriteAsync 128K + wait", func() error {
+			wait, err := c.WriteAsync(big, 0)
+			if err != nil {
+				return err
+			}
+			return wait()
+		}},
+		{"Stat", func() error { _, _, err := c.Stat(); return err }},
+	}
+	for _, op := range ops {
+		var opErr error
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := op.run(); err != nil {
+				opErr = err
+			}
+		})
+		if opErr != nil {
+			t.Fatalf("%s: %v", op.name, opErr)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per request, want 0", op.name, allocs)
+		}
 	}
 }

@@ -3,9 +3,12 @@ package netblock
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,5 +188,200 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		if !bytes.Equal(got, model[o.page*pageSz:(o.page+1)*pageSz]) {
 			t.Fatalf("page %d diverged from model", o.page)
 		}
+	}
+}
+
+// fakeServer accepts one client on a raw listener, completes the hello and
+// hands the connection to serve, which plays a misbehaving server; the
+// connection drops when serve returns. It returns the address to Dial.
+func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := io.ReadFull(conn, make([]byte, wire.HelloSize)); err != nil {
+			return
+		}
+		hr := make([]byte, wire.HelloReplySize)
+		wire.MarshalHelloReply(hr, &wire.HelloReply{Status: wire.StatusOK})
+		if _, err := conn.Write(hr); err != nil {
+			return
+		}
+		serve(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// readRequest reads one request header, and a write's payload, off conn.
+func readRequest(conn net.Conn) (wire.Request, error) {
+	hdr := make([]byte, wire.RequestSize)
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		return wire.Request{}, err
+	}
+	req, err := wire.UnmarshalRequest(hdr)
+	if err == nil && req.Type == wire.ReqWrite {
+		_, err = io.CopyN(io.Discard, conn, int64(req.Length))
+	}
+	return req, err
+}
+
+// replyFrame is a reply header for handle followed by payload bytes.
+func replyFrame(handle uint64, payload int) []byte {
+	f := make([]byte, wire.ReplySize+payload)
+	wire.MarshalReply(f, &wire.Reply{Handle: handle, Status: wire.StatusOK})
+	return f
+}
+
+// TestReadReturnsOnlyAfterPayloadLands: the server cuts the connection
+// halfway through a read's payload. ReadAt must not return until the
+// receive loop has stopped writing the caller's buffer; the race detector
+// sees the caller's write below otherwise.
+func TestReadReturnsOnlyAfterPayloadLands(t *testing.T) {
+	const n = 32 * 1024
+	addr := fakeServer(t, func(conn net.Conn) {
+		req, err := readRequest(conn)
+		if err != nil {
+			t.Errorf("fake server: %v", err)
+			return
+		}
+		conn.Write(replyFrame(req.Handle, n/2))
+	})
+	c, err := Dial(addr, 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	p := make([]byte, n)
+	if _, err := c.ReadAt(p, 0); !errors.Is(err, ErrLostConn) {
+		t.Fatalf("ReadAt of a cut payload: %v, want ErrLostConn", err)
+	}
+	for i := range p {
+		p[i] = 0xAA
+	}
+}
+
+// TestStaleHandleFailsConnection: a server that answers one handle twice
+// is not trusted further. The first reply completes its write. The second
+// arrives after the write's record has been reused under a new generation,
+// so it must not complete the reuse: it fails the connection with the
+// unknown-handle error, and every pending request gets ErrLostConn
+// instead of hanging.
+func TestStaleHandleFailsConnection(t *testing.T) {
+	const pending = 3
+	addr := fakeServer(t, func(conn net.Conn) {
+		var first uint64
+		for i := 0; i < pending; i++ {
+			req, err := readRequest(conn)
+			if err != nil {
+				t.Errorf("fake server: %v", err)
+				return
+			}
+			if i == 0 {
+				first = req.Handle
+			}
+		}
+		conn.Write(replyFrame(first, 0))
+		reuse, err := readRequest(conn)
+		if err != nil {
+			t.Errorf("fake server: %v", err)
+			return
+		}
+		if uint32(reuse.Handle) != uint32(first) || reuse.Handle == first {
+			t.Errorf("handle %#x does not reuse %#x's record under a new generation", reuse.Handle, first)
+		}
+		conn.Write(replyFrame(first, 0))
+		io.Copy(io.Discard, conn) // hold the connection until the client closes it
+	})
+	c, err := Dial(addr, 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	// A hang fails the test instead of stalling the suite: Close settles
+	// what is still pending, and the checks below then fail.
+	defer time.AfterFunc(10*time.Second, func() { c.Close() }).Stop()
+	var waits []func() error
+	write := func(i int) {
+		w, err := c.WriteAsync(pattern(4096, byte(i)), int64(i)*4096)
+		if err != nil {
+			t.Fatalf("WriteAsync %d: %v", i, err)
+		}
+		waits = append(waits, w)
+	}
+	for i := 0; i < pending; i++ {
+		write(i)
+	}
+	if err := waits[0](); err != nil {
+		t.Errorf("answered write: %v", err)
+	}
+	write(pending)
+	for i, w := range waits[1:] {
+		if err := w(); !errors.Is(err, ErrLostConn) {
+			t.Errorf("unanswered write %d: %v, want ErrLostConn", i+1, err)
+		}
+	}
+	if _, err := c.ReadAt(make([]byte, 4096), 0); err == nil || !strings.Contains(err.Error(), "unknown handle") {
+		t.Errorf("ReadAt after a duplicate reply: %v, want the unknown-handle error", err)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: Client.Close and Server.Close wait for
+// every goroutine they started — receive loop, connection handler, reply
+// writer, accept loop — even with records reaped late and a client left
+// attached when the server goes.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", ServerConfig{CapacityBytes: 2 << 20, Logger: quietLogger()})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	c1, err := Dial(s.Addr(), 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	c2, err := Dial(s.Addr(), 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	var waits []func() error
+	for i := 0; i < 8; i++ {
+		w, err := c1.WriteAsync(pattern(32*1024, byte(i)), int64(i)*32*1024)
+		if err != nil {
+			t.Fatalf("WriteAsync %d: %v", i, err)
+		}
+		waits = append(waits, w)
+	}
+	if _, err := c2.ReadAt(make([]byte, 4096), 0); err != nil {
+		t.Fatalf("ReadAt: %v", err)
+	}
+	for _, w := range waits {
+		if err := w(); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	c1.Close()
+	s.Close()
+	c2.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond) // a goroutine past its wg.Done has yet to exit
 	}
 }

@@ -189,7 +189,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer wwg.Done()
 		var failed bool
-		var batch net.Buffers
+		// bw is the writev's shadow of batch: WriteTo consumes its
+		// receiver, which escapes, so it is declared once per connection
+		// and batch's backing array is reused every wakeup.
+		var batch, bw net.Buffers
 		var rec []*[]byte
 		for f := range replies {
 			batch = append(batch[:0], *f)
@@ -208,9 +211,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 			if !failed {
-				// Flush through a shadow header: WriteTo consumes its
-				// receiver, and batch's backing array is reused next wakeup.
-				bw := batch
+				bw = batch
 				if _, err := bw.WriteTo(conn); err != nil {
 					failed = true
 				}
@@ -218,12 +219,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			for _, r := range rec {
 				replyPool.Put(r)
 			}
-			for i := range batch {
-				batch[i] = nil
-			}
-			for i := range rec {
-				rec[i] = nil
-			}
+			clear(batch)
+			clear(rec)
 		}
 	}()
 	defer wwg.Wait()

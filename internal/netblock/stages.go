@@ -13,10 +13,12 @@ import (
 // analyzer: mutex-guarded wall-clock sums per telemetry.Stage, so a real
 // TCP run reports the same breakdown taxonomy as the simulated HPBD and
 // NBD datapaths. Stages the socket client cannot observe (block-layer
-// queue, staging-pool wait, RDMA, server copy) stay zero; per the shared
-// convention, unattributed server + wire time lands in the reply stage.
-// The recorded stages partition each request's end-to-end wall time
-// exactly, as in the simulator.
+// queue, staging-pool wait, RDMA, server copy) stay zero, and so does
+// drain: a read's payload lands in the caller's buffer straight off the
+// socket, inside the reply. Per the shared convention, unattributed
+// server + wire time lands in the reply stage. The recorded stages
+// partition each request's end-to-end wall time exactly, as in the
+// simulator.
 type stageAcc struct {
 	mu    sync.Mutex
 	count int64
@@ -26,10 +28,10 @@ type stageAcc struct {
 }
 
 // record ingests one completed request. credit and send come from the
-// issue path, drain is the client-side copy-out, total is end-to-end;
-// whatever is left over is the reply stage (server + wire).
-func (a *stageAcc) record(err bool, credit, send, drain, total time.Duration) {
-	reply := total - credit - send - drain
+// issue path, total is end-to-end; whatever is left over is the reply
+// stage (server + wire + payload).
+func (a *stageAcc) record(err bool, credit, send, total time.Duration) {
+	reply := total - credit - send
 	if reply < 0 {
 		reply = 0
 	}
@@ -41,7 +43,6 @@ func (a *stageAcc) record(err bool, credit, send, drain, total time.Duration) {
 	a.sums[telemetry.StageCreditStall] += credit
 	a.sums[telemetry.StageSend] += send
 	a.sums[telemetry.StageReply] += reply
-	a.sums[telemetry.StageDrain] += drain
 	a.e2e += total
 	a.mu.Unlock()
 }

@@ -342,9 +342,6 @@ func (q *Queue) SetActivityHook(fn func()) { q.activity = fn }
 // Stats returns a copy of the queue statistics.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// ResetStats clears counters and the request log.
-func (q *Queue) ResetStats() { q.stats = Stats{} }
-
 // Submit queues one I/O on a fresh record: allocate, then SubmitIO.
 // Returns the IO handle to wait on.
 func (q *Queue) Submit(write bool, sector int64, data []byte) (*IO, error) {
@@ -424,9 +421,6 @@ func (q *Queue) Unplug() {
 	q.plugged = false
 	q.work.WakeAll()
 }
-
-// Pending returns the number of undispatched requests.
-func (q *Queue) Pending() int { return len(q.pending) }
 
 // dispatch is the per-device kernel thread: it pulls requests off the
 // queue (once unplugged) and hands them to the driver.

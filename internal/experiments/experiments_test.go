@@ -6,8 +6,9 @@ import (
 )
 
 // smallCfg runs experiments at 1/256 scale so the whole suite is fast in
-// unit tests; ratio assertions are loose at this scale and tightened in
-// the benchmark harness at the default 1/32 scale.
+// unit tests; ratio assertions are loose at this scale. Nothing checks the
+// default-scale ratios against the paper's yet: EXPERIMENTS.md records
+// them from `hpbd-bench` runs.
 var smallCfg = Config{Scale: 256, Seed: 1}
 
 func TestFig1OrderingAndShape(t *testing.T) {

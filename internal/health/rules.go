@@ -24,11 +24,6 @@ func (w Window) CounterDelta(name string) int64 {
 // Gauge returns a gauge's level at the window's end.
 func (w Window) Gauge(name string) int64 { return w.Cur.Gauges[name] }
 
-// GaugeDelta returns how much a gauge moved across the window.
-func (w Window) GaugeDelta(name string) int64 {
-	return w.Cur.Gauges[name] - w.Prev.Gauges[name]
-}
-
 // HistDelta returns a histogram's windowed snapshot (observations that
 // landed inside the window).
 func (w Window) HistDelta(name string) telemetry.HistSnapshot {

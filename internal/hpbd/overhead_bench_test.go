@@ -7,11 +7,11 @@ import (
 	"hpbd/internal/sim"
 )
 
-// heapPerRound runs round warmup+measured times on a one-server bed and
+// heapPerRound runs round warmup+measured times on a bed built from o and
 // returns the allocations and allocated bytes of one measured round.
-func heapPerRound(t *testing.T, warmup, measured int, round func(tb *testbed, p *sim.Proc) error) (allocs, bytes float64) {
+func heapPerRound(t *testing.T, o bedOpts, warmup, measured int, round func(tb *testbed, p *sim.Proc) error) (allocs, bytes float64) {
 	t.Helper()
-	tb := newBed(t, bedOpts{shared: true})
+	tb := newBed(t, o)
 	tb.run(func(p *sim.Proc) {
 		var before, after runtime.MemStats
 		for i := 0; i < warmup+measured; i++ {
@@ -42,7 +42,7 @@ func heapPerRound(t *testing.T, warmup, measured int, round func(tb *testbed, p 
 func TestRequestPathAllocBudget(t *testing.T) {
 	const allocBudget, byteBudget = 2, 4 << 10 // measured 1.00
 	small := make([]byte, 4<<10)
-	allocs, _ := heapPerRound(t, 500, 2000, func(tb *testbed, p *sim.Proc) error {
+	allocs, _ := heapPerRound(t, bedOpts{shared: true}, 500, 2000, func(tb *testbed, p *sim.Proc) error {
 		return tb.do(p, true, 0, small)
 	})
 	if allocs > allocBudget {
@@ -52,7 +52,7 @@ func TestRequestPathAllocBudget(t *testing.T) {
 	}
 
 	large := make([]byte, 128<<10)
-	_, bytes := heapPerRound(t, 100, 400, func(tb *testbed, p *sim.Proc) error {
+	_, bytes := heapPerRound(t, bedOpts{shared: true}, 100, 400, func(tb *testbed, p *sim.Proc) error {
 		if err := tb.do(p, true, 0, large); err != nil {
 			return err
 		}
@@ -62,5 +62,29 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		t.Errorf("128K write + read round trip: %.0f B/op, budget %d", bytes, byteBudget)
 	} else {
 		t.Logf("128K write + read round trip: %.0f B/op (budget %d)", bytes, byteBudget)
+	}
+}
+
+// TestTenancyRequestPathAllocBudget holds the tenant-scheduled serve path
+// to the paper path's cost. On a two-tenant bed a 4K and a 128K write +
+// read back each allocate only the caller's two *IOs: the serve record,
+// its staging buffer, the store proc and its reply buffer all exist
+// before the first request, and nothing is spawned or registered per
+// request.
+func TestTenancyRequestPathAllocBudget(t *testing.T) {
+	const allocBudget = 2
+	for _, size := range []int{4 << 10, 128 << 10} {
+		buf := make([]byte, size)
+		allocs, _ := heapPerRound(t, bedOpts{shared: true, tenancy: "pool=4,a:w1,b:w1"}, 100, 400, func(tb *testbed, p *sim.Proc) error {
+			if err := tb.do(p, true, 0, buf); err != nil {
+				return err
+			}
+			return tb.do(p, false, 0, buf)
+		})
+		if allocs > allocBudget {
+			t.Errorf("%dK write + read under tenancy: %.2f allocs/pair, budget %d", size>>10, allocs, allocBudget)
+		} else {
+			t.Logf("%dK write + read under tenancy: %.2f allocs/pair (budget %d)", size>>10, allocs, allocBudget)
+		}
 	}
 }

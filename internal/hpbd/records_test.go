@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/ib"
 	"hpbd/internal/sim"
 )
 
@@ -45,6 +46,37 @@ func assertRecordsHome(t *testing.T, d *Device) {
 		loose[ph] = true
 		if !settledPhys(ph) {
 			t.Errorf("recycled phys not zeroed: %+v", ph)
+		}
+	}
+}
+
+// assertServeRecordsHome is the server's twin of assertRecordsHome: once
+// a server has drained, its free list holds every serve record it was
+// built with — one per worker on the paper path, one per provisioned
+// credit under tenancy — each zeroed but for a staging buffer no other
+// record shares.
+func assertServeRecordsHome(t *testing.T, s *Server) {
+	t.Helper()
+	want := serverWorkers
+	if s.tn != nil {
+		want = s.tn.spec.Provisioned()
+	}
+	if len(s.recs) != want {
+		t.Errorf("%s: %d serve records on the free list, built with %d", s.name, len(s.recs), want)
+	}
+	seen := map[*serveRec]bool{}
+	staging := map[*ib.MR]bool{}
+	for _, r := range s.recs {
+		if seen[r] {
+			t.Fatalf("%s: serve record %p is on the free list twice", s.name, r)
+		}
+		seen[r] = true
+		if r.staging == nil || staging[r.staging] {
+			t.Errorf("%s: serve record %p has a missing or shared staging buffer", s.name, r)
+		}
+		staging[r.staging] = true
+		if *r != (serveRec{staging: r.staging}) {
+			t.Errorf("%s: recycled serve record not zeroed: %+v", s.name, *r)
 		}
 	}
 }

@@ -118,13 +118,14 @@ func newServerMetrics(reg *telemetry.Registry, name string) serverMetrics {
 	}
 }
 
-// srvReq is one request in flight inside the server. cont is non-nil on
-// a quantum continuation: a partially transferred request re-queued by
-// the fair scheduler between chunks (see tnServeQuantum).
+// srvReq is one grant queued for a worker. A request's first grant
+// carries the decoded request and the status it was refused with at
+// receive (StatusOK if none); a later grant carries only its serve record.
 type srvReq struct {
 	conn *clientConn
 	req  wire.Request
-	cont *tnCont
+	st   wire.Status
+	rec  *serveRec
 }
 
 // clientConn is the server-side state for one attached client.
@@ -152,8 +153,10 @@ type Server struct {
 
 	conns     map[*ib.QP]*clientConn
 	ledger    *placement.Ledger
-	tn        *srvTenancy // nil without cfg.Tenancy
-	work      *sim.Chan[srvReq]
+	tn        *srvTenancy          // nil without cfg.Tenancy
+	work      *sim.Chan[srvReq]    // the paper path's worker queue
+	storeQ    *sim.Chan[*serveRec] // feeds the store procs (tenancy only)
+	recs      []*serveRec          // free serve records
 	sleepQ    *sim.WaitQueue
 	rdmaWaits map[uint64]*sim.Event
 	nextWRID  uint64
@@ -216,28 +219,31 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		s.issueQ = sim.NewChan[rdmaIssue](env, 0)
 		env.Go(name+"-issuer", s.rdmaIssuer)
 	}
+	// The spec sets the serve path's three values (see serve). Without
+	// one: serverWorkers workers, whole requests, store ops inline. With
+	// one: a single worker, since the fair queue can only bound a small
+	// tenant's wait if one grant means one transfer in flight; quantum
+	// grants; a store proc per provisioned credit. Every buffer is
+	// registered here, at set-up.
+	workers, recs := serverWorkers, serverWorkers
 	if s.tn != nil {
-		// Tenancy issues through a single worker: the wire is the
-		// contended resource, and the scheduler can only bound a small
-		// tenant's wait if one grant means one transfer in flight. The
-		// multi-worker RDMA/memcpy overlap is what the QoS contract
-		// trades away.
-		// The staging buffer travels with the request (tnCont.buf), not
-		// the worker.
-		wname := name + "-worker0"
-		w := &workerBufs{replyMR: hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))}
-		env.Go(wname, func(p *sim.Proc) { s.tnWorker(p, wname, w) })
-		return s
+		workers, recs = 1, cfg.Tenancy.Provisioned()
+		s.storeQ = sim.NewChan[*serveRec](env, 0)
 	}
-	// Each worker's buffers are registered here, at device set-up, not
-	// on its first request.
-	for i := 0; i < serverWorkers; i++ {
-		wname := fmt.Sprintf("%s-worker%d", name, i)
-		w := &workerBufs{
-			staging: hca.RegisterMRAtSetup(make([]byte, cfg.StagingBytes)),
+	s.recs = make([]*serveRec, 0, recs)
+	for i := 0; i < recs; i++ {
+		s.recs = append(s.recs, &serveRec{staging: hca.RegisterMRAtSetup(make([]byte, cfg.StagingBytes))})
+	}
+	for i := 0; i < workers; i++ {
+		w := &worker{
+			name:    fmt.Sprintf("%s-worker%d", name, i),
 			replyMR: hca.RegisterMRAtSetup(make([]byte, wire.ReplySize)),
 		}
-		env.Go(wname, func(p *sim.Proc) { s.worker(p, wname, w) })
+		env.Go(w.name, func(p *sim.Proc) { s.worker(p, w) })
+	}
+	for i := 0; s.storeQ != nil && i < recs; i++ {
+		replyMR := hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
+		env.Go(fmt.Sprintf("%s-store%d", name, i), func(p *sim.Proc) { s.storer(p, replyMR) })
 	}
 	return s
 }
@@ -478,26 +484,27 @@ func (s *Server) handleRecvCQE(p *sim.Proc, e ib.CQE) {
 	if perr := s.repost(recvSlot{conn: conn, slot: slot}); perr != nil {
 		return // connection torn down
 	}
+	// A message that does not decode still takes the worker queue: a
+	// worker answers it StatusBadRequest, as it does a wire.Check refusal.
+	it := srvReq{conn: conn, req: req}
 	if err != nil {
-		s.met.badRequests.Inc()
-		s.env.Go(s.name+"-nak", func(wp *sim.Proc) {
-			nakMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-			s.sendReply(wp, conn, nakMR, req.Handle, wire.StatusBadRequest)
-			if s.tn != nil {
-				s.tnRelease(conn)
-			}
-		})
-		return
+		it.st = wire.StatusBadRequest
+	} else {
+		s.met.requests.Inc()
 	}
-	s.met.requests.Inc()
 	if s.tn != nil {
-		// The fair queue never blocks the receive loop; workers pop in
-		// virtual-finish order. In quantum mode only the first wire
-		// chunk's bytes are charged here — continuations charge their own.
-		s.tn.sched.Push(conn.tenantID, s.tnDispatchBytes(req), s.env.Now(), srvReq{conn: conn, req: req})
+		// The fair queue never blocks the receive loop. Every grant is
+		// charged the bytes it moves over the wire, so a flow's virtual
+		// time advances by exactly its payload: a write's first grant moves
+		// its first chunk, a read's only hands its store op to a store proc.
+		bytes := 0
+		if req.Type != wire.ReqRead {
+			bytes = s.chunk(int(req.Length), 0)
+		}
+		s.tn.sched.Push(conn.tenantID, bytes, s.env.Now(), it)
 		return
 	}
-	s.work.Send(p, srvReq{conn: conn, req: req})
+	s.work.Send(p, it)
 }
 
 // onDataCQE is the data CQ's sink: it demultiplexes RDMA completions to
@@ -602,19 +609,6 @@ func (s *Server) rdmaIssuer(p *sim.Proc) {
 	}
 }
 
-// sendReply posts the completion control message through the caller's
-// pre-registered reply buffer (solicited, so the client's armed event
-// handler fires and wakes its receiver thread).
-func (s *Server) sendReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, handle uint64, st wire.Status) {
-	wire.MarshalReply(replyMR.Buf, &wire.Reply{Handle: handle, Status: st})
-	_ = conn.qp.PostSend(p, ib.SendWR{
-		ID:        0,
-		Op:        ib.OpSend,
-		Local:     ib.Segment{MR: replyMR, Off: 0, Len: wire.ReplySize},
-		Solicited: true,
-	})
-}
-
 // srvStamp is the lifecycle bookkeeping a request carries to its reply:
 // start anchors the server's interior split of the request and copyNs
 // accumulates the local memcpy share.
@@ -623,8 +617,10 @@ type srvStamp struct {
 	copyNs sim.Duration
 }
 
-// reply publishes the request's server stamp and sends its reply, so the
-// client's breakdown can attribute send / rdma / server-copy / reply
+// reply publishes the request's server stamp and sends its reply through
+// the caller's pre-registered reply buffer (solicited, so the client's
+// armed event handler fires and wakes its receiver thread). The stamp lets
+// the client's breakdown attribute send / rdma / server-copy / reply
 // exactly. An active hang fault wedges the reply (and its stamp) until
 // the deadline; sleeping before StampServer keeps the client's exact
 // stage partition intact — the hang shows up as server time, which is
@@ -636,117 +632,258 @@ func (s *Server) reply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, handle uin
 	s.lifecycle().StampServer(handle, telemetry.ServerStamp{
 		Start: stamp.start, Reply: p.Now(), Copy: stamp.copyNs,
 	})
-	s.sendReply(p, conn, replyMR, handle, st)
+	wire.MarshalReply(replyMR.Buf, &wire.Reply{Handle: handle, Status: st})
+	_ = conn.qp.PostSend(p, ib.SendWR{
+		Op:        ib.OpSend,
+		Local:     ib.Segment{MR: replyMR, Len: wire.ReplySize},
+		Solicited: true,
+	})
 }
 
-// checkReq validates a request before any data moves: its length against
-// the staging buffer, its range against the connection's area, and its
-// type. It returns StatusOK or the status to refuse the request with.
-func (s *Server) checkReq(conn *clientConn, req wire.Request) wire.Status {
-	n := int(req.Length)
-	if n <= 0 || n > s.cfg.StagingBytes ||
-		req.Offset+uint64(n) > uint64(conn.areaSize) {
-		return wire.StatusOutOfRange
-	}
-	if req.Type != wire.ReqWrite && req.Type != wire.ReqRead {
-		return wire.StatusBadRequest
-	}
-	return wire.StatusOK
+// worker is what an issue worker owns and reuses for every request: its
+// trace track, its reply buffer and the completion event of its one
+// outstanding RDMA.
+type worker struct {
+	name     string
+	replyMR  *ib.MR
+	rdmaDone sim.Event
 }
 
-// worker processes requests with its own staging buffer, providing the
-// multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels this
-// worker's trace track so the overlap is visible across workers.
-func (s *Server) worker(p *sim.Proc, wname string, w *workerBufs) {
-	for {
-		item, ok := s.work.Recv(p)
-		if !ok {
+// serveRec is one request in service, from its first grant to its reply:
+// the staging buffer it keeps across grants, how many payload bytes have
+// moved, the store op's outcome, and the lifecycle bookkeeping published
+// with the reply. Records come off Server.recs, sized at set-up, and go
+// back zeroed with their staging buffer.
+type serveRec struct {
+	conn    *clientConn
+	req     wire.Request
+	staging *ib.MR
+	done    int
+	st      wire.Status
+	stamp   srvStamp
+	flow    uint64
+}
+
+func (s *Server) getRec() *serveRec {
+	n := len(s.recs) - 1
+	r := s.recs[n]
+	s.recs = s.recs[:n]
+	return r
+}
+
+func (s *Server) putRec(r *serveRec) {
+	*r = serveRec{staging: r.staging}
+	s.recs = append(s.recs, r)
+}
+
+// chunk is the next grant's payload for a request of n bytes with done
+// moved: the rest of it on the paper path and under TenantFIFO (the
+// control arm), at most tenantQuantum under the fair queue.
+func (s *Server) chunk(n, done int) int {
+	q := s.cfg.StagingBytes
+	if s.tn != nil && !s.cfg.TenantFIFO {
+		q = min(q, tenantQuantum)
+	}
+	return min(n-done, q)
+}
+
+// next takes the next grant for a worker: from the work channel on the
+// paper path, from the fair queue under tenancy, where a request's
+// first grant also observes its queueing delay.
+func (s *Server) next(p *sim.Proc) (srvReq, bool) {
+	if s.tn == nil {
+		return s.work.Recv(p)
+	}
+	it, pushAt, ok := s.tn.sched.Pop(p)
+	if ok {
+		s.tnCheck()
+		if it.rec == nil {
+			s.tn.met[it.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
+		}
+	}
+	return it, ok
+}
+
+func (s *Server) worker(p *sim.Proc, w *worker) {
+	for it, ok := s.next(p); ok; it, ok = s.next(p) {
+		s.serve(p, w, it)
+	}
+}
+
+// serve moves one grant of a request on worker w. The first grant
+// validates the request and takes its serve record; a read then runs its
+// store op. Each grant moves at most one quantum over the wire, and a
+// request with bytes left re-enters the fair queue. A write's store op
+// runs once its payload is staged, and the request ends with its reply.
+//
+// The store op runs where storeStage puts it: inline on the paper path, so
+// the four workers overlap RDMA with the copy (§4.2.1); on a store proc
+// under tenancy, so the single issue worker never sits in a store op and
+// a small request waits at most one quantum of wire time behind a
+// neighbor's bulk transfer.
+func (s *Server) serve(p *sim.Proc, w *worker, it srvReq) {
+	r := it.rec
+	if r == nil {
+		if r = s.begin(p, w, it); r == nil {
 			return
 		}
-		s.serveOne(p, wname, w, item)
+		if r.req.Type == wire.ReqRead && !s.storeStage(p, w, r) {
+			return
+		}
 	}
-}
-
-// workerBufs is what a worker owns and reuses for every request: its
-// staging and reply buffers and the completion event of its one
-// outstanding RDMA.
-type workerBufs struct {
-	staging, replyMR *ib.MR
-	rdmaDone         sim.Event
-}
-
-// serveOne services a single request on the calling worker's buffers.
-func (s *Server) serveOne(p *sim.Proc, wname string, w *workerBufs, item srvReq) {
-	conn, req := item.conn, item.req
-	staging, replyMR := w.staging, w.replyMR
-	// Lifecycle instrumentation: the client's flow (linked by handle
-	// through the shared registry) continues on this worker's trace
-	// track, and stamp is published just before every reply.
-	stamp := srvStamp{start: p.Now()}
-	flow, hasFlow := s.lifecycle().TakeFlow(req.Handle)
-	if hasFlow {
-		s.tracer.FlowStep(wname, "req", flow)
-	}
-	if st := s.checkReq(conn, req); st != wire.StatusOK {
-		s.met.badRequests.Inc()
-		s.reply(p, conn, replyMR, req.Handle, stamp, st)
+	if r.st != wire.StatusOK { // a read whose store op failed
+		s.finish(p, w.replyMR, r, r.st)
 		return
 	}
-	n := int(req.Length)
-	storeOff := conn.areaOff + int64(req.Offset)
-	switch req.Type {
-	case wire.ReqWrite:
-		// Swap-out: pull the page data out of the client's pool.
-		span := s.tracer.Begin(wname, "rdma-read")
-		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMARead,
-			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
-		if err != nil {
-			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
-			return
-		}
-		w.rdmaDone.Wait(p)
+	n := int(r.req.Length)
+	chunk := s.chunk(n, r.done)
+	op, what := ib.OpRDMARead, "rdma-read" // swap-out: pull the page data
+	if r.req.Type == wire.ReqRead {
+		op, what = ib.OpRDMAWrite, "rdma-write" // swap-in: push it
+	}
+	span := s.tracer.Begin(w.name, what)
+	err := s.postRDMA(p, r.conn, &w.rdmaDone, op,
+		ib.Segment{MR: r.staging, Off: r.done, Len: chunk}, r.req.RKey, int(r.req.Addr)+r.done, r.flow)
+	if err != nil {
+		s.finish(p, w.replyMR, r, wire.StatusServerError)
+		return
+	}
+	w.rdmaDone.Wait(p)
+	if chunk == n {
 		span.EndBytes(n)
-		if conn.qp.Closed() {
-			return
-		}
-		span = s.tracer.Begin(wname, "store-write")
-		copyStart := p.Now()
-		if err := s.store.WriteAt(p, staging.Buf[:n], storeOff); err != nil {
-			stamp.copyNs = p.Now().Sub(copyStart)
-			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
-			return
-		}
-		stamp.copyNs = p.Now().Sub(copyStart)
-		span.EndBytes(n)
-		s.met.writes.Inc()
-		s.met.bytesStored.Add(int64(n))
-		s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusOK)
-
-	case wire.ReqRead:
-		// Swap-in: push stored data into the client's pool.
-		span := s.tracer.Begin(wname, "store-read")
-		copyStart := p.Now()
-		if err := s.store.ReadAt(p, staging.Buf[:n], storeOff); err != nil {
-			stamp.copyNs = p.Now().Sub(copyStart)
-			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
-			return
-		}
-		stamp.copyNs = p.Now().Sub(copyStart)
-		span.EndBytes(n)
-		span = s.tracer.Begin(wname, "rdma-write")
-		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMAWrite,
-			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
-		if err != nil {
-			s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusServerError)
-			return
-		}
-		w.rdmaDone.Wait(p)
-		span.EndBytes(n)
-		if conn.qp.Closed() {
-			return
-		}
+	} else if s.tracer != nil {
+		span.EndArgs(map[string]any{"bytes": chunk, "done": r.done})
+	}
+	if r.conn.qp.Closed() {
+		s.drop(r)
+		return
+	}
+	r.done += chunk
+	if r.done < n {
+		s.tn.sched.Push(r.conn.tenantID, s.chunk(n, r.done), p.Now(), srvReq{rec: r})
+		return
+	}
+	if r.req.Type == wire.ReqRead {
 		s.met.reads.Inc()
 		s.met.bytesServed.Add(int64(n))
-		s.reply(p, conn, replyMR, req.Handle, stamp, wire.StatusOK)
+		if s.tn != nil {
+			s.tnTouchRead(r.conn, r.req)
+		}
+		s.finish(p, w.replyMR, r, wire.StatusOK)
+		return
 	}
+	if s.storeStage(p, w, r) {
+		s.written(p, w.replyMR, r)
+	}
+}
+
+// begin opens a request's first grant: the client's flow continues on
+// the worker's track, a request refused at receive, by the protocol's
+// rulebook (its length bounded by the staging buffer) or, under tenancy,
+// by quota admission is answered on the worker's reply buffer, and any
+// other takes a serve record.
+func (s *Server) begin(p *sim.Proc, w *worker, it srvReq) *serveRec {
+	stamp := srvStamp{start: p.Now()}
+	flow, hasFlow := s.lifecycle().TakeFlow(it.req.Handle)
+	if hasFlow {
+		s.tracer.FlowStep(w.name, "req", flow)
+	}
+	st := it.st
+	if st == wire.StatusOK {
+		st = wire.Check(it.req, uint64(it.conn.areaSize), s.cfg.StagingBytes)
+	}
+	if st != wire.StatusOK {
+		s.met.badRequests.Inc()
+	} else if s.tn != nil && it.req.Type == wire.ReqWrite && !s.tnAdmitWrite(it.conn, it.req) {
+		// Over-quota growth is refused before any RDMA is issued; the
+		// client's recovery path backs off and retries.
+		st = wire.StatusRetry
+	}
+	if st != wire.StatusOK {
+		s.reply(p, it.conn, w.replyMR, it.req.Handle, stamp, st)
+		s.release(it.conn)
+		return nil
+	}
+	r := s.getRec()
+	r.conn, r.req, r.stamp, r.flow = it.conn, it.req, stamp, flow
+	return r
+}
+
+// storeStage runs r's store op. On the paper path it runs inline and
+// reports true: the worker carries on with the request. Under tenancy it
+// hands r to a store proc and reports false.
+func (s *Server) storeStage(p *sim.Proc, w *worker, r *serveRec) bool {
+	if s.storeQ != nil {
+		s.storeQ.Send(p, r)
+		return false
+	}
+	s.storeOp(p, w.name, r)
+	return true
+}
+
+// storer is a store proc: it runs the store op of every record it is
+// handed, then answers a write on its own reply buffer or puts a staged
+// read back in the fair queue for its RDMA grants. NewServer starts one
+// per provisioned credit, and every request in service holds a credit, so
+// a record never waits for a store proc.
+func (s *Server) storer(p *sim.Proc, replyMR *ib.MR) {
+	track := s.name + "-store"
+	for r, ok := s.storeQ.Recv(p); ok; r, ok = s.storeQ.Recv(p) {
+		s.storeOp(p, track, r)
+		if r.req.Type == wire.ReqWrite {
+			s.written(p, replyMR, r)
+			continue
+		}
+		s.tn.sched.Push(r.conn.tenantID, s.chunk(int(r.req.Length), 0), p.Now(), srvReq{rec: r})
+	}
+}
+
+// storeOp moves r's payload between its staging buffer and the store on
+// track, accounting the copy in r's stamp and a failure in r.st.
+func (s *Server) storeOp(p *sim.Proc, track string, r *serveRec) {
+	n := int(r.req.Length)
+	what, op := "store-read", s.store.ReadAt
+	if r.req.Type == wire.ReqWrite {
+		what, op = "store-write", s.store.WriteAt
+	}
+	span := s.tracer.Begin(track, what)
+	copyStart := p.Now()
+	err := op(p, r.staging.Buf[:n], r.conn.areaOff+int64(r.req.Offset))
+	r.stamp.copyNs += p.Now().Sub(copyStart)
+	span.EndBytes(n)
+	if err != nil {
+		r.st = wire.StatusServerError
+	}
+}
+
+// written answers a write whose store op has run. A store proc that
+// outlived the connection has no one to answer.
+func (s *Server) written(p *sim.Proc, replyMR *ib.MR, r *serveRec) {
+	if r.st == wire.StatusOK {
+		s.met.writes.Inc()
+		s.met.bytesStored.Add(int64(r.req.Length))
+		if s.tn != nil {
+			s.tnMarkWrite(r.conn, r.req)
+		}
+	}
+	if s.tn != nil && r.conn.qp.Closed() {
+		s.drop(r)
+		return
+	}
+	s.finish(p, replyMR, r, r.st)
+}
+
+// finish answers r with st on replyMR and ends it.
+func (s *Server) finish(p *sim.Proc, replyMR *ib.MR, r *serveRec, st wire.Status) {
+	conn, handle, stamp := r.conn, r.req.Handle, r.stamp
+	s.putRec(r)
+	s.reply(p, conn, replyMR, handle, stamp, st)
+	s.release(conn)
+}
+
+// drop ends r unanswered: its connection closed under it.
+func (s *Server) drop(r *serveRec) {
+	conn := r.conn
+	s.putRec(r)
+	s.release(conn)
 }

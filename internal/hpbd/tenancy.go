@@ -22,10 +22,10 @@ import (
 // window shrinks and its excess sends complete as RNR errors that its
 // client retries with backoff. Replying releases the request's credit,
 // and freed credits are granted to withheld slots in the bank's
-// deterministic priority order. A single issue worker (tnWorker) takes
-// requests from the byte-weighted fair queue instead of the paper path's
-// work channel and moves them one quantum per grant (tnServeQuantum), and
-// per-tenant resident bytes are tracked page-granular for the quota
+// deterministic priority order. The issue worker takes requests from the
+// byte-weighted fair queue instead of the paper path's work channel and
+// moves them one quantum per grant (see serve), and per-tenant resident
+// bytes are tracked page-granular for the quota
 // admission check and cold-page reclaim.
 
 // tenantPageBytes is the residency-accounting granule (one 4K page).
@@ -66,13 +66,6 @@ func (s *Server) tnInit() {
 		met:      make(map[string]*tenantMetrics, len(spec.Tenants)),
 		withheld: make(map[string][]recvSlot, len(spec.Tenants)),
 		resident: make(map[string]int64, len(spec.Tenants)),
-	}
-	// Each in-service request is staged in its own buffer (the data
-	// outlives any single scheduler grant). A request in service holds a
-	// credit, so the provisioned credit count bounds the pool; registering
-	// at setup mirrors the paper workers' staging.
-	for i := 0; i < spec.Provisioned(); i++ {
-		tn.bufs = append(tn.bufs, s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)))
 	}
 	for i := range spec.Tenants {
 		t := &spec.Tenants[i]
@@ -152,18 +145,24 @@ func (s *Server) tnGrantDrain() {
 			return
 		}
 		s.tnCheck()
+		// Shift rather than reslice, so the FIFO keeps its backing array.
 		slots := s.tn.withheld[gid]
 		sl := slots[0]
-		s.tn.withheld[gid] = slots[1:]
+		copy(slots, slots[1:])
+		s.tn.withheld[gid] = slots[:len(slots)-1]
 		s.tnPostSlot(sl)
 		s.tnGauges(gid)
 	}
 }
 
-// tnRelease returns the credit a served request held and re-grants. An
-// active starvation window suppresses granting (credits pile up free);
-// repostStarved drains the backlog when the window lifts.
-func (s *Server) tnRelease(conn *clientConn) {
+// release returns the credit an ended request held and re-grants (no-op
+// without tenancy). An active starvation window suppresses granting
+// (credits pile up free); repostStarved drains the backlog when the
+// window lifts.
+func (s *Server) release(conn *clientConn) {
+	if s.tn == nil {
+		return
+	}
 	id := conn.tenantID
 	s.tn.bank.Release(id)
 	s.tnCheck()
@@ -250,251 +249,12 @@ func (s *Server) tnTouchRead(conn *clientConn, req wire.Request) {
 }
 
 // tenantQuantum is the fair queue's issue quantum in bytes: a request
-// larger than one quantum is transferred one quantum per scheduler grant,
-// re-entering the queue between chunks, so a small request never waits
-// behind more than one quantum of a neighbor's bulk transfer on the wire.
-// 16 KB keeps a victim's residual wait under a neighbor's bulk chunk near
-// the small-request service time itself while holding per-chunk posting
-// overhead to a few percent of a 128 KB transfer.
+// larger than one quantum moves one quantum per scheduler grant, so a
+// small request never waits behind more than one quantum of a neighbor's
+// bulk transfer on the wire. 16 KB keeps that wait near the small
+// request's own service time while holding per-grant posting overhead to
+// a few percent of a 128 KB transfer.
 const tenantQuantum = 16 * 1024
-
-// tnQuantum returns the issue quantum, bounded by the staging buffer a
-// chunk moves through. TenantFIFO, the control arm, moves every request
-// in one chunk.
-func (s *Server) tnQuantum() int {
-	if s.cfg.TenantFIFO || tenantQuantum > s.cfg.StagingBytes {
-		return s.cfg.StagingBytes
-	}
-	return tenantQuantum
-}
-
-// tnChunk is the next chunk's size for a request with done bytes moved.
-func (s *Server) tnChunk(n, done int) int {
-	chunk := n - done
-	if q := s.tnQuantum(); chunk > q {
-		chunk = q
-	}
-	return chunk
-}
-
-// tnDispatchBytes is the byte cost the receive loop charges when it
-// queues a fresh request. Every grant that moves a chunk over the wire is
-// charged that chunk — so a flow's virtual time advances by exactly its
-// payload bytes — which makes the dispatch charge the first chunk for
-// writes (the first grant RDMA-reads it) and zero for reads (the first
-// grant only dispatches the store read; the chunks charge themselves
-// when the data is ready).
-func (s *Server) tnDispatchBytes(req wire.Request) int {
-	if req.Type == wire.ReqRead {
-		return 0
-	}
-	return s.tnChunk(int(req.Length), 0)
-}
-
-// tnGetBuf takes a staging buffer from the pool (registering a spare is
-// a defensive fallback; the pool is provisioned for the credit limit).
-func (s *Server) tnGetBuf() *ib.MR {
-	if n := len(s.tn.bufs); n > 0 {
-		b := s.tn.bufs[n-1]
-		s.tn.bufs = s.tn.bufs[:n-1]
-		return b
-	}
-	return s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))
-}
-
-func (s *Server) tnPutBuf(b *ib.MR) { s.tn.bufs = append(s.tn.bufs, b) }
-
-// tnCont is the state a request carries across scheduler grants: its
-// staging buffer, how many payload bytes have moved, the store stage's
-// outcome, and the lifecycle bookkeeping serveOne keeps on its stack.
-type tnCont struct {
-	buf     *ib.MR
-	done    int
-	ready   bool // read: store read completed, chunks may stream
-	fail    bool // read: store read failed
-	stamp   srvStamp
-	flow    uint64
-	hasFlow bool
-}
-
-// tnGrant is a scheduler grant's outcome.
-type tnGrant int
-
-const (
-	tnDone   tnGrant = iota // request finished: the worker releases its credit
-	tnMore                  // partially transferred: re-queue the continuation
-	tnParked                // handed to a store proc, which re-queues or finishes it
-)
-
-// tnWorker is the tenancy path's issue worker: it pops requests in the
-// scheduler's order, observes each one's queueing delay into its tenant's
-// sched-wait histogram, serves one grant, and releases the request's
-// credit once it is done. wname labels its trace track.
-func (s *Server) tnWorker(p *sim.Proc, wname string, w *workerBufs) {
-	for {
-		item, pushAt, ok := s.tn.sched.Pop(p)
-		if !ok {
-			return
-		}
-		s.tnCheck()
-		if item.cont == nil {
-			// Continuations are issue grants, not arrivals: only the
-			// request's first grant measures its queueing delay.
-			s.tn.met[item.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
-		}
-		item, grant := s.tnServeQuantum(p, wname, w, item)
-		switch grant {
-		case tnDone:
-			s.tnRelease(item.conn)
-		case tnMore:
-			rest := s.tnChunk(int(item.req.Length), item.cont.done)
-			s.tn.sched.Push(item.conn.tenantID, rest, p.Now(), item)
-		case tnParked:
-			// A store proc owns the request now; it re-queues the
-			// continuation or finishes and releases the credit itself.
-		}
-	}
-}
-
-// tnServeQuantum services one scheduler grant of item. Validation and
-// quota admission happen on the first grant; after that a grant moves at
-// most one quantum of payload over the wire, and the store stage runs in
-// a spawned proc off the issue worker entirely. Two properties fall out,
-// and both are load-bearing for isolation:
-//
-//   - a competing tenant's small request waits at most one quantum of
-//     wire time behind a neighbor's bulk transfer (the ingress link is
-//     reserved at post time, so queue-order-only fairness cannot bound
-//     this), and
-//   - the issue worker never sits in the store's per-op overhead, so
-//     that overhead — paid once per request, as in the monolithic path —
-//     never becomes the preemption granularity.
-//
-// A request in flight stages its payload in a pool buffer (tnGetBuf)
-// that it keeps across preemptions. Writes
-// RDMA-read chunk by chunk, then hand buffer, store write and reply to a
-// storer proc (tnParked). Reads dispatch the store read first (tnParked),
-// whose proc re-queues the request when the data is staged; the chunks
-// then RDMA-write per grant and the worker replies inline.
-func (s *Server) tnServeQuantum(p *sim.Proc, wname string, w *workerBufs, item srvReq) (srvReq, tnGrant) {
-	conn, req, replyMR := item.conn, item.req, w.replyMR
-	n := int(req.Length)
-	c := item.cont
-	if c == nil {
-		c = &tnCont{stamp: srvStamp{start: p.Now()}}
-		c.flow, c.hasFlow = s.lifecycle().TakeFlow(req.Handle)
-		if c.hasFlow {
-			s.tracer.FlowStep(wname, "req", c.flow)
-		}
-		item.cont = c
-		if st := s.checkReq(conn, req); st != wire.StatusOK {
-			s.met.badRequests.Inc()
-			s.reply(p, conn, replyMR, req.Handle, c.stamp, st)
-			return item, tnDone
-		}
-		// Quota admission: over-quota growth is refused before any RDMA
-		// is issued; the client's recovery path backs off and retries.
-		if req.Type == wire.ReqWrite && !s.tnAdmitWrite(conn, req) {
-			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusRetry)
-			return item, tnDone
-		}
-		c.buf = s.tnGetBuf()
-	}
-	storeOff := conn.areaOff + int64(req.Offset)
-	switch req.Type {
-	case wire.ReqWrite:
-		chunk := s.tnChunk(n, c.done)
-		span := s.tracer.Begin(wname, "rdma-read")
-		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMARead,
-			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
-		if err != nil {
-			s.tnPutBuf(c.buf)
-			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
-			return item, tnDone
-		}
-		w.rdmaDone.Wait(p)
-		if s.tracer != nil {
-			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
-		}
-		if conn.qp.Closed() {
-			s.tnPutBuf(c.buf)
-			return item, tnDone
-		}
-		c.done += chunk
-		if c.done < n {
-			return item, tnMore
-		}
-		s.env.Go(s.name+"-storer", func(sp *sim.Proc) {
-			span := s.tracer.Begin(s.name+"-store", "store-write")
-			copyStart := sp.Now()
-			err := s.store.WriteAt(sp, c.buf.Buf[:n], storeOff)
-			c.stamp.copyNs += sp.Now().Sub(copyStart)
-			span.EndBytes(n)
-			st := wire.StatusServerError
-			if err == nil {
-				st = wire.StatusOK
-				s.met.writes.Inc()
-				s.met.bytesStored.Add(int64(n))
-				s.tnMarkWrite(conn, req)
-			}
-			s.tnPutBuf(c.buf)
-			if !conn.qp.Closed() {
-				mr := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-				s.reply(sp, conn, mr, req.Handle, c.stamp, st)
-			}
-			s.tnRelease(conn)
-		})
-		return item, tnParked
-
-	case wire.ReqRead:
-		if !c.ready {
-			s.env.Go(s.name+"-reader", func(sp *sim.Proc) {
-				span := s.tracer.Begin(s.name+"-store", "store-read")
-				copyStart := sp.Now()
-				err := s.store.ReadAt(sp, c.buf.Buf[:n], storeOff)
-				c.stamp.copyNs += sp.Now().Sub(copyStart)
-				span.EndBytes(n)
-				c.ready = true
-				c.fail = err != nil
-				s.tn.sched.Push(conn.tenantID, s.tnChunk(n, 0), sp.Now(), item)
-			})
-			return item, tnParked
-		}
-		if c.fail {
-			s.tnPutBuf(c.buf)
-			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
-			return item, tnDone
-		}
-		chunk := s.tnChunk(n, c.done)
-		span := s.tracer.Begin(wname, "rdma-write")
-		err := s.postRDMA(p, conn, &w.rdmaDone, ib.OpRDMAWrite,
-			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
-		if err != nil {
-			s.tnPutBuf(c.buf)
-			s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusServerError)
-			return item, tnDone
-		}
-		w.rdmaDone.Wait(p)
-		if s.tracer != nil {
-			span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
-		}
-		if conn.qp.Closed() {
-			s.tnPutBuf(c.buf)
-			return item, tnDone
-		}
-		c.done += chunk
-		if c.done < n {
-			return item, tnMore
-		}
-		s.met.reads.Inc()
-		s.met.bytesServed.Add(int64(n))
-		s.tnTouchRead(conn, req)
-		s.tnPutBuf(c.buf)
-		s.reply(p, conn, replyMR, req.Handle, c.stamp, wire.StatusOK)
-		return item, tnDone
-	}
-	panic("hpbd: tnServeQuantum past checkReq with an unknown request type")
-}
 
 // ColdPage is one resident page with its last-touch time, the token the
 // client's reclaimer passes back to DiscardPage so a racing fresh write
@@ -521,11 +281,7 @@ func (s *Server) ColdestPages(qp *ib.QP, maxBytes int64) []ColdPage {
 		}
 		return pages[i].Page < pages[j].Page
 	})
-	n := int(maxBytes / tenantPageBytes)
-	if maxBytes%tenantPageBytes != 0 {
-		n++
-	}
-	if n < len(pages) {
+	if n := int((maxBytes + tenantPageBytes - 1) / tenantPageBytes); n < len(pages) {
 		pages = pages[:n]
 	}
 	return pages

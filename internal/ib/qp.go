@@ -81,9 +81,6 @@ func Connect(a, b *QP) {
 // HCA returns the adapter owning this QP.
 func (q *QP) HCA() *HCA { return q.hca }
 
-// Peer returns the connected remote QP, if any.
-func (q *QP) Peer() *QP { return q.peer }
-
 // Closed reports whether Close was called.
 func (q *QP) Closed() bool { return q.closed }
 

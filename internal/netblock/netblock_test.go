@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -333,5 +334,35 @@ func TestRequestPathAllocsPerRun(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per request, want 0", op.name, allocs)
 		}
+	}
+}
+
+// TestReplyFramesSurviveGC: reply frames belong to their connection, not
+// to a process-wide pool that every garbage collection empties, so
+// collections between requests do not send the server back to allocating
+// a 128 KB frame for each reply.
+func TestReplyFramesSurviveGC(t *testing.T) {
+	s := startServer(t, 1<<20)
+	c, err := Dial(s.Addr(), 1<<20, 4)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	buf := make([]byte, 32<<10)
+	if _, err := c.ReadAt(buf, 0); err != nil { // the connection's first frame
+		t.Fatalf("ReadAt: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		runtime.GC()
+		if _, err := c.ReadAt(buf, 0); err != nil {
+			t.Fatalf("ReadAt %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("50 reads across garbage collections allocated %d bytes, want < %d", grew, 64<<10)
 	}
 }

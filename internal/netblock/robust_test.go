@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -383,5 +384,68 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond) // a goroutine past its wg.Done has yet to exit
+	}
+}
+
+// rawAttach dials s and attaches an area of areaBytes by hand, for tests
+// that must send what Client never would.
+func rawAttach(t *testing.T, s *Server, areaBytes uint64) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hb := make([]byte, wire.HelloSize)
+	wire.MarshalHello(hb, &wire.Hello{AreaBytes: areaBytes})
+	if _, err := conn.Write(hb); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	hrb := make([]byte, wire.HelloReplySize)
+	if _, err := io.ReadFull(conn, hrb); err != nil {
+		t.Fatalf("hello reply: %v", err)
+	}
+	return conn
+}
+
+// TestWrappingRangeRefused: a read whose Offset+Length wraps past 2^64
+// once passed the server's range test and panicked it, taking every
+// client down. It is refused out of range, and the server goes on serving
+// this connection and new ones.
+func TestWrappingRangeRefused(t *testing.T) {
+	s := startServer(t, 1<<20)
+	conn := rawAttach(t, s, 64<<10)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hdr := make([]byte, wire.RequestSize)
+	rep := make([]byte, wire.ReplySize)
+	for i, req := range []wire.Request{
+		{Type: wire.ReqRead, Handle: 1, Offset: math.MaxUint64 - 100, Length: 4096},
+		{Type: wire.ReqRead, Handle: 2, Offset: 0, Length: 4096},
+	} {
+		wire.MarshalRequest(hdr, &req)
+		if _, err := conn.Write(hdr); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if _, err := io.ReadFull(conn, rep); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		want := wire.Reply{Handle: req.Handle, Status: wire.StatusOutOfRange}
+		if i == 1 {
+			want.Status = wire.StatusOK
+			if _, err := io.ReadFull(conn, make([]byte, req.Length)); err != nil {
+				t.Fatalf("payload %d: %v", i, err)
+			}
+		}
+		if r, err := wire.UnmarshalReply(rep); err != nil || r.Handle != want.Handle || r.Status != want.Status {
+			t.Errorf("reply %d = %+v, %v; want %+v", i, r, err, want)
+		}
+	}
+	c, err := Dial(s.Addr(), 64<<10, 4)
+	if err != nil {
+		t.Fatalf("Dial after the wrapping request: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.WriteAt(pattern(4096, 1), 0); err != nil {
+		t.Errorf("WriteAt after the wrapping request: %v", err)
 	}
 }

@@ -23,20 +23,6 @@ import (
 // MaxRequestBytes bounds a single transfer (the block layer's 128 KB).
 const MaxRequestBytes = 128 * 1024
 
-// replyPool recycles reply frames (header + worst-case inline payload)
-// across requests and connections.
-var replyPool = sync.Pool{New: func() any {
-	b := make([]byte, wire.ReplySize+MaxRequestBytes)
-	return &b
-}}
-
-// getReply takes a pooled frame sliced to n bytes.
-func getReply(n int) *[]byte {
-	p := replyPool.Get().(*[]byte)
-	*p = (*p)[:cap(*p)][:n]
-	return p
-}
-
 // ServerConfig parameterizes a memory server.
 type ServerConfig struct {
 	// CapacityBytes is the total memory the server will export.
@@ -180,10 +166,24 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// Request loop. Replies go through a dedicated writer goroutine so
 	// request processing never blocks on a slow reply path. The writer
-	// coalesces whatever has queued up into one writev per wakeup and
-	// recycles the frames; after a write error it keeps draining (and
-	// discarding) so the request loop never blocks on a dead socket.
+	// coalesces whatever has queued up into one writev per wakeup and puts
+	// the frames back on the connection's own free list (bounded like the
+	// queue: a miss allocates, a frame that finds it full is dropped), so
+	// a garbage collection takes no frame away. After a write error it
+	// keeps draining (and discarding) so the request loop never blocks on
+	// a dead socket.
 	replies := make(chan *[]byte, 64)
+	free := make(chan *[]byte, cap(replies))
+	frame := func(n int) *[]byte {
+		select {
+		case f := <-free:
+			*f = (*f)[:n]
+			return f
+		default:
+			f := make([]byte, n, wire.ReplySize+MaxRequestBytes)
+			return &f
+		}
+	}
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
@@ -216,8 +216,11 @@ func (s *Server) serveConn(conn net.Conn) {
 					failed = true
 				}
 			}
-			for _, r := range rec {
-				replyPool.Put(r)
+			for _, f := range rec {
+				select {
+				case free <- f:
+				default:
+				}
 			}
 			clear(batch)
 			clear(rec)
@@ -235,52 +238,38 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // corrupted stream: drop the connection
 		}
-		n := int(req.Length)
-		st := wire.StatusOK
-		if n <= 0 || n > MaxRequestBytes || req.Offset+uint64(n) > uint64(len(area)) {
-			st = wire.StatusOutOfRange
-		}
-		switch req.Type {
-		case wire.ReqWrite:
-			// Payload follows even for rejected requests, to keep the
-			// stream in sync; cap the drain at the declared length.
-			if st != wire.StatusOK {
-				if n > 0 && n <= MaxRequestBytes {
-					if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
-						return
-					}
-				} else {
-					return // cannot resync
-				}
-			} else if _, err := io.ReadFull(conn, area[req.Offset:req.Offset+uint64(n)]); err != nil {
-				return
-			}
-			out := getReply(wire.ReplySize)
-			wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: st})
-			replies <- out
-		case wire.ReqRead:
-			if st != wire.StatusOK {
-				out := getReply(wire.ReplySize)
-				wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: st})
-				replies <- out
-				continue
-			}
-			out := getReply(wire.ReplySize + n)
-			wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: st})
-			copy((*out)[wire.ReplySize:], area[req.Offset:req.Offset+uint64(n)])
-			replies <- out
-		case wire.ReqStat:
-			out := getReply(wire.ReplySize + wire.StatPayloadSize)
+		if req.Type == wire.ReqStat {
+			out := frame(wire.ReplySize + wire.StatPayloadSize)
 			wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: wire.StatusOK})
 			wire.MarshalStat((*out)[wire.ReplySize:], &wire.Stat{
 				CapacityBytes:  uint64(s.cfg.CapacityBytes),
 				AllocatedBytes: uint64(s.Allocated()),
 			})
 			replies <- out
-		default:
-			out := getReply(wire.ReplySize)
-			wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: wire.StatusBadRequest})
-			replies <- out
+			continue
 		}
+		n := int(req.Length)
+		st := wire.Check(req, uint64(len(area)), MaxRequestBytes)
+		out := frame(wire.ReplySize)
+		switch {
+		case req.Type == wire.ReqWrite && st == wire.StatusOK:
+			if _, err := io.ReadFull(conn, area[req.Offset:req.Offset+uint64(n)]); err != nil {
+				return
+			}
+		case req.Type == wire.ReqWrite:
+			// Payload follows even for rejected writes, to keep the stream
+			// in sync; a length beyond any request's cannot be trusted.
+			if n == 0 || n > MaxRequestBytes {
+				return
+			}
+			if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
+				return
+			}
+		case st == wire.StatusOK: // a read
+			*out = (*out)[:wire.ReplySize+n]
+			copy((*out)[wire.ReplySize:], area[req.Offset:req.Offset+uint64(n)])
+		}
+		wire.MarshalReply(*out, &wire.Reply{Handle: req.Handle, Status: st})
+		replies <- out
 	}
 }

@@ -213,17 +213,6 @@ func (l LinkModel) Segments(n int) int {
 	return (n + l.MTU - 1) / l.MTU
 }
 
-// HostCPU returns the per-side host processing time for an n-byte message
-// if it ran with no overlap against the wire (the per-segment work plus
-// any kernel/user copy).
-func (l LinkModel) HostCPU(n int, mem MemModel) sim.Duration {
-	d := l.PerMsgCPU + sim.Duration(l.Segments(n))*l.PerSegCPU
-	if l.CopyAtHost {
-		d += mem.Memcpy(n)
-	}
-	return d
-}
-
 // SegTime returns the host processing time for one MTU segment.
 func (l LinkModel) SegTime(mem MemModel) sim.Duration {
 	d := l.PerSegCPU

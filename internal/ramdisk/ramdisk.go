@@ -55,10 +55,6 @@ func (r *RamDisk) WriteAt(p *sim.Proc, src []byte, off int64) error {
 	return nil
 }
 
-// CopyCost returns the memcpy time for n bytes (used by callers that
-// overlap copies with RDMA and account for the time themselves).
-func (r *RamDisk) CopyCost(n int) sim.Duration { return r.mem.Memcpy(n) }
-
 // Peek returns a copy of stored bytes without charging time (tests only).
 func (r *RamDisk) Peek(off int64, n int) []byte {
 	out := make([]byte, n)

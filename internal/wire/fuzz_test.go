@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 )
 
@@ -107,6 +108,25 @@ func FuzzUnmarshalHello(f *testing.F) {
 		MarshalHello(out, &h)
 		if !bytes.Equal(out, data[:HelloSize]) {
 			t.Errorf("re-encode mismatch")
+		}
+	})
+}
+
+// FuzzCheck: the rulebook passes a request exactly when it is a write or
+// a read of 0 < n <= maxLen bytes whose range [off, off+n) fits the area,
+// computed without wrapping; a passed range always indexes the area.
+func FuzzCheck(f *testing.F) {
+	f.Add(uint8(ReqWrite), uint64(0), uint32(4096), uint64(1<<20), 128<<10)
+	f.Add(uint8(ReqRead), uint64(1<<20-4096), uint32(4096), uint64(1<<20), 128<<10)
+	f.Add(uint8(ReqRead), uint64(1<<64-101), uint32(4096), uint64(1<<20), 128<<10)
+	f.Add(uint8(9), uint64(0), uint32(1), uint64(1), 1)
+	f.Fuzz(func(t *testing.T, typ uint8, off uint64, n uint32, area uint64, maxLen int) {
+		req := Request{Type: ReqType(typ), Offset: off, Length: n}
+		end, carry := bits.Add64(off, uint64(n), 0)
+		valid := (req.Type == ReqWrite || req.Type == ReqRead) &&
+			n > 0 && maxLen > 0 && uint64(n) <= uint64(maxLen) && carry == 0 && end <= area
+		if got := Check(req, area, maxLen); (got == StatusOK) != valid {
+			t.Errorf("Check(%+v, area %d, maxLen %d) = %v, want valid=%v", req, area, maxLen, got, valid)
 		}
 	})
 }

@@ -120,6 +120,23 @@ type Request struct {
 // RequestSize is the wire size of a Request in bytes.
 const RequestSize = 4 + 1 + 8 + 8 + 4 + 8 + 4
 
+// Check is the protocol's one request rulebook, applied by both servers
+// before any data moves. A type other than write or read is
+// StatusBadRequest; a length outside (0, maxLen], or a range [Offset,
+// Offset+Length) that does not fit an area of areaBytes, is
+// StatusOutOfRange. The range test cannot wrap, whatever Offset holds.
+// ReqStat is netblock's own, and it answers one before calling Check.
+func Check(req Request, areaBytes uint64, maxLen int) Status {
+	if req.Type != ReqWrite && req.Type != ReqRead {
+		return StatusBadRequest
+	}
+	n := uint64(req.Length)
+	if n == 0 || int64(n) > int64(maxLen) || req.Offset > areaBytes || n > areaBytes-req.Offset {
+		return StatusOutOfRange
+	}
+	return StatusOK
+}
+
 // Reply is the control message completing a request.
 type Reply struct {
 	Magic  uint32

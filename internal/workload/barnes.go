@@ -88,9 +88,6 @@ func NewBarnes(sys *vm.System, name string, n, steps int, rnd *rand.Rand) *Barne
 	return b
 }
 
-// Bodies exposes the body array for stats.
-func (b *Barnes) Bodies() *PagedArray { return b.bodies }
-
 // N returns the body count.
 func (b *Barnes) N() int { return len(b.px) }
 

@@ -60,53 +60,6 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	s, err := ParseSpec("crash@5ms=mem0,delay@2ms+4ms~200us=mem1,senderr@1msx3=hpbd0,poolx@3ms+1ms=hpbd1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, s2) {
-		t.Errorf("wire round-trip changed schedule:\n  %+v\nvs\n  %+v", s, s2)
-	}
-	// A second marshal of the decoded schedule is byte-identical.
-	data2, err := s2.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Error("re-marshal not byte-identical")
-	}
-}
-
-func TestUnmarshalRejects(t *testing.T) {
-	good, err := (&Schedule{Faults: []Fault{{At: 1, Kind: KindCrash, Target: "mem0"}}}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":         nil,
-		"bad magic":     append([]byte("XS"), good[2:]...),
-		"bad version":   append([]byte{'F', 'S', 99}, good[3:]...),
-		"truncated":     good[:len(good)-2],
-		"trailing":      append(append([]byte(nil), good...), 0),
-		"unknown kind":  func() []byte { b := append([]byte(nil), good...); b[5] = byte(numKinds); return b }(),
-		"negative time": func() []byte { b := append([]byte(nil), good...); b[6] = 0x80; return b }(),
-	}
-	for name, data := range cases {
-		if _, err := Unmarshal(data); err == nil {
-			t.Errorf("Unmarshal(%s) succeeded, want error", name)
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	servers := []string{"mem0", "mem1"}
 	clients := []string{"hpbd0"}

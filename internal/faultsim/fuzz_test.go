@@ -1,41 +1,34 @@
 package faultsim
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// FuzzUnmarshalSchedule checks the wire decoder on arbitrary input: it
-// must never panic, and any schedule it accepts must survive a
-// re-marshal/re-decode round trip unchanged (the decoder re-sorts, so
-// the second decode must be a fixed point).
-func FuzzUnmarshalSchedule(f *testing.F) {
-	seed, err := ParseSpec("crash@5ms=mem0,delay@2ms+4ms~200us=mem1,senderr@1msx3=hpbd0")
-	if err != nil {
-		f.Fatal(err)
+// FuzzParseSpec checks the text-spec parser on arbitrary input: it must
+// never panic, and the text Spec prints for any schedule it accepts must
+// parse back and print the same text again. (Spec prints durations at
+// the precision Duration.String keeps, so the first print may round;
+// after it the text is a fixed point.)
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"crash@5ms=mem0,delay@2ms+4ms~200us=mem1,senderr@1msx3=hpbd0",
+		"hang@100us+20ms=mem0",
+		"poolx@3ms+1ms=hpbd1,odpinval@3ms=hpbd0,starve@1ms+2ms=mem0",
+		"crash@=mem0", // malformed: must fail, not panic
+		"",
+	} {
+		f.Add(seed)
 	}
-	data, err := seed.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-	f.Add([]byte("FS"))
-	f.Add([]byte{'F', 'S', 1, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Unmarshal(data)
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSpec(spec)
 		if err != nil {
 			return
 		}
-		out, err := s.Marshal()
+		text := s.Spec()
+		s2, err := ParseSpec(text)
 		if err != nil {
-			t.Fatalf("accepted schedule failed to re-marshal: %v", err)
+			t.Fatalf("re-parse of %q (from %q): %v", text, spec, err)
 		}
-		s2, err := Unmarshal(out)
-		if err != nil {
-			t.Fatalf("re-marshal output failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(s, s2) {
-			t.Fatalf("round trip changed schedule:\n  %+v\nvs\n  %+v", s, s2)
+		if text2 := s2.Spec(); text2 != text {
+			t.Fatalf("Spec not a fixed point: %q then %q", text, text2)
 		}
 	})
 }

@@ -7,14 +7,11 @@
 // the fabric, servers, and clients, so a given schedule+seed replays
 // byte-identically run-to-run.
 //
-// Schedules have two interchangeable encodings: a human-writable text
-// spec for CLI flags ("crash@5ms=mem0,delay@2ms+4ms~200us=mem1") and a
-// compact binary wire form (Marshal/Unmarshal) for embedding in
-// configs and fuzzing.
+// A schedule is written as a human-writable text spec, the form CLI
+// flags take ("crash@5ms=mem0,delay@2ms+4ms~200us=mem1").
 package faultsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -213,99 +210,6 @@ func (s *Schedule) Spec() string {
 		parts = append(parts, b.String())
 	}
 	return strings.Join(parts, ",")
-}
-
-// Wire encoding: magic "FS" + version byte + u16 fault count, then per
-// fault: kind u8, at/dur/extra u64, count u32, target len u8 + bytes.
-// All integers big-endian.
-const (
-	wireMagic0  = 'F'
-	wireMagic1  = 'S'
-	wireVersion = 1
-	maxFaults   = 1 << 12
-)
-
-// Marshal encodes the schedule into the binary wire form.
-func (s *Schedule) Marshal() ([]byte, error) {
-	n := 0
-	if s != nil {
-		n = len(s.Faults)
-	}
-	if n > maxFaults {
-		return nil, fmt.Errorf("faultsim: %d faults exceeds wire limit %d", n, maxFaults)
-	}
-	buf := make([]byte, 0, 5+n*32)
-	buf = append(buf, wireMagic0, wireMagic1, wireVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(n))
-	for i := 0; i < n; i++ {
-		f := &s.Faults[i]
-		if f.At < 0 || f.Dur < 0 || f.Extra < 0 || f.Count < 0 {
-			return nil, fmt.Errorf("faultsim: fault %d has negative field", i)
-		}
-		if f.Kind >= numKinds {
-			return nil, fmt.Errorf("faultsim: fault %d has unknown kind %d", i, f.Kind)
-		}
-		if len(f.Target) > 255 {
-			return nil, fmt.Errorf("faultsim: fault %d target too long", i)
-		}
-		buf = append(buf, byte(f.Kind))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(f.At))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(f.Dur))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(f.Extra))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(f.Count))
-		buf = append(buf, byte(len(f.Target)))
-		buf = append(buf, f.Target...)
-	}
-	return buf, nil
-}
-
-// Unmarshal decodes the binary wire form. Decoded schedules are
-// re-sorted by At so a hand-built (or fuzzed) encoding cannot smuggle
-// an out-of-order schedule past the injector.
-func Unmarshal(data []byte) (*Schedule, error) {
-	if len(data) < 5 || data[0] != wireMagic0 || data[1] != wireMagic1 {
-		return nil, fmt.Errorf("faultsim: bad schedule magic")
-	}
-	if data[2] != wireVersion {
-		return nil, fmt.Errorf("faultsim: unsupported schedule version %d", data[2])
-	}
-	n := int(binary.BigEndian.Uint16(data[3:5]))
-	if n > maxFaults {
-		return nil, fmt.Errorf("faultsim: fault count %d exceeds limit", n)
-	}
-	var s Schedule
-	off := 5
-	for i := 0; i < n; i++ {
-		if len(data)-off < 30 {
-			return nil, fmt.Errorf("faultsim: truncated fault %d", i)
-		}
-		var f Fault
-		f.Kind = Kind(data[off])
-		if f.Kind >= numKinds {
-			return nil, fmt.Errorf("faultsim: fault %d has unknown kind %d", i, f.Kind)
-		}
-		at := binary.BigEndian.Uint64(data[off+1:])
-		du := binary.BigEndian.Uint64(data[off+9:])
-		ex := binary.BigEndian.Uint64(data[off+17:])
-		if at >= 1<<63 || du >= 1<<63 || ex >= 1<<63 {
-			return nil, fmt.Errorf("faultsim: fault %d duration overflows", i)
-		}
-		f.At, f.Dur, f.Extra = sim.Duration(at), sim.Duration(du), sim.Duration(ex)
-		f.Count = int(binary.BigEndian.Uint32(data[off+25:]))
-		tlen := int(data[off+29])
-		off += 30
-		if len(data)-off < tlen {
-			return nil, fmt.Errorf("faultsim: truncated target in fault %d", i)
-		}
-		f.Target = string(data[off : off+tlen])
-		off += tlen
-		s.Faults = append(s.Faults, f)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("faultsim: %d trailing bytes after schedule", len(data)-off)
-	}
-	sortFaults(s.Faults)
-	return &s, nil
 }
 
 // Generate derives a random schedule of n faults over the window

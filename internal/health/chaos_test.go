@@ -341,16 +341,13 @@ func TestChaosMirrorCrashDivergence(t *testing.T) {
 }
 
 // healthArtifacts renders every deterministic health surface of a node
-// into one byte string: the sample-ring CSV, the periodic OpenMetrics
-// pages, the alert timeline, and the operator report.
+// into one byte string: the sample-ring CSV, the alert timeline, and the
+// operator report.
 func healthArtifacts(t *testing.T, node *cluster.Node) string {
 	t.Helper()
 	var b strings.Builder
 	if err := node.Health.Ring().WriteCSV(&b); err != nil {
 		t.Fatalf("ring csv: %v", err)
-	}
-	if err := node.Health.Ring().WriteOpenMetricsPages(&b); err != nil {
-		t.Fatalf("ring pages: %v", err)
 	}
 	b.WriteString(node.Health.Timeline())
 	b.WriteString(node.Health.Report())

@@ -250,47 +250,6 @@ func TestWriteCSVDeterministic(t *testing.T) {
 	}
 }
 
-// TestWriteOpenMetricsPages: the ring exports one OpenMetrics page per
-// retained sample, each a self-contained exposition with sanitized
-// family names that line up with the registry's live WriteOpenMetrics.
-func TestWriteOpenMetricsPages(t *testing.T) {
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	m := NewMonitor(env, reg, Config{SampleInterval: 10 * sim.Microsecond})
-	m.Start()
-	h := reg.Histogram("req.e2e")
-	env.Go("workload", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
-			reg.Counter("mem0.requests").Inc()
-			reg.Gauge("pool.in_use").Set(int64(i))
-			h.Observe(100 * sim.Microsecond)
-			m.Kick()
-			p.Sleep(10 * sim.Microsecond)
-		}
-	})
-	env.Run()
-	var buf bytes.Buffer
-	if err := m.Ring().WriteOpenMetricsPages(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pages := buf.String()
-	if got := strings.Count(pages, "# EOF\n"); got != m.Ring().Len() {
-		t.Fatalf("got %d pages for %d retained samples:\n%s", got, m.Ring().Len(), pages)
-	}
-	if !strings.HasPrefix(pages, "# page 0 t_us=") {
-		t.Fatalf("missing page header:\n%s", pages)
-	}
-	for _, want := range []string{
-		"# TYPE mem0_requests counter\n", "mem0_requests_total 8\n",
-		"# TYPE pool_in_use gauge\n",
-		"# TYPE req_e2e_seconds histogram\n", "req_e2e_seconds_count 8\n",
-	} {
-		if !strings.Contains(pages, want) {
-			t.Fatalf("pages missing %q:\n%s", want, pages)
-		}
-	}
-}
-
 // TestFleetRollupEpochs: per-server deltas split across placement
 // epochs, and the top table orders by request volume.
 func TestFleetRollupEpochs(t *testing.T) {

@@ -121,44 +121,6 @@ func (r *Ring) FromLast(k int) *Sample {
 	return r.At(i)
 }
 
-// WriteOpenMetricsPages exports the retained samples as a sequence of
-// OpenMetrics pages: one exposition per sample, oldest first, each
-// introduced by a "# page" comment carrying the sample's sim time and
-// placement epoch and closed by the standard "# EOF" marker. It is what
-// a Prometheus scrape of the fleet would have seen at each sample
-// instant, replayed from the ring — counters as _total families, gauges
-// with their _peak companions, histograms as _seconds _count/_sum pairs
-// (per-bucket state is not retained in samples). Family names use the
-// same charset mapping as the registry's live exposition, so the pages
-// diff cleanly against it. Identical runs produce identical bytes.
-func (r *Ring) WriteOpenMetricsPages(w io.Writer) error {
-	var b strings.Builder
-	for i := 0; i < r.Len(); i++ {
-		s := r.At(i)
-		fmt.Fprintf(&b, "# page %d t_us=%.3f epoch=%d\n", i, float64(s.At)/1e3, s.Epoch)
-		for _, name := range sortedNames(s.Counters) {
-			n := telemetry.MetricName(name)
-			fmt.Fprintf(&b, "# TYPE %s counter\n", n)
-			fmt.Fprintf(&b, "%s_total %d\n", n, s.Counters[name])
-		}
-		for _, name := range sortedNames(s.Gauges) {
-			n := telemetry.MetricName(name)
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", n)
-			fmt.Fprintf(&b, "%s %d\n", n, s.Gauges[name])
-		}
-		for _, name := range sortedNames(s.Hists) {
-			h := s.Hists[name]
-			n := telemetry.MetricName(name) + "_seconds"
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", n)
-			fmt.Fprintf(&b, "%s_count %d\n", n, h.N)
-			fmt.Fprintf(&b, "%s_sum %.9f\n", n, float64(h.Sum)/1e9)
-		}
-		b.WriteString("# EOF\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // WriteCSV exports the retained samples as a deterministic time series:
 // one row per metric per sample, oldest sample first, metrics in sorted
 // name order within a sample. Counters and histogram counts carry the

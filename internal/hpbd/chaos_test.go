@@ -360,7 +360,7 @@ func TestStripedReadWithOneLinkDown(t *testing.T) {
 	if tb.dev.Failed() || tb.dev.DownLinks() != 1 {
 		t.Errorf("failed=%v downLinks=%d, want a live device with one link down", tb.dev.Failed(), tb.dev.DownLinks())
 	}
-	if n, used := tb.dev.inflight.len(), tb.dev.Pool().InUse(); n != 0 || used != 0 {
+	if n, used := tb.dev.inflight.on(nil), tb.dev.Pool().InUse(); n != 0 || used != 0 {
 		t.Errorf("%d requests in flight, %d pool bytes held after the drain", n, used)
 	}
 }

@@ -254,11 +254,12 @@ func newDeviceMetrics(reg *telemetry.Registry) deviceMetrics {
 type serverLink struct {
 	srv     *Server
 	qp      *ib.QP
-	srvQP   *ib.QP // server-side QP (keys the server's per-conn tenancy state)
-	credits *sim.Semaphore
-	reqMR   *ib.MR // Credits control-message staging slots
+	srvQP   *ib.QP     // server-side QP (keys the server's per-conn tenancy state)
+	slots   []reqSlot  // the credit window: Credits slots (see reqSlot)
+	free    []*reqSlot // the free slots, a stack
+	slotQ   sim.WaitQueue
+	reqMR   *ib.MR // Credits control-message staging buffers, one per slot
 	recvMR  *ib.MR // Credits reply buffers
-	slot    int    // next reqMR slot (round-robin)
 	down    bool   // the recovery path declared this server dead
 	removed bool   // decommissioned by RemoveServer (drained, QP closed)
 }
@@ -269,7 +270,7 @@ type serverLink struct {
 // Records are recycled: getRec takes one, and finishPhys, which every
 // settlement funnels through, gives it back zeroed once the last physical
 // request has settled. A phys still owed a settlement — in the in-flight
-// table, or out of it waiting on a backoff timer, a fallback I/O or the
+// list, or out of it waiting on a backoff timer, a fallback I/O or the
 // sender — therefore always points at a live record; one that has settled
 // must not be touched again, and reads as zero if it is.
 type parentReq struct {
@@ -298,13 +299,15 @@ type phys struct {
 	// its own — completion (success or any error path) fans out to the
 	// subs, each keeping its own handle, lifecycle record, and flow id.
 	// The capacity survives recycling.
-	subs []*phys
-	free *phys // free-list link (records that are not a parentReq's first)
+	subs       []*phys
+	free       *phys // free-list link (records that are not a parentReq's first)
+	prev, next *phys // in-flight list links, in handle order
+
+	slot *reqSlot // the link slot this request holds; nil until it is sent
 
 	mtrack *migState // in-range foreground write tracked by a live move
 
 	write    bool
-	sent     bool
 	mig      bool     // a migration engine transfer: never merged, never degraded
 	timedOut bool     // the watchdog already flagged this request
 	flowID   uint64   // block-layer request id, threads the causal flow
@@ -333,7 +336,6 @@ type Device struct {
 	// allocates nothing: the drained batch, and one link's chain.
 	batch []*phys
 	wrs   []ib.SendWR
-	items []*phys
 
 	// Recycled request records (see parentReq): one per block request, plus
 	// loose phys for a request's second and later segments and for merge
@@ -348,7 +350,7 @@ type Device struct {
 	// dir is the device's one address map: links[i] is directory server i,
 	// and every sector→server decision goes through it.
 	dir      *placement.Directory
-	inflight inflight // every request owed a completion, and the sender's queue
+	inflight inflight // every queued or slotted request, and the sender's queue
 	sleepQ   *sim.WaitQueue
 	// reclaimQ parks the tenancy reclaimer until a quota refusal kicks it
 	// (nil unless cfg.Tenant and cfg.Fallback are both set).
@@ -387,21 +389,21 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		tel = telemetry.New(env)
 	}
 	d := &Device{
-		tel:      tel,
-		met:      newDeviceMetrics(tel),
-		tracer:   tel.Tracer(),
-		env:      env,
-		name:     name,
-		cfg:      cfg,
-		mem:      f.Config().Mem,
-		hca:      hca,
-		cq:       hca.CreateCQ(name + "-cq"),
-		pool:     NewBufferPool(env, cfg.PoolBytes),
-		byQP:     make(map[*ib.QP]*serverLink),
-		dir:      placement.NewDirectory(),
-		inflight: newInflight(env),
-		sleepQ:   sim.NewWaitQueue(env),
+		tel:    tel,
+		met:    newDeviceMetrics(tel),
+		tracer: tel.Tracer(),
+		env:    env,
+		name:   name,
+		cfg:    cfg,
+		mem:    f.Config().Mem,
+		hca:    hca,
+		cq:     hca.CreateCQ(name + "-cq"),
+		pool:   NewBufferPool(env, cfg.PoolBytes),
+		byQP:   make(map[*ib.QP]*serverLink),
+		dir:    placement.NewDirectory(),
+		sleepQ: sim.NewWaitQueue(env),
 	}
+	d.inflight.init(env)
 	d.doorbellBatch = min(cfg.DoorbellBatch, cfg.Credits)
 	d.memberMu = sim.NewMutex(env)
 	if d.recovery() {
@@ -525,8 +527,8 @@ func (d *Device) ConnectServer(srv *Server, areaBytes int64) error {
 
 // newLink brings up the connection to srv, the same way at connect time
 // and for a live add: a QP attached to areaBytes of the server's memory,
-// Credits control-message slots and Credits pre-posted reply buffers (the
-// water-mark, §4.2.4), and the reclaim kick when the device runs a
+// the Credits-slot window with its staging buffers and Credits pre-posted
+// reply buffers (the water-mark, §4.2.4), and the reclaim kick when the device runs a
 // reclaimer. The caller enters the link in the placement directory, which
 // alone decides what sectors it serves.
 func (d *Device) newLink(srv *Server, areaBytes int64) error {
@@ -543,15 +545,18 @@ func (d *Device) newLink(srv *Server, areaBytes int64) error {
 		return err
 	}
 	link := &serverLink{
-		srv:     srv,
-		qp:      qp,
-		srvQP:   srvQP,
-		credits: sim.NewSemaphore(d.env, d.cfg.Credits),
-		reqMR:   d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
-		recvMR:  d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
+		srv:    srv,
+		qp:     qp,
+		srvQP:  srvQP,
+		slots:  make([]reqSlot, d.cfg.Credits),
+		free:   make([]*reqSlot, 0, d.cfg.Credits),
+		reqMR:  d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.RequestSize)),
+		recvMR: d.hca.RegisterMRAtSetup(make([]byte, d.cfg.Credits*wire.ReplySize)),
 	}
-	for slot := 0; slot < d.cfg.Credits; slot++ {
-		if err := link.postReplyBuf(slot); err != nil {
+	for i := range link.slots {
+		link.slots[i].idx = i
+		link.free = append(link.free, &link.slots[i])
+		if err := link.postReplyBuf(i); err != nil {
 			return err
 		}
 	}
@@ -715,12 +720,9 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 	}
 }
 
-// marshalReq encodes ph's control message into the link's next staging
-// slot and returns the segment to post. Slots rotate round-robin over the
-// Credits-deep staging MR; the fabric copies the bytes at post time, so a
-// slot is reusable as soon as its WR is posted, and the rotation only has
-// to keep the slots of one marshalled-but-unposted chain distinct (chain
-// length is clamped to Credits).
+// marshalReq encodes ph's control message into the staging buffer of the
+// slot it holds and returns the segment to post. The fabric copies the
+// bytes at post time; until then no two requests of a chain share a slot.
 //
 //hpbd:hotpath
 func (d *Device) marshalReq(ph *phys) ib.Segment {
@@ -730,9 +732,7 @@ func (d *Device) marshalReq(ph *phys) ib.Segment {
 		typ = wire.ReqWrite
 	}
 	addr, rkey := ph.home.remote(d)
-	slot := link.slot
-	link.slot = (link.slot + 1) % d.cfg.Credits
-	off := slot * wire.RequestSize
+	off := ph.slot.idx * wire.RequestSize
 	wire.MarshalRequest(link.reqMR.Buf[off:off+wire.RequestSize], &wire.Request{
 		Type:   typ,
 		Handle: ph.handle,
@@ -851,7 +851,7 @@ func (d *Device) stage(p *sim.Proc, ph *phys) error {
 
 // buildCarrier folds a mergeable run into one carrier WR: one credit,
 // one WQE, one reuse-cached MR spanning the whole payload. The
-// constituents leave the in-flight table — the carrier stands in for them
+// constituents leave the in-flight list — the carrier stands in for them
 // under a fresh handle — and are settled exactly once by the carrier's
 // completion fan-out, on every path.
 func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
@@ -876,7 +876,7 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 		}
 	}
 	for _, s := range subs {
-		d.inflight.take(s.handle)
+		d.inflight.take(s)
 	}
 	d.inflight.stamp(c)
 	d.inflight.hold(c)
@@ -890,7 +890,7 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 // settle completes a request the sender still owns (queued, never posted)
 // with err, returning whatever payload buffer it holds.
 func (d *Device) settle(p *sim.Proc, ph *phys, err error) {
-	if _, ok := d.inflight.take(ph.handle); ok {
+	if d.inflight.take(ph) {
 		ph.home.release(d, p)
 		d.finishPhys(ph, err)
 	}
@@ -898,23 +898,23 @@ func (d *Device) settle(p *sim.Proc, ph *phys, err error) {
 
 // reroute hands a queued request whose link has died to the recovery path.
 func (d *Device) reroute(ph *phys) {
-	if _, ok := d.inflight.take(ph.handle); ok {
+	if d.inflight.take(ph) {
 		d.retryOrRoute(ph)
 	}
 }
 
 // issue is the one issue path: it groups batch by server link — links
-// visited in connect order, never map order — acquires one credit per
-// request, and posts each group as a single chained doorbell. The paper's
-// one credit, one WQE, one doorbell per request is a batch of one.
+// visited in connect order, never map order — takes one slot (one credit)
+// per request, and posts each group as a single chained doorbell. The
+// paper's one credit, one WQE, one doorbell per request is a batch of one.
 //
 // A queued, unsent request is settled by nobody but the sender, so the
 // batch's records are the sender's to read across every stall here. Once
-// a request is marked sent that ends: a link failure, a device failure or
+// a request holds a slot that ends: a link failure, a device failure or
 // a timeout cancel may pull it back at the next yield, and a request
 // pulled back may settle and its record be recycled. So an entry leaves
 // live as it is handed on, and after the doorbell a posted request is
-// touched only while the table still holds it under the handle posted.
+// touched only while its slot is still live under the handle posted.
 func (d *Device) issue(p *sim.Proc, batch []*phys) {
 	live := batch[:0]
 	for _, ph := range batch {
@@ -932,7 +932,7 @@ func (d *Device) issue(p *sim.Proc, batch []*phys) {
 		live = append(live, ph)
 	}
 	for _, link := range d.links {
-		wrs, items := d.wrs[:0], d.items[:0]
+		wrs := d.wrs[:0]
 		for k, ph := range live {
 			if ph == nil || ph.link != link {
 				continue
@@ -943,57 +943,59 @@ func (d *Device) issue(p *sim.Proc, batch []*phys) {
 				d.reroute(ph)
 				continue
 			}
-			// Every acquired credit has an items entry, so the batch post
-			// (or its error loop) below always settles it; the analyzer
-			// cannot correlate len(items)==0 with "nothing acquired".
-			//hpbd:allow creditbalance -- credit rides items; len(items)==0 implies no acquisition
-			if !link.credits.TryAcquire(1) {
+			if len(link.free) == 0 {
 				d.met.creditStalls.Inc()
 				stall := d.tracer.Begin(d.name, "credit-stall")
-				//hpbd:allow creditbalance -- credit rides items; len(items)==0 implies no acquisition
-				link.credits.Acquire(p, 1)
+				for len(link.free) == 0 {
+					link.slotQ.Wait(p) // every release wakes us to re-check
+				}
 				stall.End()
+				if d.failed {
+					d.settle(p, ph, ErrDeviceFailed)
+					continue
+				}
 				if link.down {
-					// The link died during this stall. failLink requeued
-					// what the chain had already marked sent; this request
-					// was not yet among them, and posting it to the closed
-					// QP would strand it in pending.
-					link.credits.Release(1)
+					// The link died during this stall: posting to the
+					// closed QP would strand the request.
 					d.reroute(ph)
 					continue
 				}
 			}
+			// Holding a slot marks the request in flight before the post:
+			// a failure during the post must not leave it unaccounted.
+			link.take(ph, p.Now())
 			ph.creditAt = p.Now()
 			wrs = append(wrs, ib.SendWR{ID: ph.handle, Op: ib.OpSend, Local: d.marshalReq(ph), Flow: ph.flowID})
-			// Mark in flight before posting: a failure during the post
-			// must not leave the request unaccounted.
-			ph.sent = true
-			items = append(items, ph)
 		}
-		d.wrs, d.items = wrs, items
-		if len(items) == 0 {
+		d.wrs = wrs
+		if len(wrs) == 0 {
 			continue
 		}
 		err := link.qp.PostSendBatch(p, wrs)
 		if err != nil {
 			if d.recovery() {
-				// The QP is gone; failLink requeues every chained request
-				// (each is sent+pending) and releases its credit.
+				// The QP is gone; failLink frees the window and requeues
+				// every chained request still holding a slot.
 				d.failLink(link)
 				continue
 			}
-			for i, ph := range items {
-				if d.inflight.holds(wrs[i].ID, ph) {
-					d.settle(p, ph, err)
+			// No request of the chain reached the server: each slot one
+			// still holds, live or zombie, frees at once.
+			for i := range wrs {
+				if s := link.lookup(wrs[i].ID); s != nil {
+					ph := s.ph
+					link.release(s)
+					if ph != nil {
+						d.settle(p, ph, err)
+					}
 				}
-				link.credits.Release(1)
 			}
 			continue
 		}
 		now := p.Now()
-		for i, ph := range items {
-			if d.inflight.holds(wrs[i].ID, ph) {
-				ph.sentAt = now
+		for i := range wrs {
+			if s := link.lookup(wrs[i].ID); s != nil && s.ph != nil {
+				s.ph.sentAt = now
 			}
 			if d.tracer != nil {
 				// Thread the causal flow across the wire: the server half
@@ -1067,12 +1069,17 @@ func (d *Device) handleErrorCQE(e ib.CQE) {
 		d.failLink(link)
 		return
 	}
-	ph, ok := d.inflight.get(e.WRID)
-	if !ok || ph.link != link {
-		return // already canceled or rerouted
+	// The request never reached the server, so no reply will land for its
+	// slot: it frees at once, zombie or not.
+	s := link.lookup(e.WRID)
+	if s == nil {
+		return // the slot freed with its link
 	}
-	d.inflight.cancel(e.WRID)
-	d.retryOrRoute(ph)
+	ph := s.ph
+	link.release(s)
+	if ph != nil && d.inflight.take(ph) {
+		d.retryOrRoute(ph)
+	}
 }
 
 func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
@@ -1084,19 +1091,26 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	slot := int(e.WRID)
 	rep, err := wire.UnmarshalReply(link.recvMR.Buf[slot*wire.ReplySize : (slot+1)*wire.ReplySize])
 	if err == nil {
-		// Repost the reply buffer before releasing the credit so the
-		// server can never overrun our receive queue.
+		// Repost the reply buffer before freeing the slot so the server
+		// can never overrun our receive queue.
 		err = link.postReplyBuf(slot)
 	}
 	if err != nil {
 		d.fail()
 		return
 	}
-	ph, ok := d.inflight.get(rep.Handle)
-	if !ok {
-		return // duplicate or stale
+	s := link.lookup(rep.Handle)
+	if s == nil {
+		return // duplicate, or the slot freed with its link
+	}
+	ph := s.ph
+	if ph == nil {
+		// A cancelled request's late reply: its reply buffer is back.
+		link.release(s)
+		return
 	}
 	d.met.replies.Inc()
+	d.inflight.take(ph)
 
 	if rep.Status == wire.StatusRetry && d.recovery() {
 		// RNR-style admission pushback: the server refused the request
@@ -1104,11 +1118,10 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		// while reclaim makes room — the payload is still held for the
 		// re-send — degrading to the fallback when retries exhaust.
 		d.tracer.InstantArgs(d.name, "quota-pushback", map[string]any{"handle": rep.Handle})
-		d.inflight.cancel(rep.Handle)
+		link.release(s)
 		d.retryOrRoute(ph)
 		return
 	}
-	d.inflight.take(rep.Handle)
 
 	var ferr error
 	if rep.Status != wire.StatusOK {
@@ -1137,7 +1150,9 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	}
 	d.recordLifecycle(p, ph, replyAt, ferr)
 	ph.home.release(d, p)
-	link.credits.Release(1)
+	if s.h == rep.Handle { // else a link failure during the copy-out freed it
+		link.release(s)
+	}
 	d.finishPhys(ph, ferr)
 }
 
@@ -1292,12 +1307,15 @@ func (d *Device) finishPhys(ph *phys, err error) {
 }
 
 // watchdog (spawned when RequestTimeout > 0) periodically scans the
-// in-flight table for requests outstanding longer than RequestTimeout:
+// in-flight list for requests outstanding longer than RequestTimeout:
 // each is counted once in hpbd.timeouts and triggers one flight-recorder
 // dump, so a wedged server leaves the last N request records in the log.
 // Without recovery it only reads the virtual clock, so arming it does not
 // change request timing; with recovery it also cancels each overdue sent
 // request and re-routes it, so a wedged server cannot wedge the device.
+// A cancelled request leaves a zombie in its slot; a link whose window
+// is all zombies, each on the wire for the retry budget, fails: no send
+// could reach its server again to find out whether it is there.
 func (d *Device) watchdog(p *sim.Proc) {
 	period := d.cfg.RequestTimeout / 2
 	if period <= 0 {
@@ -1307,7 +1325,7 @@ func (d *Device) watchdog(p *sim.Proc) {
 		// Park event-free while nothing is in flight (or the device is
 		// dead): a sleeping loop would keep the event queue non-empty for
 		// ever and Env.Run would never drain. Every admission wakes it.
-		for d.inflight.len() == 0 || d.failed {
+		for d.inflight.empty() || d.failed {
 			d.inflight.wdQ.Wait(p)
 		}
 		p.Sleep(period)
@@ -1315,11 +1333,9 @@ func (d *Device) watchdog(p *sim.Proc) {
 			continue
 		}
 		now := p.Now()
-		// The walk does not yield, and re-routing an entry settles at most
-		// that entry and, for a carrier, its constituents, which the table
-		// does not hold: every later entry of the snapshot is still owed
-		// its settlement, so its record is live.
-		for _, ph := range d.inflight.ordered() {
+		// The walk does not yield, and re-routing an entry settles nothing
+		// else the list holds.
+		for ph := range d.inflight.all() {
 			age := now.Sub(ph.submitAt)
 			if ph.timedOut || age < d.cfg.RequestTimeout {
 				continue
@@ -1329,13 +1345,18 @@ func (d *Device) watchdog(p *sim.Proc) {
 			d.lc.Flight().DumpOnEvent(fmt.Sprintf(
 				"request timeout: handle=%d flow=%d server=%s age=%v",
 				ph.handle, ph.flowID, ph.link.srv.Name(), age))
-			if d.recovery() && ph.sent {
-				d.inflight.cancel(ph.handle)
+			if d.recovery() && ph.slot != nil {
+				d.cancel(ph)
 				d.rmet.cancels.Inc()
 				d.tracer.InstantArgs(d.name, "timeout-cancel", map[string]any{
 					"handle": ph.handle, "server": ph.link.srv.Name(),
 				})
 				d.retryOrRoute(ph)
+			}
+		}
+		for _, link := range d.links {
+			if d.recovery() && !link.down && link.wedged(now.Add(-d.cfg.RequestTimeout*sim.Duration(d.cfg.MaxRetries+1))) {
+				d.failLink(link)
 			}
 		}
 	}
@@ -1362,15 +1383,17 @@ func (d *Device) failLink(link *serverLink) {
 		d.fail()
 		return
 	}
-	// Requeue the sent in-flight requests of this link. Unsent queued
-	// requests are cleaned up by the sender on dequeue. As in the
-	// watchdog's walk, each step settles nothing the snapshot still holds.
-	for _, ph := range d.inflight.ordered() {
-		if ph.link == link && ph.sent {
-			d.inflight.cancel(ph.handle)
+	// No reply will land on this link again: the requests holding its
+	// slots are requeued and the whole window frees, zombies included.
+	// Unsent queued requests are cleaned up by the sender on dequeue.
+	for ph := range d.inflight.all() {
+		if ph.link == link && ph.slot != nil {
+			d.inflight.take(ph)
+			link.release(ph.slot)
 			d.retryOrRoute(ph)
 		}
 	}
+	link.releaseAll()
 }
 
 // retryOrRoute decides what happens to a request that failed in flight:
@@ -1558,14 +1581,18 @@ func (d *Device) fail() {
 		return
 	}
 	d.failed = true
-	d.lc.Flight().DumpOnEvent(fmt.Sprintf("device %s failed: %d requests pending", d.name, d.inflight.len()))
-	// Settling one entry settles nothing else the snapshot holds (see watchdog).
-	for _, ph := range d.inflight.ordered() {
-		if !ph.sent {
+	d.lc.Flight().DumpOnEvent(fmt.Sprintf("device %s failed: %d requests pending", d.name, d.inflight.on(nil)))
+	for ph := range d.inflight.all() {
+		if ph.slot == nil {
 			continue // the sender cleans up queued requests on dequeue
 		}
-		d.inflight.take(ph.handle)
+		d.inflight.take(ph)
+		ph.link.release(ph.slot)
 		ph.home.release(d, nil)
 		d.finishPhys(ph, ErrDeviceFailed)
+	}
+	// No reply matters any more: every window frees, zombies included.
+	for _, link := range d.links {
+		link.releaseAll()
 	}
 }

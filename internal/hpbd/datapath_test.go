@@ -322,7 +322,7 @@ func TestCreditStallLinkDeathSettles(t *testing.T) {
 		if got := cb.dev.Stats().Fallbacks; got != writers {
 			t.Errorf("batch=%d: Fallbacks = %d, want %d", batch, got, writers)
 		}
-		assertMergeClean(t, cb, ccfg.Credits)
+		assertMergeClean(t, cb)
 	}
 }
 
@@ -410,9 +410,8 @@ func TestDataPathFeatureMatrix(t *testing.T) {
 								t.Errorf("crash not absorbed: link failures=%d fallbacks=%d failed=%v",
 									st.LinkFailures, st.Fallbacks, cb.dev.Failed())
 							}
-							assertMergeClean(t, cb, credits)
+							assertMergeClean(t, cb)
 							assertExactPartition(t, cb.dev)
-							assertRecordsHome(t, cb.dev)
 						})
 					}
 				}

@@ -264,6 +264,7 @@ func (d *Device) RemoveServer(p *sim.Proc, name string) error {
 	link.removed = true
 	link.down = true // Submit's down-link guard routes around it
 	link.qp.Close()
+	link.releaseAll() // no late reply lands after the close
 	d.emet.epoch.Set(int64(d.dir.Epoch()))
 	d.tracer.InstantArgs(d.name, "member-remove", map[string]any{
 		"server": name, "epoch": d.dir.Epoch(),
@@ -298,7 +299,7 @@ func (d *Device) runMove(p *sim.Proc, mv placement.Move) error {
 	}()
 	// Adopt foreground writes already in flight inside the range: their
 	// completions must re-dirty and the cutover drain must wait for them.
-	for _, ph := range d.inflight.ordered() {
+	for ph := range d.inflight.all() {
 		if ph.write && !ph.mig && ph.mtrack == nil && m.overlaps(ph.devByte, ph.length) {
 			ph.mtrack = m
 			m.inflight++
@@ -413,15 +414,14 @@ func (d *Device) resendDirty(p *sim.Proc, m *migState, mv placement.Move, dstOff
 // requeueRange retargets still-pending foreground requests inside the
 // committed range onto the destination. Sent requests are canceled and
 // reissued under fresh handles in handle order — exactly the failover
-// discipline — so a late source reply drops on the pending-miss path.
+// discipline — so a late source reply only frees the zombie slot left.
 // Queued (unsent) requests are retargeted in place; the sender reads the
 // link at issue time. Requests straddling the range boundary stay on the
 // source: its copy is complete as of the freeze and is never erased, so
 // such reads remain correct.
 func (d *Device) requeueRange(mv placement.Move) {
 	dst := d.links[mv.To]
-	var sent []*phys
-	for _, ph := range d.inflight.ordered() {
+	for ph := range d.inflight.all() {
 		if ph.mig || ph.link == dst {
 			continue
 		}
@@ -430,11 +430,11 @@ func (d *Device) requeueRange(mv placement.Move) {
 		if lo < mv.Start || hi > mv.Start+mv.Sectors {
 			continue
 		}
-		if ph.sent {
-			// Its credit belongs to the source link: return it before the
-			// request is retargeted.
-			d.inflight.cancel(ph.handle)
-			sent = append(sent, ph)
+		sent := ph.slot != nil
+		if sent {
+			// Its slot belongs to the source link, which will still reply:
+			// the slot stays a zombie until that late reply lands.
+			d.cancel(ph)
 		}
 		// The request lies inside the committed range: its first segment
 		// says where on the destination it now starts.
@@ -442,10 +442,11 @@ func (d *Device) requeueRange(mv placement.Move) {
 		sg := d.dir.SplitInto(segs[:0], ph.devByte, ph.length)[0]
 		ph.link = d.links[sg.Server]
 		ph.offset = sg.Offset
-	}
-	for _, ph := range sent {
-		d.inflight.admit(ph)
-		d.emet.requeued.Inc()
+		if sent {
+			// Re-admitted at the tail, where the walk meets it on dst.
+			d.inflight.admit(ph)
+			d.emet.requeued.Inc()
+		}
 	}
 }
 

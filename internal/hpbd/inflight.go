@@ -1,111 +1,165 @@
 package hpbd
 
 import (
-	"sort"
+	"iter"
 
 	"hpbd/internal/sim"
 )
 
-// inflight is the table of requests the device owes a completion, keyed
-// by wire handle, with the queue that feeds the sender. A request enters
-// by admit, leaves by take (completed, or settled by its owner) or cancel
-// (pulled back off the wire), and every walk is in handle order —
-// completing a request can complete its parent and wake its issuer, so no
-// decision may inherit map order.
+// inflight lists the requests the device owes a completion — queued for
+// the sender or holding a link slot — in ascending handle order, so every
+// walk is in handle order too, and holds the queue that feeds the sender.
 type inflight struct {
 	env   *sim.Env
-	reqs  map[uint64]*phys
+	root  phys // list sentinel: root.next is the oldest handle, root.prev the newest
 	nextH uint64
 	sendQ *sim.Chan[*phys]
-	wdQ   *sim.WaitQueue // parks the watchdog while the table is empty
+	wdQ   *sim.WaitQueue // parks the watchdog while the list is empty
 }
 
-func newInflight(env *sim.Env) inflight {
-	return inflight{
-		env:   env,
-		reqs:  make(map[uint64]*phys),
-		sendQ: sim.NewChan[*phys](env, 0),
-		wdQ:   sim.NewWaitQueue(env),
-	}
+func (t *inflight) init(env *sim.Env) {
+	t.env, t.sendQ, t.wdQ = env, sim.NewChan[*phys](env, 0), sim.NewWaitQueue(env)
+	t.root.prev, t.root.next = &t.root, &t.root
 }
 
-// stamp gives ph a fresh handle, unsent. A re-sent request is stamped
-// before it re-enters the table, which isolates the new attempt from any
-// late reply to the previous one (handleReply drops unknown handles).
+func (t *inflight) empty() bool { return t.root.next == &t.root }
+
+// stamp gives ph a fresh handle: a late reply to an earlier attempt finds
+// only that attempt's zombie slot.
 func (t *inflight) stamp(ph *phys) {
 	t.nextH++
 	ph.handle = t.nextH
-	ph.sent = false
 	ph.timedOut = false
 }
 
-// hold enters a stamped request the sender already owns (a merge carrier
-// replacing its constituents in the batch being issued).
-func (t *inflight) hold(ph *phys) { t.reqs[ph.handle] = ph }
+// hold links a stamped request in from the tail; only a retry that waited
+// out its backoff lands behind newer handles.
+func (t *inflight) hold(ph *phys) {
+	at := t.root.prev
+	for at != &t.root && at.handle > ph.handle {
+		at = at.prev
+	}
+	ph.prev, ph.next = at, at.next
+	at.next.prev, at.next = ph, ph
+}
 
-// enqueue enters a stamped request and hands it to the sender, waking an
-// armed watchdog that parked on an empty table.
+// enqueue holds a stamped request and hands it to the sender, waking an
+// armed watchdog that parked on an empty list.
 func (t *inflight) enqueue(ph *phys) {
 	ph.enqAt = t.env.Now()
-	t.reqs[ph.handle] = ph
+	t.hold(ph)
 	t.sendQ.TrySend(ph)
 	t.wdQ.WakeAll()
 }
 
-// admit is stamp then enqueue: the way in for every new or reissued
-// request that does not wait between the two.
+// admit is stamp then enqueue.
 func (t *inflight) admit(ph *phys) {
 	t.stamp(ph)
 	t.enqueue(ph)
 }
 
-// get looks a handle up without removing it.
-func (t *inflight) get(h uint64) (*phys, bool) {
-	ph, ok := t.reqs[h]
-	return ph, ok
-}
-
-// holds reports whether handle h is still ph's: false once ph was taken
-// or cancelled, whatever has become of its record since.
-func (t *inflight) holds(h uint64, ph *phys) bool { return t.reqs[h] == ph }
-
-// take removes handle h; the caller owns the request and settles it
-// exactly once. An absent handle (duplicate or stale) reports false.
-func (t *inflight) take(h uint64) (*phys, bool) {
-	ph, ok := t.reqs[h]
-	delete(t.reqs, h)
-	return ph, ok
-}
-
-// cancel takes a sent request back off the wire: its flow-control credit
-// returns to the link, so a late reply to the old handle misses and
-// leaves the credit alone. An absent handle is a no-op.
-func (t *inflight) cancel(h uint64) (*phys, bool) {
-	ph, ok := t.take(h)
-	if ok {
-		ph.link.credits.Release(1)
+// take unlinks ph, reporting false if it was not in the list; the caller
+// settles it exactly once.
+func (t *inflight) take(ph *phys) bool {
+	if ph.next == nil {
+		return false
 	}
-	return ph, ok
+	ph.prev.next, ph.next.prev = ph.next, ph.prev
+	ph.prev, ph.next = nil, nil
+	return true
 }
 
-func (t *inflight) len() int { return len(t.reqs) }
+// all walks the list in handle order. The body may take the request it
+// visits and nothing else — settling one settles at most it and a
+// carrier's constituents, which the list does not hold.
+func (t *inflight) all() iter.Seq[*phys] {
+	return func(yield func(*phys) bool) {
+		for ph := t.root.next; ph != &t.root; {
+			next := ph.next
+			if !yield(ph) {
+				return
+			}
+			ph = next
+		}
+	}
+}
 
-// on counts the requests bound to link.
+// on counts the requests bound to link, or all of them for a nil link.
 func (t *inflight) on(link *serverLink) (n int) {
-	for _, ph := range t.reqs {
-		if ph.link == link {
+	for ph := range t.all() {
+		if link == nil || ph.link == link {
 			n++
 		}
 	}
 	return n
 }
 
-// ordered snapshots the table in ascending handle order.
-func (t *inflight) ordered() []*phys {
-	phs := make([]*phys, 0, len(t.reqs))
-	for _, ph := range t.reqs {
-		phs = append(phs, ph)
+// reqSlot is one place in a link's credit window: a flow-control credit,
+// a control-message staging buffer and, until its reply lands, one of the
+// link's reply buffers. It is free (h == 0), live (ph holds it under
+// handle h) or a zombie (ph nil): its request was pulled back, and the
+// slot stays taken until the late reply to h lands or the link fails.
+type reqSlot struct {
+	h   uint64
+	ph  *phys
+	at  sim.Time // when h went on the wire
+	idx int      // the staging buffer's index in the link's reqMR
+}
+
+// take gives ph a free slot at now; the window must not be full.
+func (l *serverLink) take(ph *phys, now sim.Time) {
+	s := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+	s.h, s.ph, s.at = ph.handle, ph, now
+	ph.slot = s
+}
+
+// lookup finds the slot, live or zombie, that handle h holds on the link.
+//
+//hpbd:hotpath
+func (l *serverLink) lookup(h uint64) *reqSlot {
+	for i := range l.slots {
+		if l.slots[i].h == h {
+			return &l.slots[i]
+		}
 	}
-	sort.Slice(phs, func(i, j int) bool { return phs[i].handle < phs[j].handle })
-	return phs
+	return nil
+}
+
+// release is the one place a flow-control credit comes back: s is free
+// again and a sender stalled on the window re-checks.
+func (l *serverLink) release(s *reqSlot) {
+	if s.ph != nil {
+		s.ph.slot = nil
+	}
+	*s = reqSlot{idx: s.idx}
+	l.free = append(l.free, s)
+	l.slotQ.WakeAll()
+}
+
+// releaseAll frees every taken slot, zombies included: no reply will land.
+func (l *serverLink) releaseAll() {
+	for i := range l.slots {
+		if l.slots[i].h != 0 {
+			l.release(&l.slots[i])
+		}
+	}
+}
+
+// cancel pulls a sent request back off the wire: it leaves the list and
+// its slot, which stays a zombie until the late reply lands.
+func (d *Device) cancel(ph *phys) {
+	d.inflight.take(ph)
+	ph.slot.ph, ph.slot = nil, nil
+}
+
+// wedged reports whether every slot of the link is a zombie that went on
+// the wire at or before since.
+func (l *serverLink) wedged(since sim.Time) bool {
+	for i := range l.slots {
+		if s := &l.slots[i]; s.h == 0 || s.ph != nil || s.at > since {
+			return false
+		}
+	}
+	return true
 }

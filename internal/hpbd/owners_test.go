@@ -1,10 +1,12 @@
 package hpbd
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"hpbd/internal/blockdev"
+	"hpbd/internal/ib"
 	"hpbd/internal/sim"
 	"hpbd/internal/tenant"
 )
@@ -103,7 +105,7 @@ func TestPayloadHomeReleasedOnEveryPath(t *testing.T) {
 				if n := cb.dev.Pool().InUse(); n != 0 {
 					t.Errorf("%d pool bytes still allocated", n)
 				}
-				if n := cb.dev.inflight.len(); n != 0 && !cb.dev.Failed() {
+				if n := cb.dev.inflight.on(nil); n != 0 && !cb.dev.Failed() {
 					t.Errorf("%d requests still in flight", n)
 				}
 				if c := cb.dev.mrc; c != nil {
@@ -121,10 +123,11 @@ func TestPayloadHomeReleasedOnEveryPath(t *testing.T) {
 	}
 }
 
-// The in-flight table walks in ascending handle order whatever order
+// The in-flight list walks in ascending handle order whatever order
 // requests entered and left in, a retry takes its fresh handle before the
-// backoff and enters the table only after it, and cancelling a handle
-// that is not there returns no credit.
+// backoff and enters the list only after it, a cancelled request's slot
+// stays a zombie — its credit withheld — until the late reply to the old
+// handle lands, and a handle no slot holds finds nothing.
 func TestInflightTableOrderAndCancel(t *testing.T) {
 	ccfg := DefaultClientConfig()
 	ccfg.MaxRetries = 2
@@ -132,45 +135,129 @@ func TestInflightTableOrderAndCancel(t *testing.T) {
 	d, link := cb.dev, cb.dev.links[0]
 	walk := func() string {
 		var hs []uint64
-		for _, ph := range d.inflight.ordered() {
+		for ph := range d.inflight.all() {
 			hs = append(hs, ph.handle)
 		}
 		return fmt.Sprint(hs)
 	}
 	cb.run(func(p *sim.Proc) {
-		// Five reads posted to a hung server sit in the table as sent
+		// Five reads posted to a hung server sit in the list as slotted
 		// requests 1..5 until the hang lifts.
 		cb.servers[0].HangFor(sim.Millisecond)
 		for i := 0; i < 5; i++ {
 			d.Submit(p, blockdev.NewRequest(cb.env, false, int64(i*8), make([]byte, 4096)))
 		}
 		p.Sleep(20 * sim.Microsecond)
-		held := link.credits.Available()
-		if _, ok := d.inflight.cancel(99); ok || link.credits.Available() != held {
-			t.Errorf("cancel of an absent handle: ok=%v, credits %d -> %d", ok, held, link.credits.Available())
+		free := len(link.free)
+		if link.lookup(99) != nil {
+			t.Error("handle 99 found a slot")
 		}
 		// What the watchdog does to an overdue request: cancel, retry. The
-		// retry is handle 6 at once but out of the table for the backoff...
-		ph2, _ := d.inflight.cancel(2)
+		// retry is handle 6 at once but out of the list for the backoff,
+		// and the old handle's slot stays taken...
+		ph2 := link.lookup(2).ph
+		d.cancel(ph2)
 		d.retryOrRoute(ph2)
-		if link.credits.Available() != held+1 || ph2.handle != 6 || walk() != "[1 3 4 5]" {
-			t.Errorf("during the backoff: credits %d -> %d, retried handle %d, table %s; want +1, 6, [1 3 4 5]",
-				held, link.credits.Available(), ph2.handle, walk())
+		if s := link.lookup(2); len(link.free) != free || s == nil || s.ph != nil || ph2.handle != 6 || walk() != "[1 3 4 5]" {
+			t.Errorf("during the backoff: free slots %d -> %d, handle 2's slot %+v, retried handle %d, list %s; want %d, a zombie, 6, [1 3 4 5]",
+				free, len(link.free), s, ph2.handle, walk(), free)
 		}
 		// ...during which a requeue (what a cutover does) admits handle 7.
-		ph4, _ := d.inflight.cancel(4)
+		ph4 := link.lookup(4).ph
+		d.cancel(ph4)
 		d.inflight.admit(ph4)
 		if ph4.handle != 7 || walk() != "[1 3 5 7]" {
-			t.Errorf("requeued as handle %d, table %s; want 7, [1 3 5 7]", ph4.handle, walk())
+			t.Errorf("requeued as handle %d, list %s; want 7, [1 3 5 7]", ph4.handle, walk())
 		}
 		p.Sleep(2 * retryBackoff)
 		if walk() != "[1 3 5 6 7]" {
-			t.Errorf("6 entered after 7 and the table walks %s, want [1 3 5 6 7]", walk())
+			t.Errorf("6 entered after 7 and the list walks %s, want [1 3 5 6 7]", walk())
 		}
 	})
-	if n := d.inflight.len(); n != 0 || link.credits.Available() != ccfg.Credits {
-		t.Errorf("after the hang lifted: %d in flight, %d of %d credits", n, link.credits.Available(), ccfg.Credits)
+	// The late replies to 2 and 4 freed their zombies.
+	assertRecordsHome(t, d)
+}
+
+// A post that fails on the paper's fail-stop device (no retries, no
+// fallback) settles every request of the chain with the error and frees
+// each one's slot at once: none of them reached the server.
+func TestFailedPostFreesSlots(t *testing.T) {
+	ccfg := DefaultClientConfig()
+	ccfg.DoorbellBatch = 4
+	cb := newBed(t, bedOpts{client: ccfg})
+	d := cb.dev
+	var errs []error
+	cb.run(func(p *sim.Proc) {
+		// Reads stage without a copy, so all four are admitted before the
+		// sender runs; invalidating the staging MR then fails their post.
+		var reqs []*blockdev.Request
+		for i := 0; i < 4; i++ {
+			r := blockdev.NewRequest(cb.env, false, int64(i*8), make([]byte, 4096))
+			d.Submit(p, r)
+			reqs = append(reqs, r)
+		}
+		d.hca.DeregisterMRAtTeardown(d.links[0].reqMR)
+		for _, r := range reqs {
+			errs = append(errs, r.Wait(p))
+		}
+	})
+	for i, err := range errs {
+		if !errors.Is(err, ib.ErrBadSegment) {
+			t.Errorf("read %d: %v, want the post's error", i, err)
+		}
 	}
+	if st := d.Stats(); st.PhysReqs != 0 || st.Doorbells != 0 {
+		t.Errorf("%d requests and %d doorbells counted for a failed post", st.PhysReqs, st.Doorbells)
+	}
+	assertRecordsHome(t, d)
+}
+
+// A crash that lands on a full window: every slot holds a request the
+// dead server will never answer, so the watchdog's cancels leave the
+// window all zombies and no send can reach the server to find the crash
+// out. The link fails once the zombies have been on the wire for the
+// retry budget, and what queued behind them goes to the fallback instead
+// of waiting for ever.
+func TestCrashOnFullWindowFailsLink(t *testing.T) {
+	ccfg := recoveryConfig()
+	ccfg.Credits = 2
+	cb := newBed(t, bedOpts{client: ccfg, shared: true, fallback: true})
+	d := cb.dev
+	const writes = 6
+	var errs []error
+	cb.env.Go("test", func(p *sim.Proc) {
+		// The hang holds both replies, so the window is full at the crash.
+		cb.servers[0].HangFor(sim.Millisecond)
+		var reqs []*blockdev.Request
+		for i := 0; i < writes; i++ {
+			r := blockdev.NewRequest(cb.env, true, int64(i*8), pattern(4096, byte(i)))
+			d.Submit(p, r)
+			reqs = append(reqs, r)
+		}
+		p.Sleep(50 * sim.Microsecond)
+		cb.servers[0].Crash()
+		for _, r := range reqs {
+			errs = append(errs, r.Wait(p))
+		}
+	})
+	// A wedged device never drains (the watchdog keeps ticking), so the
+	// run is bounded: the retry budget is 1.5 ms.
+	cb.env.RunUntil(sim.Time(20 * sim.Millisecond))
+	cb.env.Close()
+	if len(errs) != writes {
+		t.Fatalf("%d of %d writes completed: the full window wedged the device", len(errs), writes)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("write %d: %v, want the fallback to absorb it", i, err)
+		}
+	}
+	st := d.Stats()
+	if cancels := cb.reg.Counter("hpbd.timeout_cancels").Value(); st.LinkFailures != 1 || cancels < 2 || st.Fallbacks != writes {
+		t.Errorf("link failures %d, timeout cancels %d, fallbacks %d; want 1, >= 2, %d",
+			st.LinkFailures, cancels, st.Fallbacks, writes)
+	}
+	assertRecordsHome(t, d)
 }
 
 // A live-added server is brought up by the same newLink as a connect-time

@@ -12,21 +12,50 @@ import (
 // zero but for the capacity of its carrier list.
 func settledPhys(ph *phys) bool {
 	return ph.parent == nil && ph.link == nil && ph.handle == 0 && ph.length == 0 &&
-		!ph.home.staged() && len(ph.subs) == 0 && ph.mtrack == nil && !ph.sent
+		!ph.home.staged() && len(ph.subs) == 0 && ph.mtrack == nil && ph.slot == nil &&
+		ph.prev == nil && ph.next == nil
 }
 
 // assertRecordsHome checks, once a device has drained, that every request
 // record it handed out came back: nothing live, nothing in the in-flight
-// table, and both free lists acyclic chains of zeroed records — a record
+// list, and both free lists acyclic chains of zeroed records — a record
 // put back twice would sit on its list twice, a stale settle would have
-// left a count or a field behind.
+// left a count or a field behind. Every link has its whole window back —
+// each slot free, on the free stack once, neither live nor zombie — and
+// every live link a reply buffer posted for each.
 func assertRecordsHome(t *testing.T, d *Device) {
 	t.Helper()
 	if d.liveRecs != 0 || d.livePhys != 0 {
 		t.Errorf("%d request records and %d loose phys handed out and not returned", d.liveRecs, d.livePhys)
 	}
-	if n := d.inflight.len(); n != 0 {
-		t.Errorf("%d requests still in the in-flight table", n)
+	if n := d.inflight.on(nil); n != 0 || !d.inflight.empty() || d.inflight.root.prev != &d.inflight.root {
+		t.Errorf("%d requests still in the in-flight list", n)
+	}
+	for _, link := range d.links {
+		name := link.srv.Name()
+		stacked := map[*reqSlot]bool{}
+		for _, s := range link.free {
+			if stacked[s] {
+				t.Fatalf("%s: slot %d is on the free stack twice", name, s.idx)
+			}
+			stacked[s] = true
+		}
+		for i := range link.slots {
+			switch s := &link.slots[i]; {
+			case s.ph != nil:
+				t.Errorf("%s: slot %d still live under handle %d", name, i, s.h)
+			case s.h != 0:
+				t.Errorf("%s: slot %d is a zombie of handle %d", name, i, s.h)
+			case !stacked[s]:
+				t.Errorf("%s: slot %d is free but not on the free stack", name, i)
+			}
+		}
+		if len(link.slots) != d.cfg.Credits || len(link.free) != d.cfg.Credits {
+			t.Errorf("%s: %d of %d slots free, want %d", name, len(link.free), len(link.slots), d.cfg.Credits)
+		}
+		if n := link.qp.PostedRecvs(); !link.down && n != d.cfg.Credits {
+			t.Errorf("%s: %d reply buffers posted, want %d", name, n, d.cfg.Credits)
+		}
 	}
 	recs := map[*parentReq]bool{}
 	for rec := d.freeRecs; rec != nil; rec = rec.free {
@@ -82,8 +111,9 @@ func assertServeRecordsHome(t *testing.T, s *Server) {
 }
 
 // checkRecordsLive is the invariant while requests are in flight: what the
-// in-flight table reaches — a request, a carrier and its constituents, and
-// their parent records — is live, never a recycled record.
+// in-flight list reaches — a request, a carrier and its constituents, and
+// their parent records — is live, never a recycled record, and a request
+// holding a slot holds it under its own handle.
 func checkRecordsLive(t *testing.T, d *Device) {
 	t.Helper()
 	free := map[*phys]bool{}
@@ -106,9 +136,14 @@ func checkRecordsLive(t *testing.T, d *Device) {
 			t.Errorf("%s %d points at a recycled parent record (remain %d)", what, ph.handle, ph.parent.remain)
 		}
 	}
-	for _, ph := range d.inflight.ordered() {
-		if !d.inflight.holds(ph.handle, ph) {
-			t.Errorf("the table does not hold request %d under its own handle", ph.handle)
+	var last uint64
+	for ph := range d.inflight.all() {
+		if ph.handle <= last {
+			t.Errorf("the list walks handle %d after %d", ph.handle, last)
+		}
+		last = ph.handle
+		if s := ph.slot; s != nil && (s.ph != ph || s.h != ph.handle || ph.link.lookup(ph.handle) != s) {
+			t.Errorf("request %d does not hold its slot under its own handle", ph.handle)
 		}
 		if len(ph.subs) == 0 {
 			owed("request", ph)
@@ -127,10 +162,13 @@ func checkRecordsLive(t *testing.T, d *Device) {
 // on every path there is — a crash with the fallback absorbing what was in
 // flight, a hang the watchdog cancels, transient send errors retried after
 // a backoff, a striped request losing one of its two servers — over a
-// merging sender (MergeWindow 8 behind four credits, so carriers form), and
-// holds the record discipline throughout: the in-flight table reaches only
+// merging sender (MergeWindow 8 behind two credits, so carriers form), and
+// holds the record discipline throughout: the in-flight list reaches only
 // live records at every sampling instant, every I/O completes, and at the
-// drain every record handed out is back on its free list, zeroed, once.
+// drain every record handed out is back on its free list, zeroed, once,
+// and every slot of a live link is free. Two credits are fewer than the
+// server's four workers: a cancelled request's slot stays a zombie until
+// its late reply lands, so a lifted hang cannot overrun the reply window.
 func TestRequestRecordLifetimes(t *testing.T) {
 	const blocks, blockBytes = 32, 32 << 10
 	cases := []struct {
@@ -168,11 +206,7 @@ func TestRequestRecordLifetimes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ccfg := recoveryConfig()
-			// Four credits back the send queue up for the merge window and
-			// still leave a reply buffer for each of the server's four
-			// workers: when a hang lifts they all reply at one instant,
-			// cancelled requests included (see ROADMAP item 1, hazard c).
-			ccfg.Credits = 4
+			ccfg.Credits = 2
 			ccfg.MergeWindow = 8
 			ccfg.MergeBytes = 512 << 10
 			ccfg.StripeBytes = tc.stripe
@@ -180,7 +214,7 @@ func TestRequestRecordLifetimes(t *testing.T) {
 				fallback: true, faults: tc.faults, server: stagingBytes(512 << 10)})
 			secPerBlock := int64(blockBytes / blockdev.SectorSize)
 			// burst keeps all its blocks outstanding at once: the backlog
-			// behind four credits is what the sender merges.
+			// behind two credits is what the sender merges.
 			burst := func(p *sim.Proc, write bool, seed byte) (errs int) {
 				ios := make([]*blockdev.IO, blocks)
 				bufs := make([][]byte, blocks)

@@ -288,9 +288,6 @@ func (s *Server) Store() *ramdisk.RamDisk { return s.store }
 // FreeBytes returns unallocated store space.
 func (s *Server) FreeBytes() int64 { return s.ledger.Free() }
 
-// Ledger exposes the area ownership ledger (hpbdctl placement/tenants).
-func (s *Server) Ledger() *placement.Ledger { return s.ledger }
-
 // DropClients closes every client connection (server shutdown or crash):
 // clients observe flushed completions and fail their devices.
 func (s *Server) DropClients() {

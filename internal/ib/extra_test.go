@@ -84,27 +84,6 @@ func TestWaitPollTimeout(t *testing.T) {
 	}
 }
 
-func TestPostSendAsyncFromCallback(t *testing.T) {
-	env, _, a, b := pair(DefaultConfig())
-	amr, bmr := a.mr(4096), b.mr(4096)
-	b.qp.PostRecv(RecvWR{ID: 1, Local: Segment{bmr, 0, 4096}})
-	var delivered bool
-	env.After(sim.Microsecond, func() {
-		if err := a.qp.PostSendAsync(SendWR{ID: 1, Op: OpSend, Local: Segment{amr, 0, 64}}); err != nil {
-			t.Errorf("PostSendAsync: %v", err)
-		}
-	})
-	env.Go("recv", func(p *sim.Proc) {
-		e := b.recvCQ.WaitPoll(p)
-		delivered = e.Status == StatusSuccess
-	})
-	env.Run()
-	env.Close()
-	if !delivered {
-		t.Error("async-posted send not delivered")
-	}
-}
-
 func TestQPPenaltyCapacityModel(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewFabric(env, DefaultConfig())

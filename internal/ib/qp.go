@@ -164,22 +164,6 @@ func (q *QP) PostSendBatch(p *sim.Proc, wrs []SendWR) error {
 	return nil
 }
 
-// PostSendAsync posts from callback context (no process to charge); used
-// by layered code that batches posts inside event handlers.
-func (q *QP) PostSendAsync(wr SendWR) error {
-	if q.closed {
-		return ErrQPClosed
-	}
-	if q.peer == nil {
-		return ErrNotConnected
-	}
-	if !wr.Local.valid() {
-		return ErrBadSegment
-	}
-	q.issue(wr)
-	return nil
-}
-
 // wrRec is one send-side work request in flight: what the fabric must
 // remember between the post and the WR's last event. The gather segment
 // is captured at post time (the model's stand-in for DMA gather: callers

@@ -10,6 +10,22 @@ import (
 
 func fill(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 
+// postNow issues wr from callback context, with no process to charge the
+// doorbell to, so a test can drive the fabric without a proc in between.
+func (q *QP) postNow(wr SendWR) error {
+	if q.closed {
+		return ErrQPClosed
+	}
+	if q.peer == nil {
+		return ErrNotConnected
+	}
+	if !wr.Local.valid() {
+		return ErrBadSegment
+	}
+	q.issue(wr)
+	return nil
+}
+
 // Recycled wire buffers keep capture-at-post: a SEND or RDMA WRITE carries
 // the bytes its gather segment held when it was posted, whatever the
 // caller does to the region afterwards (the HPBD client reuses a control
@@ -22,7 +38,7 @@ func TestCaptureAtPostSendAndWrite(t *testing.T) {
 		if err := b.qp.PostRecv(RecvWR{ID: 1, Local: Segment{bmr, 0, 4096}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.qp.PostSendAsync(SendWR{ID: 2, Op: op, Local: Segment{amr, 0, 4096}, RemoteKey: bmr.RKey}); err != nil {
+		if err := a.qp.postNow(SendWR{ID: 2, Op: op, Local: Segment{amr, 0, 4096}, RemoteKey: bmr.RKey}); err != nil {
 			t.Fatal(err)
 		}
 		copy(amr.Buf, fill(4096, 0xB2)) // after the post, before delivery
@@ -146,7 +162,7 @@ func TestRecordsReturnOnEveryPath(t *testing.T) {
 		}
 		burst := func() {
 			for _, wr := range wrs {
-				if err := a.qp.PostSendAsync(wr); err != nil {
+				if err := a.qp.postNow(wr); err != nil {
 					t.Fatalf("%s: post: %v", tc.name, err)
 				}
 			}
@@ -207,7 +223,7 @@ func TestPostRecvAllocsPerRun(t *testing.T) {
 	next := 0
 	cycle := func() {
 		// One SEND consumes the oldest receive; its slot is reposted.
-		if err := a.qp.PostSendAsync(SendWR{Op: OpSend, Local: Segment{amr, 0, 64}}); err != nil {
+		if err := a.qp.postNow(SendWR{Op: OpSend, Local: Segment{amr, 0, 64}}); err != nil {
 			t.Fatal(err)
 		}
 		env.Run()

@@ -1,7 +1,7 @@
 package lint
 
 // Shared infrastructure for the flow-sensitive protocol analyzers
-// (creditbalance, handleonce, lockorder, hotalloc): a per-package
+// (handleonce, lockorder, hotalloc): a per-package
 // function index with memoized CFGs, static call resolution inside the
 // package, and the access-path identity the analyzers use to decide
 // that two expressions name the same resource.

@@ -7,12 +7,11 @@ package lint
 // by exactly one of completion / requeue / re-insertion under a fresh
 // handle (the failover and migration requeue discipline), and a path that
 // forgets loses the request while a path that settles twice completes it
-// twice. (The HPBD client's own table deletes only inside inflight.take,
-// which returns the request: ownership moves to the caller there and this
-// analyzer does not follow it; the client's tests do. Nor does it follow a
-// settlement through finishPhys into the recycled record: there a second
-// settle finds a zeroed record — a nil parent at run time, and the
-// free-list checks of TestRequestRecordLifetimes — not a finding here.)
+// twice. (The HPBD client keeps no such map: its in-flight list and slot
+// table are intrusive, so ownership moves without a delete this analyzer
+// could see, and the client's tests check it — a second settle there finds
+// a zeroed record, a nil parent at run time, and the free-list and slot
+// checks of TestRequestRecordLifetimes.)
 //
 // Tracked maps are discovered per package: any map identity (field or
 // local) with a pointer-to-named-struct element that sees BOTH an index

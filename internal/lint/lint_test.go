@@ -26,7 +26,6 @@ func TestFixtures(t *testing.T) {
 		{lint.Mapiter, "mapiter"},
 		{lint.Simblock, "simblock"},
 		{lint.Telemetrynil, "telemetrynil"},
-		{lint.Creditbalance, "creditbalance"},
 		{lint.Handleonce, "handleonce"},
 		{lint.Lockorder, "lockorder"},
 		{lint.Hotalloc, "hotalloc"},
@@ -151,20 +150,6 @@ func dropLine(t *testing.T, src, marker string) string {
 	return strings.Join(out, "\n")
 }
 
-const creditScratch = `package scratch
-
-import "hpbd/internal/sim"
-
-func send(p *sim.Proc, sem *sim.Semaphore, fail bool) {
-	sem.Acquire(p, 1)
-	if fail {
-		sem.Release(1) // compensate
-		return
-	}
-	sem.Release(1)
-}
-`
-
 const handleScratch = `package scratch
 
 type req struct{ id uint64 }
@@ -189,29 +174,15 @@ func (d *dev) requeue(h, nh uint64) {
 `
 
 // TestSeededMutations pins that the protocol analyzers catch the bug
-// classes they exist for: hand-deleting the compensating Release from
-// a balanced credit flow, or the re-insertion after a tracked-map
-// delete, must produce a finding — and the unmutated code must not.
+// class they exist for: hand-deleting the re-insertion after a
+// tracked-map delete must produce a finding — and the unmutated code
+// must not.
 func TestSeededMutations(t *testing.T) {
-	if fs := checkScratch(t, lint.Creditbalance, creditScratch); len(fs) != 0 {
-		t.Errorf("unmutated credit scratch: unexpected findings %v", fs)
-	}
-	mutated := dropLine(t, creditScratch, "// compensate")
-	fs := checkScratch(t, lint.Creditbalance, mutated)
-	if len(fs) == 0 {
-		t.Error("creditbalance missed the deleted Release")
-	}
-	for _, f := range fs {
-		if !strings.Contains(f.Message, "may not be released on every path") {
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-
 	if fs := checkScratch(t, lint.Handleonce, handleScratch); len(fs) != 0 {
 		t.Errorf("unmutated handle scratch: unexpected findings %v", fs)
 	}
-	mutated = dropLine(t, handleScratch, "// resettle")
-	fs = checkScratch(t, lint.Handleonce, mutated)
+	mutated := dropLine(t, handleScratch, "// resettle")
+	fs := checkScratch(t, lint.Handleonce, mutated)
 	if len(fs) == 0 {
 		t.Error("handleonce missed the deleted re-insertion")
 	}
@@ -222,25 +193,25 @@ func TestSeededMutations(t *testing.T) {
 	}
 }
 
-// TestAllowOnAcquireLine pins the chosen suppression semantics for
+// TestAllowOnRelatedLine pins the chosen suppression semantics for
 // flow-sensitive findings: the leak diagnostic lands on the exit line,
-// but it carries the acquire site as a related position, and a
+// but it carries the delete site as a related position, and a
 // //hpbd:allow directive covering EITHER line suppresses it. The
-// directive belongs on the acquire line — that is where the protocol
-// knowledge ("this credit is settled elsewhere") lives.
-func TestAllowOnAcquireLine(t *testing.T) {
-	leaky := dropLine(t, creditScratch, "// compensate")
-	if fs := checkScratch(t, lint.Creditbalance, leaky); len(fs) != 1 {
+// directive belongs on the delete line — that is where the protocol
+// knowledge ("this handle is settled elsewhere") lives.
+func TestAllowOnRelatedLine(t *testing.T) {
+	leaky := dropLine(t, handleScratch, "// resettle")
+	if fs := checkScratch(t, lint.Handleonce, leaky); len(fs) != 1 {
 		t.Fatalf("baseline leak: want 1 finding, got %v", fs)
 	}
 	annotated := strings.Replace(leaky,
-		"\tsem.Acquire(p, 1)",
-		"\t//hpbd:allow creditbalance -- test: settled elsewhere\n\tsem.Acquire(p, 1)", 1)
+		"\tdelete(d.pending, h)",
+		"\t//hpbd:allow handleonce -- test: settled elsewhere\n\tdelete(d.pending, h)", 1)
 	if annotated == leaky {
 		t.Fatal("annotation not applied")
 	}
-	if fs := checkScratch(t, lint.Creditbalance, annotated); len(fs) != 0 {
-		t.Errorf("directive on the acquire line should suppress the exit-line report, got %v", fs)
+	if fs := checkScratch(t, lint.Handleonce, annotated); len(fs) != 0 {
+		t.Errorf("directive on the delete line should suppress the exit-line report, got %v", fs)
 	}
 }
 

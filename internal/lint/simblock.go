@@ -101,7 +101,7 @@ func checkProcBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.CallExpr:
 			if name := syncMethodName(pass, n); name != "" {
-				pass.Reportf(n.Pos(), "%s in a *sim.Proc function blocks the real thread all simulated processes share; use sim.WaitQueue/sim.Semaphore", name)
+				pass.Reportf(n.Pos(), "%s in a *sim.Proc function blocks the real thread all simulated processes share; use sim.WaitQueue/sim.Chan", name)
 			}
 		}
 		return true

@@ -23,7 +23,7 @@ import (
 )
 
 // Analyzers is the full hpbd-vet suite in reporting order. The first
-// five enforce the determinism contract (DESIGN.md §8); the last four
+// five enforce the determinism contract (DESIGN.md §8); the last three
 // are the flow-sensitive protocol analyzers built on
 // internal/lint/analysis/cfg + dataflow.
 var Analyzers = []*analysis.Analyzer{
@@ -32,7 +32,6 @@ var Analyzers = []*analysis.Analyzer{
 	Mapiter,
 	Simblock,
 	Telemetrynil,
-	Creditbalance,
 	Handleonce,
 	Lockorder,
 	Hotalloc,
@@ -89,16 +88,10 @@ var mapiterPackages = map[string]bool{
 
 // onlyPackages restricts an analyzer to an inclusion list, like
 // mapiterPackages: the protocol analyzers audit the layers that speak
-// the credit/handle protocols. lockorder additionally covers the real
-// TCP device and the NBD baseline (ordinary sync.Mutex users); hotalloc
-// is absent — it runs everywhere, gated by the //hpbd:hotpath marker.
+// the handle protocols. lockorder additionally covers the real TCP
+// device and the NBD baseline (ordinary sync.Mutex users); hotalloc is
+// absent — it runs everywhere, gated by the //hpbd:hotpath marker.
 var onlyPackages = map[string]map[string]bool{
-	Creditbalance.Name: {
-		"hpbd/internal/hpbd":    true,
-		"hpbd/internal/mirror":  true,
-		"hpbd/internal/cluster": true,
-		"hpbd/internal/tenant":  true,
-	},
 	Handleonce.Name: {
 		"hpbd/internal/hpbd":      true,
 		"hpbd/internal/mirror":    true,

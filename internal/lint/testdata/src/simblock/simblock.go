@@ -36,9 +36,6 @@ func badNestedLit(env *sim.Env, ch chan int) {
 func goodSimPrimitives(p *sim.Proc, env *sim.Env) {
 	q := sim.NewWaitQueue(env)
 	q.Wait(p)
-	sem := sim.NewSemaphore(env, 2)
-	sem.Acquire(p, 1)
-	sem.Release(1)
 	mu := sim.NewMutex(env)
 	mu.Lock(p)
 	mu.Unlock()

@@ -110,36 +110,20 @@ func TestIdle(t *testing.T) {
 	env.Close()
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	env := NewEnv()
-	s := NewSemaphore(env, 3)
-	if !s.TryAcquire(2) {
-		t.Error("TryAcquire(2) of 3 failed")
-	}
-	if s.TryAcquire(2) {
-		t.Error("TryAcquire(2) of 1 succeeded")
-	}
-	s.Release(1)
-	if !s.TryAcquire(2) {
-		t.Error("TryAcquire after release failed")
-	}
-	env.Close()
-}
-
 func TestManyProcsStress(t *testing.T) {
 	// A few thousand processes with mixed primitives must drain cleanly
 	// and deterministically.
 	run := func() Time {
 		env := NewEnv()
 		ch := NewChan[int](env, 4)
-		sem := NewSemaphore(env, 3)
+		mu := NewMutex(env)
 		for i := 0; i < 500; i++ {
 			i := i
 			env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-				sem.Acquire(p, 1)
+				mu.Lock(p)
 				p.Sleep(Duration(i%17) * Microsecond)
+				mu.Unlock()
 				ch.Send(p, i)
-				sem.Release(1)
 			})
 		}
 		env.Go("drain", func(p *Proc) {

@@ -120,41 +120,6 @@ func (ev *Event) Trigger() {
 // parks for the new round.
 func (ev *Event) Reset() { ev.triggered = false }
 
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	count int
-	q     WaitQueue
-}
-
-// NewSemaphore returns a semaphore holding n permits.
-func NewSemaphore(_ *Env, n int) *Semaphore { return &Semaphore{count: n} }
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.count }
-
-// Acquire takes n permits, parking until they are available.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	for s.count < n {
-		s.q.Wait(p)
-	}
-	s.count -= n
-}
-
-// TryAcquire takes n permits without blocking and reports success.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if s.count < n {
-		return false
-	}
-	s.count -= n
-	return true
-}
-
-// Release returns n permits and wakes all waiters to re-check.
-func (s *Semaphore) Release(n int) {
-	s.count += n
-	s.q.WakeAll()
-}
-
 // Mutex is a simple blocking lock in virtual time. The simulation kernel is
 // cooperative, so a Mutex is only needed when a process may block while a
 // critical section must stay closed to others.

@@ -5,10 +5,7 @@
 //
 //   - a Spec describing each tenant's QoS contract — scheduling weight,
 //     guaranteed credit reservation and memory quota — with a
-//     human-writable text form for CLI flags ("pool=8,A:w4:r8:q1M")
-//     and a versioned binary wire form (Marshal/Unmarshal) for
-//     embedding in configs and fuzzing, mirroring internal/faultsim's
-//     FS-v1 schedule codec;
+//     human-writable text form for CLI flags ("pool=8,A:w4:r8:q1M");
 //   - a CreditBank (credits.go) partitioning the server's receive
 //     window into per-tenant reservations plus a weighted borrowable
 //     common pool, so a greedy tenant stalls on its own window and
@@ -21,7 +18,6 @@
 package tenant
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -282,83 +278,4 @@ func (s *Spec) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Wire encoding: magic "TQ" + version byte + u32 pool + u16 tenant
-// count, then per tenant: id len u8 + bytes, weight u32, reserved u32,
-// quota u64. All integers big-endian.
-const (
-	wireMagic0  = 'T'
-	wireMagic1  = 'Q'
-	wireVersion = 1
-)
-
-// Marshal encodes the spec into the binary wire form. The spec must be
-// valid (Marshal validates, so a fuzzer cannot round-trip garbage).
-func (s *Spec) Marshal() ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 9+len(s.Tenants)*24)
-	buf = append(buf, wireMagic0, wireMagic1, wireVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Pool))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Tenants)))
-	for i := range s.Tenants {
-		t := &s.Tenants[i]
-		buf = append(buf, byte(len(t.ID)))
-		buf = append(buf, t.ID...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(t.Weight))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(t.Reserved))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(t.Quota))
-	}
-	return buf, nil
-}
-
-// Unmarshal decodes the binary wire form. Decoded specs are re-sorted
-// and re-validated, so a hand-built (or fuzzed) encoding cannot smuggle
-// an out-of-order or out-of-bounds contract past the server.
-func Unmarshal(data []byte) (*Spec, error) {
-	if len(data) < 9 || data[0] != wireMagic0 || data[1] != wireMagic1 {
-		return nil, fmt.Errorf("tenant: bad spec magic")
-	}
-	if data[2] != wireVersion {
-		return nil, fmt.Errorf("tenant: unsupported spec version %d", data[2])
-	}
-	pool := binary.BigEndian.Uint32(data[3:7])
-	if pool > maxPool {
-		return nil, fmt.Errorf("tenant: pool %d out of range", pool)
-	}
-	n := int(binary.BigEndian.Uint16(data[7:9]))
-	s := Spec{Pool: int(pool)}
-	off := 9
-	for i := 0; i < n; i++ {
-		if len(data)-off < 1 {
-			return nil, fmt.Errorf("tenant: truncated tenant %d", i)
-		}
-		idLen := int(data[off])
-		off++
-		if len(data)-off < idLen+16 {
-			return nil, fmt.Errorf("tenant: truncated tenant %d", i)
-		}
-		var t Tenant
-		t.ID = string(data[off : off+idLen])
-		off += idLen
-		w := binary.BigEndian.Uint32(data[off:])
-		r := binary.BigEndian.Uint32(data[off+4:])
-		q := binary.BigEndian.Uint64(data[off+8:])
-		off += 16
-		if w > maxWeight || r > maxReserved || q >= 1<<63 {
-			return nil, fmt.Errorf("tenant: tenant %d field out of range", i)
-		}
-		t.Weight, t.Reserved, t.Quota = int(w), int(r), int64(q)
-		s.Tenants = append(s.Tenants, t)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("tenant: %d trailing bytes after spec", len(data)-off)
-	}
-	s.normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }

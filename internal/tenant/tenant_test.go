@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,76 +113,6 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		if text2 := s2.String(); text2 != text {
 			t.Errorf("String not a fixed point: %q then %q", text, text2)
 		}
-	}
-}
-
-func TestSpecMarshalRoundTrip(t *testing.T) {
-	s, err := ParseSpec("pool=8,A:w4:r8:q2M,B:w1:r4,c-3:w9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, s2) {
-		t.Errorf("binary round trip changed spec: %+v != %+v", s, s2)
-	}
-	data2, err := s2.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Errorf("re-encoding not byte-identical: %x != %x", data, data2)
-	}
-}
-
-func TestMarshalRejectsInvalid(t *testing.T) {
-	s := &Spec{Pool: 4} // no tenants
-	if _, err := s.Marshal(); err == nil {
-		t.Error("Marshal of invalid spec succeeded")
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	good, err := ParseSpec("pool=4,a:w2:r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := good.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":          nil,
-		"short":          data[:5],
-		"bad magic":      append([]byte("XX"), data[2:]...),
-		"bad version":    append([]byte{'T', 'Q', 9}, data[3:]...),
-		"trailing bytes": append(append([]byte{}, data...), 0),
-		"truncated body": data[:len(data)-4],
-	}
-	for name, d := range cases {
-		if _, err := Unmarshal(d); err == nil {
-			t.Errorf("%s: Unmarshal succeeded, want failure", name)
-		}
-	}
-}
-
-func TestUnmarshalRevalidates(t *testing.T) {
-	// A hand-built encoding with a zero weight must be rejected even
-	// though it is structurally well-formed.
-	data := []byte{'T', 'Q', 1, 0, 0, 0, 4, 0, 1, // pool=4, 1 tenant
-		1, 'a', // id "a"
-		0, 0, 0, 0, // weight 0: invalid
-		0, 0, 0, 1, // reserved 1
-		0, 0, 0, 0, 0, 0, 0, 0, // quota 0
-	}
-	if _, err := Unmarshal(data); err == nil {
-		t.Error("Unmarshal accepted a zero-weight tenant")
 	}
 }
 

@@ -150,14 +150,3 @@ func Replay(p *sim.Proc, q *blockdev.Queue, t *Trace) (ReplayStats, error) {
 	st.Elapsed = p.Now().Sub(start)
 	return st, nil
 }
-
-// ReplayFastAsPossible ignores the recorded pacing: every op is submitted
-// as soon as its predecessor allows, measuring pure device capability.
-func ReplayFastAsPossible(p *sim.Proc, q *blockdev.Queue, t *Trace) (ReplayStats, error) {
-	flat := &Trace{Ops: make([]Op, len(t.Ops))}
-	copy(flat.Ops, t.Ops)
-	for i := range flat.Ops {
-		flat.Ops[i].At = 0
-	}
-	return Replay(p, q, flat)
-}

@@ -77,6 +77,17 @@ func TestLoadRejectsInvalid(t *testing.T) {
 
 // Replaying a captured trace against different devices reproduces the
 // paper's device ordering without re-running the workload.
+// unpaced drops a trace's recorded pacing: replayed, every op is
+// submitted as soon as its predecessor allows, measuring pure device
+// capability.
+func unpaced(t *Trace) *Trace {
+	flat := &Trace{Ops: append([]Op(nil), t.Ops...)}
+	for i := range flat.Ops {
+		flat.Ops[i].At = 0
+	}
+	return flat
+}
+
 func TestReplayAcrossDevices(t *testing.T) {
 	tr := capture(t)
 	run := func(kind cluster.SwapKind) sim.Duration {
@@ -90,7 +101,7 @@ func TestReplayAcrossDevices(t *testing.T) {
 		var elapsed sim.Duration
 		env.Go("replay", func(p *sim.Proc) {
 			node.Ready.Wait(p)
-			st, err := ReplayFastAsPossible(p, node.Queue, tr)
+			st, err := Replay(p, node.Queue, unpaced(tr))
 			if err != nil {
 				t.Errorf("replay on %v: %v", kind, err)
 				return
@@ -134,7 +145,7 @@ func TestReplayPacingRespectsTimestamps(t *testing.T) {
 			if paced {
 				st, rerr = Replay(p, node.Queue, tr)
 			} else {
-				st, rerr = ReplayFastAsPossible(p, node.Queue, tr)
+				st, rerr = Replay(p, node.Queue, unpaced(tr))
 			}
 			if rerr != nil {
 				t.Errorf("replay: %v", rerr)

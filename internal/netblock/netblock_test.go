@@ -8,6 +8,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"hpbd/internal/wire"
 )
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -340,26 +343,49 @@ func TestRequestPathAllocsPerRun(t *testing.T) {
 // TestReplyFramesSurviveGC: reply frames belong to their connection, not
 // to a process-wide pool that every garbage collection empties, so
 // collections between requests do not send the server back to allocating
-// a 128 KB frame for each reply.
+// a 128 KB frame for each reply. A frame returns to the free list only
+// after the writer has sent it, and a request that lands before then takes
+// a second frame: the connection is warmed with a window of reads sent
+// before any reply is read, so that one-time frame is not counted against
+// the collections.
 func TestReplyFramesSurviveGC(t *testing.T) {
 	s := startServer(t, 1<<20)
-	c, err := Dial(s.Addr(), 1<<20, 4)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
+	conn := rawAttach(t, s, 1<<20)
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	hdr := make([]byte, wire.RequestSize)
+	rep := make([]byte, wire.ReplySize)
+	payload := make([]byte, MaxRequestBytes)
+	send := func(h uint64, n int) {
+		wire.MarshalRequest(hdr, &wire.Request{Type: wire.ReqRead, Handle: h, Length: uint32(n)})
+		if _, err := conn.Write(hdr); err != nil {
+			t.Fatalf("request %d: %v", h, err)
+		}
 	}
-	defer c.Close()
-	buf := make([]byte, 32<<10)
-	if _, err := c.ReadAt(buf, 0); err != nil { // the connection's first frame
-		t.Fatalf("ReadAt: %v", err)
+	recv := func(h uint64, n int) {
+		if _, err := io.ReadFull(conn, rep); err != nil {
+			t.Fatalf("reply %d: %v", h, err)
+		}
+		if r, err := wire.UnmarshalReply(rep); err != nil || r.Handle != h || r.Status != wire.StatusOK {
+			t.Fatalf("reply %d = %+v, %v", h, r, err)
+		}
+		if _, err := io.ReadFull(conn, payload[:n]); err != nil {
+			t.Fatalf("payload %d: %v", h, err)
+		}
+	}
+	const window = 64
+	for h := uint64(1); h <= window; h++ {
+		send(h, MaxRequestBytes)
+	}
+	for h := uint64(1); h <= window; h++ {
+		recv(h, MaxRequestBytes)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < 50; i++ {
+	for i := uint64(0); i < 50; i++ {
 		runtime.GC()
 		runtime.GC()
-		if _, err := c.ReadAt(buf, 0); err != nil {
-			t.Fatalf("ReadAt %d: %v", i, err)
-		}
+		send(window+1+i, 32<<10)
+		recv(window+1+i, 32<<10)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {

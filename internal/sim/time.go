@@ -28,7 +28,10 @@
 // client/server — are built as processes on this kernel.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is an absolute virtual time in nanoseconds since simulation start.
 type Time int64
@@ -109,10 +112,11 @@ func ParseDuration(s string) (Duration, error) {
 		if c < '0' || c > '9' {
 			return 0, fmt.Errorf("sim: bad duration %q", s)
 		}
-		d = d*10 + Duration(c-'0')*unit
-		if d < 0 {
+		// Bound d before the step: a wrapped product can land positive.
+		if d > (math.MaxInt64-Duration(c-'0')*unit)/10 {
 			return 0, fmt.Errorf("sim: duration %q overflows", s)
 		}
+		d = d*10 + Duration(c-'0')*unit
 	}
 	scale := unit
 	for i := 0; i < len(fracPart); i++ {
@@ -121,6 +125,9 @@ func ParseDuration(s string) (Duration, error) {
 			return 0, fmt.Errorf("sim: bad duration %q", s)
 		}
 		scale /= 10
+		if d > math.MaxInt64-Duration(c-'0')*scale {
+			return 0, fmt.Errorf("sim: duration %q overflows", s)
+		}
 		d += Duration(c-'0') * scale
 	}
 	return d, nil
